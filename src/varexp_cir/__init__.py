@@ -11,120 +11,20 @@ and verifies moment and martingale properties on Monte Carlo batches.
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    Histogram,
-    MartingaleReport,
-    MomentReport,
-    check_moment_bounds,
-    empirical_moment,
-    martingale_paths,
-    martingale_report,
-    moment_bound,
-    second_moment_bound,
-    terminal_histogram,
-)
-from .exponent import (
-    ExponentFunction,
-    GridConfig,
-    HypothesisReport,
-    HypothesisViolationError,
-    constant_exponent,
-    custom_exponent,
-    eval_dp,
-    eval_p,
-    make_builtin,
-    validate_hypotheses,
-)
-from .model import (
-    FellerReport,
-    Model,
-    ModelParams,
-    cir_model,
-    diffusion,
-    drift,
-    feller_check,
-    feller_function,
-    generator_apply,
-    gm_model,
-    growth_constant,
-    parse_model,
-    pkm_model,
-)
-from .solver import (
-    Path,
-    PathBatch,
-    PathOverflowError,
-    PicardReport,
-    band_exit_index,
-    euler_maruyama,
-    euler_maruyama_truncated,
-    picard_solve,
-    simulate_batch,
-)
-from .stochastic import BrownianBatch, TimeGrid, make_grid, path_increments, sample_batch
-from .truncation import (
-    LipschitzReport,
-    TruncationParams,
-    lipschitz_constants,
-    rho_n,
-    theta_n,
-    truncated_diffusion,
-    truncated_drift,
-)
+from . import analysis, exponent, model, solver, stochastic, truncation
+from .analysis import *  # noqa: F403
+from .exponent import *  # noqa: F403
+from .model import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .stochastic import *  # noqa: F403
+from .truncation import *  # noqa: F403
 
-__all__ = [
-    "BrownianBatch",
-    "ExponentFunction",
-    "FellerReport",
-    "GridConfig",
-    "Histogram",
-    "HypothesisReport",
-    "HypothesisViolationError",
-    "LipschitzReport",
-    "MartingaleReport",
-    "Model",
-    "ModelParams",
-    "MomentReport",
-    "Path",
-    "PathBatch",
-    "PathOverflowError",
-    "PicardReport",
-    "TimeGrid",
-    "TruncationParams",
-    "band_exit_index",
-    "check_moment_bounds",
-    "cir_model",
-    "constant_exponent",
-    "custom_exponent",
-    "diffusion",
-    "drift",
-    "empirical_moment",
-    "euler_maruyama",
-    "euler_maruyama_truncated",
-    "eval_dp",
-    "eval_p",
-    "feller_check",
-    "feller_function",
-    "generator_apply",
-    "gm_model",
-    "growth_constant",
-    "lipschitz_constants",
-    "make_builtin",
-    "make_grid",
-    "martingale_paths",
-    "martingale_report",
-    "moment_bound",
-    "parse_model",
-    "path_increments",
-    "picard_solve",
-    "pkm_model",
-    "rho_n",
-    "sample_batch",
-    "second_moment_bound",
-    "simulate_batch",
-    "terminal_histogram",
-    "theta_n",
-    "truncated_diffusion",
-    "truncated_drift",
-    "validate_hypotheses",
-]
+# the public names of every module, which each declares in its own __all__
+__all__ = sorted(
+    analysis.__all__
+    + exponent.__all__
+    + model.__all__
+    + solver.__all__
+    + stochastic.__all__
+    + truncation.__all__
+)

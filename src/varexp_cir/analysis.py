@@ -9,7 +9,7 @@ martingale statistic, and terminal-distribution histograms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,17 +42,19 @@ def default_checkpoints(grid: TimeGrid) -> tuple[float, ...]:
     return tuple(float(j * grid.dt) for j in indices)
 
 
+def _mean_stderr(col: np.ndarray) -> tuple[float, float]:
+    """Sample mean of one column over paths and its standard error."""
+    stderr = float(col.std(ddof=1) / math.sqrt(col.size)) if col.size > 1 else 0.0
+    return float(col.mean()), stderr
+
+
 def empirical_moment(batch: PathBatch, t: float, m: int) -> tuple[float, float]:
     """Sample mean of v(t)**m over paths and its standard error."""
     if m < 1:
         raise ValueError("moment order must be >= 1")
     if batch.m_paths < 1:
         raise ValueError("empty batch")
-    j = batch.grid.index_of(t)
-    powers = batch.values[:, j] ** m
-    mean = float(powers.mean())
-    stderr = float(powers.std(ddof=1) / math.sqrt(batch.m_paths)) if batch.m_paths > 1 else 0.0
-    return mean, stderr
+    return _mean_stderr(batch.values[:, batch.grid.index_of(t)] ** m)
 
 
 def moment_bound(params: ModelParams, m: int, t: float) -> tuple[float, float]:
@@ -60,7 +62,8 @@ def moment_bound(params: ModelParams, m: int, t: float) -> tuple[float, float]:
 
     C_m = m*kappa*(theta+1) + (xi^2/2)*m*(m-1), and the ceiling is
     2**(m-1) * (1 + v0**m) * exp(C_m * t). Only orders m >= 2 are
-    covered by the estimate.
+    covered by the estimate. A ceiling beyond the largest double is
+    returned as inf, which is still a true bound.
     """
     if not isinstance(m, (int, np.integer)) or m < 2:
         raise ValueError(f"moment order must be an integer >= 2, got {m}")
@@ -68,7 +71,10 @@ def moment_bound(params: ModelParams, m: int, t: float) -> tuple[float, float]:
         raise ValueError("checkpoint must be nonnegative")
     kappa, theta, xi, v0 = params.kappa, params.theta, params.xi, params.v0
     C_m = m * kappa * (theta + 1.0) + (xi**2 / 2.0) * m * (m - 1)
-    bound = 2.0 ** (m - 1) * (1.0 + v0**m) * math.exp(C_m * t)
+    try:
+        bound = 2.0 ** (m - 1) * (1.0 + v0**m) * math.exp(C_m * t)
+    except OverflowError:
+        bound = math.inf
     return C_m, bound
 
 
@@ -90,15 +96,7 @@ class MomentReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "checkpoint": self.checkpoint,
-            "empirical": self.empirical,
-            "stderr": self.stderr,
-            "theoretical_bound": self.theoretical_bound,
-            "C_m": self.C_m,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def check_moment_bounds(
@@ -134,11 +132,14 @@ def second_moment_bound(params: ModelParams, model: Model, grid: TimeGrid) -> fl
     (1 + 3*v0^2) * exp(3*K*T*(T+4)), with deterministic initial state.
 
     Astronomically slack at realistic parameters; reported for sanity
-    comparison only.
+    comparison only. A ceiling beyond the largest double is inf.
     """
     K = growth_constant(model)
     T = grid.horizon
-    return (1.0 + 3.0 * params.v0**2) * math.exp(3.0 * K * T * (T + 4.0))
+    try:
+        return (1.0 + 3.0 * params.v0**2) * math.exp(3.0 * K * T * (T + 4.0))
+    except OverflowError:
+        return math.inf
 
 
 def martingale_paths(batch: PathBatch, params: ModelParams) -> np.ndarray:
@@ -173,14 +174,7 @@ class MartingaleReport:
     bias_allowance: float
 
     def to_dict(self) -> dict:
-        return {
-            "checkpoints": list(self.checkpoints),
-            "mh_means": list(self.mh_means),
-            "mh_stderrs": list(self.mh_stderrs),
-            "max_abs_drift": self.max_abs_drift,
-            "satisfied": self.satisfied,
-            "bias_allowance": self.bias_allowance,
-        }
+        return asdict(self)
 
 
 def martingale_report(
@@ -194,12 +188,7 @@ def martingale_report(
     if len(checkpoints) == 0:
         raise ValueError("at least one checkpoint is required")
     mh = martingale_paths(batch, params)
-    sqrt_m = math.sqrt(batch.m_paths)
-    means, stderrs = [], []
-    for t in checkpoints:
-        col = mh[:, batch.grid.index_of(t)]
-        means.append(float(col.mean()))
-        stderrs.append(float(col.std(ddof=1) / sqrt_m) if batch.m_paths > 1 else 0.0)
+    means, stderrs = zip(*(_mean_stderr(mh[:, batch.grid.index_of(t)]) for t in checkpoints))
     v0 = params.v0
     allowance = params.kappa * (params.theta + v0) * batch.grid.dt
     deviations = [abs(mu - v0) for mu in means]
@@ -208,8 +197,8 @@ def martingale_report(
     )
     return MartingaleReport(
         checkpoints=tuple(float(t) for t in checkpoints),
-        mh_means=tuple(means),
-        mh_stderrs=tuple(stderrs),
+        mh_means=means,
+        mh_stderrs=stderrs,
         max_abs_drift=max(deviations),
         satisfied=satisfied,
         bias_allowance=allowance,

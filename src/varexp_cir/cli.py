@@ -19,6 +19,8 @@ subcommands print their report as JSON on stdout; file-producing
 subcommands print a one-line summary. All floats are serialized with 17
 significant digits and files are written atomically, so identical
 configurations produce byte-identical outputs.
+
+``python -m varexp_cir`` runs the same command line.
 """
 
 from __future__ import annotations
@@ -28,19 +30,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import numpy as np
 import scipy
 
-from . import __version__
-from .analysis import (
-    check_moment_bounds,
-    default_checkpoints,
-    martingale_report,
-    terminal_histogram,
-)
+from . import __version__, stochastic
+from .analysis import check_moment_bounds, martingale_report, terminal_histogram
 from .exponent import (
     HypothesisViolationError,
     constant_exponent,
@@ -59,25 +55,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-DEFAULTS = {
-    "kappa": 2.0,
-    "theta": 0.05,
-    "xi": 0.3,
-    "v0": 0.05,
-    "T": 1.0,
-    "dt": 0.001,
-    "paths": 5000,
-    "seed": 42,
-    "policy": "full-trunc",
-    "bins": 50,
-    "orders": "2,3,4",
-    "checkpoints": None,
-    "out": ".",
-    "n": 10,
-    "tol": 1e-9,
-    "kmax": 200,
-}
 
 POLICY_NAMES = {
     "full-trunc": "full-truncation",
@@ -145,46 +122,40 @@ def write_csv(path: FsPath, header: list[str], rows):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# settings: flag, then config file, then VAREXP_SEED (seed only), then default
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings; defaults match the reference experiment
-    (kappa=2, theta=0.05, xi=0.3, v0=0.05, T=1, dt=0.001, M=5000)."""
+def _items(value) -> list:
+    """A list setting: a JSON list, or one comma-separated string."""
+    return list(value) if isinstance(value, (list, tuple)) else str(value).split(",")
 
-    params: ModelParams
-    T: float
-    dt: float
-    m_paths: int
-    seed: int
-    policy: str
-    out: FsPath
-    bins: int
-    orders: tuple
-    checkpoints: tuple | None
-    dump_paths: bool
-    no_svg: bool
 
-    def grid(self):
-        return make_grid(self.T, self.dt)
+def _ints(value) -> tuple:
+    return tuple(int(v) for v in _items(value))
 
-    def echo(self) -> dict:
-        return {
-            "kappa": self.params.kappa,
-            "theta": self.params.theta,
-            "xi": self.params.xi,
-            "v0": self.params.v0,
-            "T": self.T,
-            "dt": self.dt,
-            "paths": self.m_paths,
-            "seed": self.seed,
-            "policy": self.policy,
-            "bins": self.bins,
-            "orders": list(self.orders),
-            "checkpoints": list(self.checkpoints) if self.checkpoints else None,
-            "dump_paths": self.dump_paths,
-            "no_svg": self.no_svg,
-        }
+
+def _checkpoints(value) -> tuple | None:
+    return None if value is None else tuple(float(v) for v in _items(value)) or None
+
+
+def _policy(value) -> str:
+    if value not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {value!r}; expected full-trunc or reflect")
+    return POLICY_NAMES[value]
+
+
+#: setting -> (default, cast). Defaults reproduce the reference experiment.
+PARAMS = {"kappa": (2.0, float), "theta": (0.05, float), "xi": (0.3, float), "v0": (0.05, float)}
+SETTINGS = {
+    "T": (1.0, float),
+    "dt": (0.001, float),
+    "paths": (5000, int),
+    "seed": (42, int),
+    "policy": ("full-trunc", _policy),
+    "bins": (50, int),
+    "orders": ("2,3,4", _ints),
+    "checkpoints": (None, _checkpoints),
+    "out": (".", FsPath),
+}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -200,64 +171,32 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _setting(ns, cfg: dict, key: str, cast=None):
-    """Flag value if given, else config file value, else default."""
-    flag = getattr(ns, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        value = cfg[key]
-        return cast(value) if cast else value
-    return DEFAULTS.get(key)
+def _setting(ns, cfg: dict, key: str):
+    """Resolve one setting; a value its cast refuses is a usage error."""
+    default, cast = {**PARAMS, **SETTINGS}[key]
+    if getattr(ns, key, None) is not None:
+        value, source = getattr(ns, key), f"--{key}"
+    elif key in cfg:
+        value, source = cfg[key], f"config key {key!r}"
+    elif key == "seed" and "VAREXP_SEED" in os.environ:
+        value, source = os.environ["VAREXP_SEED"], "VAREXP_SEED"
+    else:
+        value, source = default, "default"
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{source} has a malformed value {value!r}") from None
 
 
-def _parse_int_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    return tuple(int(v) for v in str(text).split(","))
+def _params(ns, cfg: dict) -> ModelParams:
+    return ModelParams(*(_setting(ns, cfg, key) for key in PARAMS))
 
 
-def _parse_float_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(v) for v in str(text).split(","))
-
-
-def _resolve_seed(ns, cfg: dict) -> int:
-    if getattr(ns, "seed", None) is not None:
-        return ns.seed
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("VAREXP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"VAREXP_SEED must be an integer, got {env!r}") from None
-    return DEFAULTS["seed"]
-
-
-def build_run_config(ns) -> RunConfig:
-    cfg = _load_config_file(getattr(ns, "config", None))
-    params = _params_from_config(cfg)
-    policy_flag = _setting(ns, cfg, "policy")
-    if policy_flag not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {policy_flag!r}; expected full-trunc or reflect")
-    checkpoints = _setting(ns, cfg, "checkpoints")
-    return RunConfig(
-        params=params,
-        T=float(_setting(ns, cfg, "T")),
-        dt=float(_setting(ns, cfg, "dt")),
-        m_paths=int(_setting(ns, cfg, "paths")),
-        seed=_resolve_seed(ns, cfg),
-        policy=POLICY_NAMES[policy_flag],
-        out=FsPath(_setting(ns, cfg, "out")),
-        bins=int(_setting(ns, cfg, "bins")),
-        orders=_parse_int_list(_setting(ns, cfg, "orders")),
-        checkpoints=_parse_float_list(checkpoints) if checkpoints is not None else None,
-        dump_paths=bool(getattr(ns, "dump_paths", False)),
-        no_svg=bool(getattr(ns, "no_svg", False)),
-    )
+def _run_config(ns):
+    """(settings, model parameters, grid) of a simulating subcommand."""
+    cfg = _load_config_file(ns.config)
+    settings = {key: _setting(ns, cfg, key) for key in SETTINGS}
+    return settings, _params(ns, cfg), make_grid(settings["T"], settings["dt"])
 
 
 def _versions() -> dict:
@@ -270,256 +209,283 @@ def _versions() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-model outputs
+# simulation and per-model outputs
 
-def _model_outputs(cfg: RunConfig, model, batch, pathbatch) -> tuple[dict, list[str]]:
-    """Write summary JSON, path CSV and histogram CSV for one model."""
-    grid = batch.grid
-    checkpoints = cfg.checkpoints or default_checkpoints(grid)
-    moments = check_moment_bounds(pathbatch, cfg.params, cfg.orders, checkpoints)
-    mart = martingale_report(pathbatch, cfg.params, checkpoints)
-    hist = terminal_histogram(pathbatch, grid.horizon, cfg.bins)
+def _simulate(settings: dict, params: ModelParams, grid, specs: list[str]):
+    """The increment batch and a generator of (spec, model, path batch),
+    one model at a time, every model driven by the same increments.
+
+    Models are parsed and the run's size is checked before anything is
+    allocated: the increments plus one model's path matrix must fit
+    under the storage cap.
+    """
+    models = [(spec, parse_model(spec, params)) for spec in specs]
+    m_paths = settings["paths"]
+    stored = m_paths * (2 * grid.n_steps + 1)
+    if stored > stochastic.MAX_STORED_INCREMENTS:
+        raise ValueError(
+            f"{m_paths} paths of {grid.n_steps} steps store {stored} values, "
+            f"above the cap of {stochastic.MAX_STORED_INCREMENTS}"
+        )
+    batch = sample_batch(settings["seed"], m_paths, grid)
+    policy = settings["policy"]
+    runs = ((spec, model, simulate_batch(model, batch, policy)) for spec, model in models)
+    return batch, runs
+
+
+def _model_outputs(settings: dict, params, model, checksum: str, pb, dump_paths: bool):
+    """Write summary JSON, path CSV and histogram CSV for one model;
+    return the summary, the histogram and the file names."""
+    grid = pb.grid
+    checkpoints = settings["checkpoints"]
+    hist = terminal_histogram(pb, grid.horizon, settings["bins"])
     summary = {
         "model": model.model_id,
-        "seed": cfg.seed,
-        "policy": pathbatch.policy,
+        "seed": settings["seed"],
+        "policy": pb.policy,
         "grid": {"T": grid.horizon, "dt": grid.dt, "n_steps": grid.n_steps},
-        "m_paths": batch.m_paths,
-        "increment_checksum": batch.checksum(),
+        "m_paths": pb.m_paths,
+        "increment_checksum": checksum,
         "clamp": {
-            "clamped_steps": int(pathbatch.clamp_counts.sum()),
-            "fraction": pathbatch.clamp_fraction,
+            "clamped_steps": int(pb.clamp_counts.sum()),
+            "fraction": pb.clamp_fraction,
         },
-        "moments": [r.to_dict() for r in moments],
-        "martingale": mart.to_dict(),
+        "moments": [
+            r.to_dict() for r in check_moment_bounds(pb, params, settings["orders"], checkpoints)
+        ],
+        "martingale": martingale_report(pb, params, checkpoints).to_dict(),
         "terminal_histogram": hist.to_dict(),
     }
     mid = model.model_id
     files = [f"{mid}_summary.json", f"{mid}_path.csv", f"{mid}_hist.csv"]
-    atomic_write(cfg.out / files[0], json_text(summary) + "\n")
+    out = settings["out"]
+    atomic_write(out / files[0], json_text(summary) + "\n")
 
     times = grid.times
-    if cfg.dump_paths:
-        rows = (
-            (times[j], i, pathbatch.values[i, j])
-            for i in range(pathbatch.m_paths)
-            for j in range(grid.n_steps + 1)
-        )
-    else:
-        rows = ((times[j], 0, pathbatch.values[0, j]) for j in range(grid.n_steps + 1))
-    write_csv(cfg.out / files[1], ["t", "path_id", "v"], rows)
+    paths = range(pb.m_paths) if dump_paths else (0,)
+    rows = ((times[j], i, pb.values[i, j]) for i in paths for j in range(grid.n_steps + 1))
+    write_csv(out / files[1], ["t", "path_id", "v"], rows)
 
     hist_rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities)
-    write_csv(cfg.out / files[2], ["bin_left", "bin_right", "count", "density"], hist_rows)
-    return summary, files
+    write_csv(out / files[2], ["bin_left", "bin_right", "count", "density"], hist_rows)
+    return summary, hist, files
 
 
-def _write_manifest(cfg: RunConfig, command: str, models: list[str], batch, summaries, outputs):
-    manifest = {
-        "command": command,
-        "config": {**cfg.echo(), "models": models, "out": str(cfg.out)},
-        "increment_checksum": batch.checksum(),
-        "clamp_stats": {s["model"]: s["clamp"] for s in summaries},
-        "versions": _versions(),
-        "outputs": sorted(outputs),
-    }
-    atomic_write(cfg.out / "manifest.json", json_text(manifest) + "\n")
-
-
-def emit_figures(cfg: RunConfig, grid, cir_pb, gm_runs) -> list[str]:
+def _figures(out: FsPath, times, runs) -> list[str]:
     """Figure pair per exponent: sample path overlay and terminal
-    histogram overlay of the CIR baseline vs the variable-exponent run,
-    both driven by common increments. Path index 0 is shown so outputs
-    are reproducible."""
+    histogram overlay of the CIR baseline (the first run) vs the
+    variable-exponent run, both driven by common increments. Path index
+    0 is shown so outputs are reproducible."""
     files = []
-    times = grid.times
-    for exponent_name, pb in gm_runs:
+    _, _, cir_path, cir_hist = runs[0]
+    for spec, _, path0, hist in runs[1:]:
+        exponent_name = spec[len("gm:"):]
         slug = exponent_name.replace(":", "_")
         path_name = f"fig_{slug}_path.svg"
         hist_name = f"fig_{slug}_hist.svg"
         path_svg = svg_line_plot(
-            [
-                ("cir", times, cir_pb.values[0]),
-                (f"gm {exponent_name}", times, pb.values[0]),
-            ],
+            [("cir", times, cir_path), (f"gm {exponent_name}", times, path0)],
             title=f"Sample path (path 0): cir vs gm {exponent_name}",
         )
-        cir_hist = terminal_histogram(cir_pb, grid.horizon, cfg.bins)
-        gm_hist = terminal_histogram(pb, grid.horizon, cfg.bins)
         hist_svg = svg_histogram(
             [
                 ("cir", cir_hist.bin_edges, cir_hist.densities),
-                (f"gm {exponent_name}", gm_hist.bin_edges, gm_hist.densities),
+                (f"gm {exponent_name}", hist.bin_edges, hist.densities),
             ],
             title=f"Terminal distribution: cir vs gm {exponent_name}",
         )
-        atomic_write(cfg.out / path_name, path_svg)
-        atomic_write(cfg.out / hist_name, hist_svg)
+        atomic_write(out / path_name, path_svg)
+        atomic_write(out / hist_name, hist_svg)
         files.extend([path_name, hist_name])
     return files
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers
+def _write_runs(ns, specs: list[str], figures: bool):
+    """The simulate/compare pipeline: one increment batch, per-model
+    outputs, optional figures, then the manifest. Each path matrix is
+    dropped once its outputs are written. Returns the settings, the
+    increment checksum and one (spec, summary, path 0, histogram) per model.
+    """
+    settings, params, grid = _run_config(ns)
+    batch, runs = _simulate(settings, params, grid, specs)
+    out = settings["out"]
+    out.mkdir(parents=True, exist_ok=True)
+    checksum = batch.checksum()
+    dump_paths = getattr(ns, "dump_paths", False)
+    results, outputs = [], []
+    for spec, model, pb in runs:
+        summary, hist, files = _model_outputs(settings, params, model, checksum, pb, dump_paths)
+        results.append((spec, summary, pb.values[0].copy(), hist))
+        outputs.extend(files)
+        del pb  # free this model's paths before the next model is simulated
+    if figures:
+        outputs.extend(_figures(out, grid.times, results))
+    manifest = {
+        "command": ns.command,
+        "config": {
+            **params.to_dict(),
+            **{k: v for k, v in settings.items() if k != "out"},
+            "dump_paths": dump_paths,
+            "no_svg": getattr(ns, "no_svg", False),
+            "models": specs,
+            "out": str(out),
+        },
+        "increment_checksum": checksum,
+        "clamp_stats": {summary["model"]: summary["clamp"] for _, summary, _, _ in results},
+        "versions": _versions(),
+        "outputs": sorted(outputs + ["manifest.json"]),
+    }
+    atomic_write(out / "manifest.json", json_text(manifest) + "\n")
+    return settings, checksum, results
 
-def cmd_validate_exponent(ns) -> int:
+
+# ---------------------------------------------------------------------------
+# subcommand handlers: file-producing ones print a summary line and return
+# None; verification ones return (payload, ok, summary) for run() to print,
+# with ok None for a numeric failure
+
+def cmd_simulate(ns):
+    settings, _, results = _write_runs(ns, [ns.model], figures=False)
+    summary = results[0][1]
+    print(
+        f"simulate {summary['model']}: M={settings['paths']} seed={settings['seed']} "
+        f"clamp_fraction={summary['clamp']['fraction']:.3g} -> {settings['out']}"
+    )
+
+
+def cmd_compare(ns):
+    exponents = [e.strip() for e in ns.exponents.split(",") if e.strip()]
+    if not exponents:
+        raise ValueError("--exponents must name at least one exponent")
+    specs = ["cir"] + [f"gm:{e}" for e in exponents]
+    settings, checksum, _ = _write_runs(ns, specs, figures=not ns.no_svg)
+    print(
+        f"compare cir+{','.join(exponents)}: M={settings['paths']} seed={settings['seed']} "
+        f"checksum={checksum[:12]} -> {settings['out']}"
+    )
+
+
+def cmd_validate_exponent(ns):
     try:
         fn = make_builtin(ns.exponent)
     except HypothesisViolationError:
         # out-of-range constant: diagnose it instead of refusing
         fn = constant_exponent(float(ns.exponent.split(":", 1)[1]))
     report = validate_hypotheses(fn)
-    print(json_text({"exponent": ns.exponent, **report.to_dict()}))
-    print(f"validate-exponent {ns.exponent}: {report.verdict}", file=sys.stderr)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    payload = {"exponent": ns.exponent, **report.to_dict()}
+    return payload, report.passed, f"validate-exponent {ns.exponent}: {report.verdict}"
 
 
-def _params_from_config(cfg_file: dict) -> ModelParams:
-    return ModelParams(
-        kappa=float(cfg_file.get("kappa", DEFAULTS["kappa"])),
-        theta=float(cfg_file.get("theta", DEFAULTS["theta"])),
-        xi=float(cfg_file.get("xi", DEFAULTS["xi"])),
-        v0=float(cfg_file.get("v0", DEFAULTS["v0"])),
-    )
-
-
-def cmd_feller(ns) -> int:
-    params = _params_from_config(_load_config_file(ns.config))
-    model = parse_model(ns.model, params)
+def cmd_feller(ns):
+    model = parse_model(ns.model, _params(ns, _load_config_file(ns.config)))
     report = feller_check(model)
-    print(json_text({"model": model.model_id, **report.to_dict()}))
-    print(f"feller {model.model_id}: {report.verdict}", file=sys.stderr)
-    return EXIT_OK if report.verdict == "non-attainable" else EXIT_CHECK_FAILED
+    payload = {"model": model.model_id, **report.to_dict()}
+    return payload, report.verdict == "non-attainable", f"feller {model.model_id}: {report.verdict}"
 
 
-def cmd_lipschitz(ns) -> int:
-    params = _params_from_config(_load_config_file(ns.config))
+def cmd_lipschitz(ns):
+    model = parse_model(ns.model, _params(ns, _load_config_file(ns.config)))
+    report = lipschitz_constants(TruncationParams(n=ns.n), model)
+    ok = report.empirical_sup_quotient <= report.Lg_n * (1.0 + 1e-12)
+    return report.to_dict(), ok, f"lipschitz n={ns.n}: {'ok' if ok else 'violated'}"
+
+
+def cmd_moments(ns):
+    settings, params, grid = _run_config(ns)
+    _, runs = _simulate(settings, params, grid, [ns.model])
+    _, model, pb = next(runs)
+    reports = check_moment_bounds(pb, params, settings["orders"], settings["checkpoints"])
+    ok = all(r.satisfied for r in reports)
+    payload = {"model": model.model_id, "reports": [r.to_dict() for r in reports]}
+    return payload, ok, f"moments {model.model_id}: {'ok' if ok else 'violated'}"
+
+
+def cmd_martingale(ns):
+    settings, params, grid = _run_config(ns)
+    _, runs = _simulate(settings, params, grid, [ns.model])
+    _, model, pb = next(runs)
+    report = martingale_report(pb, params, settings["checkpoints"])
+    payload = {"model": model.model_id, **report.to_dict()}
+    verdict = "ok" if report.satisfied else "violated"
+    return payload, report.satisfied, f"martingale {model.model_id}: {verdict}"
+
+
+def cmd_picard_verify(ns):
+    settings, params, grid = _run_config(ns)
     model = parse_model(ns.model, params)
     tp = TruncationParams(n=ns.n)
-    report = lipschitz_constants(tp, model)
-    print(json_text(report.to_dict()))
-    ok = report.empirical_sup_quotient <= report.Lg_n * (1.0 + 1e-12)
-    print(f"lipschitz n={ns.n}: {'ok' if ok else 'violated'}", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _simulate_models(cfg: RunConfig, model_specs: list[str]):
-    grid = cfg.grid()
-    batch = sample_batch(cfg.seed, cfg.m_paths, grid)
-    runs = []
-    for spec in model_specs:
-        model = parse_model(spec, cfg.params)
-        runs.append((spec, model, simulate_batch(model, batch, cfg.policy)))
-    return grid, batch, runs
-
-
-def cmd_simulate(ns) -> int:
-    cfg = build_run_config(ns)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _, batch, runs = _simulate_models(cfg, [ns.model])
-    _, model, pb = runs[0]
-    summary, files = _model_outputs(cfg, model, batch, pb)
-    _write_manifest(cfg, "simulate", [ns.model], batch, [summary], files + ["manifest.json"])
-    print(
-        f"simulate {model.model_id}: M={cfg.m_paths} seed={cfg.seed} "
-        f"clamp_fraction={pb.clamp_fraction:.3g} -> {cfg.out}"
-    )
-    return EXIT_OK
-
-
-def cmd_compare(ns) -> int:
-    cfg = build_run_config(ns)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    exponents = [e.strip() for e in ns.exponents.split(",") if e.strip()]
-    if not exponents:
-        raise ValueError("--exponents must name at least one exponent")
-    specs = ["cir"] + [f"gm:{e}" for e in exponents]
-    grid, batch, runs = _simulate_models(cfg, specs)
-
-    outputs, summaries = [], []
-    gm_runs = []
-    cir_pb = runs[0][2]
-    for spec, model, pb in runs:
-        summary, files = _model_outputs(cfg, model, batch, pb)
-        summaries.append(summary)
-        outputs.extend(files)
-        if spec.startswith("gm:"):
-            gm_runs.append((spec[3:], pb))
-    if not cfg.no_svg:
-        outputs.extend(emit_figures(cfg, grid, cir_pb, gm_runs))
-    _write_manifest(cfg, "compare", specs, batch, summaries, outputs + ["manifest.json"])
-    print(
-        f"compare cir+{','.join(exponents)}: M={cfg.m_paths} seed={cfg.seed} "
-        f"checksum={batch.checksum()[:12]} -> {cfg.out}"
-    )
-    return EXIT_OK
-
-
-def cmd_moments(ns) -> int:
-    cfg = build_run_config(ns)
-    grid, batch, runs = _simulate_models(cfg, [ns.model])
-    _, model, pb = runs[0]
-    checkpoints = cfg.checkpoints or default_checkpoints(grid)
-    reports = check_moment_bounds(pb, cfg.params, cfg.orders, checkpoints)
-    all_ok = all(r.satisfied for r in reports)
-    print(json_text({"model": model.model_id, "reports": [r.to_dict() for r in reports]}))
-    print(f"moments {model.model_id}: {'ok' if all_ok else 'violated'}", file=sys.stderr)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
-
-
-def cmd_martingale(ns) -> int:
-    cfg = build_run_config(ns)
-    grid, batch, runs = _simulate_models(cfg, [ns.model])
-    _, model, pb = runs[0]
-    checkpoints = cfg.checkpoints or default_checkpoints(grid)
-    report = martingale_report(pb, cfg.params, checkpoints)
-    print(json_text({"model": model.model_id, **report.to_dict()}))
-    print(f"martingale {model.model_id}: {'ok' if report.satisfied else 'violated'}", file=sys.stderr)
-    return EXIT_OK if report.satisfied else EXIT_CHECK_FAILED
-
-
-def cmd_picard_verify(ns) -> int:
-    cfg = build_run_config(ns)
-    grid = cfg.grid()
-    model = parse_model(ns.model, cfg.params)
-    tp = TruncationParams(n=ns.n)
-    row = path_increments(cfg.seed, 0, grid)
+    row = path_increments(settings["seed"], 0, grid)
     report = picard_solve(tp, model, grid, row, tol=ns.tol, k_max=ns.kmax)
     if not report.converged:
-        print(json_text(report.to_dict()))
-        print(f"picard-verify: no convergence within {ns.kmax} iterations", file=sys.stderr)
-        return EXIT_NUMERIC
+        return report.to_dict(), None, f"picard-verify: no convergence within {ns.kmax} iterations"
     euler = euler_maruyama_truncated(tp, model, grid, row)
     sup_diff = float(np.max(np.abs(report.fixed_point.values - euler.values)))
-    payload = report.to_dict()
-    payload["sup_diff_vs_euler"] = sup_diff
-    print(json_text({"model": model.model_id, "n": ns.n, **payload}))
     ok = sup_diff <= ns.tol
-    print(
+    payload = {"model": model.model_id, "n": ns.n, **report.to_dict()}
+    payload["sup_diff_vs_euler"] = sup_diff
+    summary = (
         f"picard-verify {model.model_id} n={ns.n}: iterations={report.iterations_used} "
-        f"sup_diff={sup_diff:.3g} {'ok' if ok else 'violated'}",
-        file=sys.stderr,
+        f"sup_diff={sup_diff:.3g} {'ok' if ok else 'violated'}"
     )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return payload, ok, summary
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: every subcommand declares exactly the flags it reads
 
-def _add_common(p: argparse.ArgumentParser, *, sim: bool):
-    p.add_argument("--config", help="JSON config file (keys kappa, theta, xi, v0, ...)")
-    p.add_argument("--seed", type=int, help="64-bit seed (default 42; env VAREXP_SEED)")
-    if sim:
-        p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-        p.add_argument("--dt", type=float, help="time step")
-        p.add_argument("--T", type=float, help="horizon")
-        p.add_argument("--policy", choices=sorted(POLICY_NAMES), help="positivity policy")
-        p.add_argument("--bins", type=int, help="histogram bin count")
-        p.add_argument("--orders", help="comma-separated moment orders")
-        p.add_argument("--checkpoints", help="comma-separated checkpoint times")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--dump-paths", action="store_true", help="write every path to CSV")
-        p.add_argument("--no-svg", action="store_true", help="skip SVG figures")
+FLAGS = {
+    "exponent": dict(required=True, help="p1 | p2 | p3 | const:<float>"),
+    "exponents": dict(default="p1,p2,p3", help="comma-separated exponent specs"),
+    "model": dict(default="gm:p1", help="cir | gm:<exp> | pkm:a=..,b=.."),
+    "config": dict(help="JSON config file (keys kappa, theta, xi, v0, ...)"),
+    "seed": dict(type=int, help="64-bit seed (default 42; env VAREXP_SEED)"),
+    "paths": dict(type=int, help="number of Monte Carlo paths"),
+    "dt": dict(type=float, help="time step"),
+    "T": dict(type=float, help="horizon"),
+    "policy": dict(choices=sorted(POLICY_NAMES), help="positivity policy"),
+    "bins": dict(type=int, help="histogram bin count"),
+    "orders": dict(help="comma-separated moment orders"),
+    "checkpoints": dict(help="comma-separated checkpoint times"),
+    "out": dict(help="output directory"),
+    "dump-paths": dict(action="store_true", help="write every path to CSV"),
+    "no-svg": dict(action="store_true", help="skip SVG figures"),
+    "n": dict(type=int, default=10, help="truncation level"),
+    "tol": dict(type=float, default=1e-9),
+    "kmax": dict(type=int, default=200),
+}
+
+_RUN = ("config", "seed", "paths", "dt", "T", "policy")
+_OUTPUTS = ("bins", "orders", "checkpoints", "out", "dump-paths")
+
+#: subcommand -> (handler, help, flags, flag defaults that differ)
+COMMANDS = {
+    "validate-exponent": (
+        cmd_validate_exponent, "check exponent admissibility", ("exponent",), {},
+    ),
+    "feller": (
+        cmd_feller, "zero-boundary non-attainability test", ("model", "config"), {"model": "cir"},
+    ),
+    "lipschitz": (
+        cmd_lipschitz, "truncation Lipschitz constants", ("model", "n", "config"), {},
+    ),
+    "simulate": (
+        cmd_simulate, "simulate one model, write outputs", ("model", *_RUN, *_OUTPUTS), {},
+    ),
+    "compare": (
+        cmd_compare, "CIR baseline vs variable-exponent models",
+        ("exponents", *_RUN, *_OUTPUTS, "no-svg"), {},
+    ),
+    "moments": (
+        cmd_moments, "empirical moments vs ceilings", ("model", *_RUN, "orders", "checkpoints"), {},
+    ),
+    "martingale": (
+        cmd_martingale, "drift-compensated statistic check", ("model", *_RUN, "checkpoints"), {},
+    ),
+    "picard-verify": (
+        cmd_picard_verify, "Picard fixed point vs Euler recursion",
+        ("model", "n", "tol", "kmax", "config", "seed", "dt", "T"), {},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,50 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate-exponent", help="check exponent admissibility")
-    p.add_argument("--exponent", required=True, help="p1 | p2 | p3 | const:<float>")
-    p.set_defaults(func=cmd_validate_exponent)
-
-    p = sub.add_parser("feller", help="zero-boundary non-attainability test")
-    p.add_argument("--model", default="cir", help="cir | gm:<exp> | pkm:a=..,b=..")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_feller)
-
-    p = sub.add_parser("lipschitz", help="truncation Lipschitz constants")
-    p.add_argument("--model", default="gm:p1")
-    p.add_argument("--n", type=int, default=DEFAULTS["n"], help="truncation level")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_lipschitz)
-
-    p = sub.add_parser("simulate", help="simulate one model, write outputs")
-    p.add_argument("--model", default="gm:p1")
-    _add_common(p, sim=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="CIR baseline vs variable-exponent models")
-    p.add_argument("--exponents", default="p1,p2,p3", help="comma-separated exponent specs")
-    _add_common(p, sim=True)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("moments", help="empirical moments vs ceilings")
-    p.add_argument("--model", default="gm:p1")
-    _add_common(p, sim=True)
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("martingale", help="drift-compensated statistic check")
-    p.add_argument("--model", default="gm:p1")
-    _add_common(p, sim=True)
-    p.set_defaults(func=cmd_martingale)
-
-    p = sub.add_parser("picard-verify", help="Picard fixed point vs Euler recursion")
-    p.add_argument("--model", default="gm:p1")
-    p.add_argument("--n", type=int, default=DEFAULTS["n"], help="truncation level")
-    p.add_argument("--tol", type=float, default=DEFAULTS["tol"])
-    p.add_argument("--kmax", type=int, default=DEFAULTS["kmax"])
-    _add_common(p, sim=True)
-    p.set_defaults(func=cmd_picard_verify)
-
+    for name, (handler, help_text, flags, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(func=handler, **defaults)
     return parser
 
 
@@ -584,13 +511,21 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return ns.func(ns)
+        result = ns.func(ns)
     except PathOverflowError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if result is None:
+        return EXIT_OK
+    payload, ok, summary = result
+    print(json_text(payload))
+    print(summary, file=sys.stderr)
+    if ok is None:
+        return EXIT_NUMERIC
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def main():

@@ -59,6 +59,10 @@ class ExponentFunction:
         boundary test can reuse it).
     dsup : float
         Declared sup of ``|p'|`` on (0, delta).
+    constant : float or None
+        The value of a constant exponent, None for a varying one. The
+        diffusion raises states to this scalar instead of an array of
+        copies of it, which numpy computes as a square root at 1/2.
     """
 
     kind: str
@@ -68,16 +72,28 @@ class ExponentFunction:
     declared_pplus: float
     delta: float = 1.0
     dsup: float = math.inf
+    constant: float | None = None
 
     def __call__(self, x):
         return self.func(x)
 
 
-def _same_kind(x, out):
+def scalar_like(x, out):
     """Return ``out`` as a python float when ``x`` was scalar."""
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def check_state(x, what: str = "state", lower: str | None = "nonnegative") -> np.ndarray:
+    """``x`` as a float array; raises ``ValueError`` unless every entry is
+    finite and, for ``lower`` "nonnegative" or "positive", of that sign."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise ValueError(f"{what} must be finite")
+    if (lower == "nonnegative" and np.any(xa < 0.0)) or (lower == "positive" and np.any(xa <= 0.0)):
+        raise ValueError(f"{what} must be {lower}")
+    return xa
 
 
 def eval_p(fn: ExponentFunction, x) -> float | np.ndarray:
@@ -85,35 +101,12 @@ def eval_p(fn: ExponentFunction, x) -> float | np.ndarray:
 
     Raises ``ValueError`` for negative or non-finite states.
     """
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("exponent argument must be finite")
-    if np.any(xa < 0.0):
-        raise ValueError("exponent argument must be nonnegative")
-    return _same_kind(x, fn.func(xa))
+    return scalar_like(x, fn.func(check_state(x, "exponent argument")))
 
 
 def eval_dp(fn: ExponentFunction, x) -> float | np.ndarray:
     """Evaluate dp/dx at state ``x`` (scalar or array), x > 0."""
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("exponent derivative argument must be finite")
-    if np.any(xa <= 0.0):
-        raise ValueError("exponent derivative argument must be positive")
-    return _same_kind(x, fn.deriv(xa))
-
-
-def _builtin_p1() -> ExponentFunction:
-    # 0.5 + 0.3*(1 - exp(-v)): ranges over [0.5, 0.8), p'(0+) = 0.3
-    return ExponentFunction(
-        kind="p1",
-        func=lambda v: 0.5 + 0.3 * (1.0 - np.exp(-v)),
-        deriv=lambda v: 0.3 * np.exp(-v),
-        declared_pminus=0.5,
-        declared_pplus=0.8,
-        delta=1.0,
-        dsup=0.3,
-    )
+    return scalar_like(x, fn.deriv(check_state(x, "exponent derivative argument", "positive")))
 
 
 def _sech2_nonneg(v):
@@ -122,33 +115,15 @@ def _sech2_nonneg(v):
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def _builtin_p2() -> ExponentFunction:
+#: name -> (p, p', declared inf, declared sup, sup |p'| near zero)
+_BUILTINS = {
+    # 0.5 + 0.3*(1 - exp(-v)): ranges over [0.5, 0.8), p'(0+) = 0.3
+    "p1": (lambda v: 0.5 + 0.3 * (1.0 - np.exp(-v)), lambda v: 0.3 * np.exp(-v), 0.5, 0.8, 0.3),
     # 0.6 + 0.2*tanh(v): ranges over [0.6, 0.8), p'(0+) = 0.2
-    return ExponentFunction(
-        kind="p2",
-        func=lambda v: 0.6 + 0.2 * np.tanh(v),
-        deriv=lambda v: 0.2 * _sech2_nonneg(v),
-        declared_pminus=0.6,
-        declared_pplus=0.8,
-        delta=1.0,
-        dsup=0.2,
-    )
-
-
-def _builtin_p3() -> ExponentFunction:
+    "p2": (lambda v: 0.6 + 0.2 * np.tanh(v), lambda v: 0.2 * _sech2_nonneg(v), 0.6, 0.8, 0.2),
     # 0.55 + 0.2*v/(1+v): ranges over [0.55, 0.75), p'(0+) = 0.2
-    return ExponentFunction(
-        kind="p3",
-        func=lambda v: 0.55 + 0.2 * v / (1.0 + v),
-        deriv=lambda v: 0.2 / (1.0 + v) ** 2,
-        declared_pminus=0.55,
-        declared_pplus=0.75,
-        delta=1.0,
-        dsup=0.2,
-    )
-
-
-_BUILTINS = {"p1": _builtin_p1, "p2": _builtin_p2, "p3": _builtin_p3}
+    "p3": (lambda v: 0.55 + 0.2 * v / (1.0 + v), lambda v: 0.2 / (1.0 + v) ** 2, 0.55, 0.75, 0.2),
+}
 
 
 def constant_exponent(c: float) -> ExponentFunction:
@@ -169,6 +144,7 @@ def constant_exponent(c: float) -> ExponentFunction:
         declared_pplus=c,
         delta=1.0,
         dsup=0.0,
+        constant=c,
     )
 
 
@@ -206,7 +182,8 @@ def make_builtin(name: str) -> ExponentFunction:
     classical square-root diffusion exponent.
     """
     if name in _BUILTINS:
-        return _BUILTINS[name]()
+        func, deriv, pminus, pplus, dsup = _BUILTINS[name]
+        return ExponentFunction(name, func, deriv, pminus, pplus, delta=1.0, dsup=dsup)
     if name.startswith("const:"):
         try:
             c = float(name[len("const:"):])

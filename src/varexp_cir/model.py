@@ -22,7 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .exponent import ExponentFunction, constant_exponent, make_builtin
+from .exponent import (
+    ExponentFunction,
+    check_state,
+    constant_exponent,
+    make_builtin,
+    scalar_like,
+)
 
 __all__ = [
     "FellerReport",
@@ -75,36 +81,33 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Model:
-    """A drift/diffusion pair; build via gm_model / cir_model / pkm_model."""
+    """Drift kappa * x**a * (theta - x) and diffusion xi * x**p(x).
+
+    Build via gm_model / cir_model / pkm_model. ``exponent`` is the
+    effective diffusion exponent: the variable p for ``gm``, the
+    constant 1/2 for ``cir`` and the constant b for ``pkm`` (possibly
+    outside [1/2, 1], which is why the unchecked constant constructor is
+    used). ``kind`` only names the model.
+    """
 
     params: ModelParams
     kind: str
-    exponent: ExponentFunction | None = None
-    a: int | None = None
-    b: float | None = None
+    exponent: ExponentFunction
+    a: int = 0
+
+    @property
+    def b(self) -> float | None:
+        """The diffusion power of a constant exponent, None otherwise."""
+        return self.exponent.constant
 
     @property
     def model_id(self) -> str:
         """Filesystem-friendly identifier, e.g. ``gm_p1`` or ``pkm_a1_b1.5``."""
         if self.kind == "gm":
             return "gm_" + self.exponent.kind.replace(":", "_")
-        if self.kind == "cir":
-            return "cir"
-        return f"pkm_a{self.a}_b{self.b:g}"
-
-    @property
-    def effective_exponent(self) -> ExponentFunction:
-        """The exponent governing the diffusion power.
-
-        For ``cir`` this is the constant 1/2; for ``pkm`` the constant b
-        (possibly outside [1/2, 1], which is why the unchecked constant
-        constructor is used).
-        """
-        if self.kind == "gm":
-            return self.exponent
-        if self.kind == "cir":
-            return constant_exponent(0.5)
-        return constant_exponent(self.b)
+        if self.kind == "pkm":
+            return f"pkm_a{self.a}_b{self.b:g}"
+        return self.kind
 
 
 def gm_model(params: ModelParams, exponent: ExponentFunction) -> Model:
@@ -113,8 +116,8 @@ def gm_model(params: ModelParams, exponent: ExponentFunction) -> Model:
 
 
 def cir_model(params: ModelParams) -> Model:
-    """Classical square-root diffusion xi * sqrt(x)."""
-    return Model(params=params, kind="cir")
+    """Classical square-root diffusion xi * sqrt(x): the constant exponent 1/2."""
+    return Model(params=params, kind="cir", exponent=constant_exponent(0.5))
 
 
 def pkm_model(params: ModelParams, a: int, b: float) -> Model:
@@ -123,7 +126,7 @@ def pkm_model(params: ModelParams, a: int, b: float) -> Model:
         raise ValueError(f"pkm drift power a must be 0 or 1, got {a}")
     if b not in PKM_B_VALUES:
         raise ValueError(f"pkm diffusion power b must be one of {PKM_B_VALUES}, got {b}")
-    return Model(params=params, kind="pkm", a=int(a), b=float(b))
+    return Model(params=params, kind="pkm", exponent=constant_exponent(b), a=int(a))
 
 
 def parse_model(spec: str, params: ModelParams) -> Model:
@@ -150,21 +153,6 @@ def parse_model(spec: str, params: ModelParams) -> Model:
     raise ValueError(f"unknown model spec {spec!r}")
 
 
-def _check_state(x, allow_negative=False):
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("state must be finite")
-    if not allow_negative and np.any(xa < 0.0):
-        raise ValueError("state must be nonnegative")
-    return xa
-
-
-def _scalar_like(x, out):
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def coefficients(model: Model) -> tuple[Callable, Callable]:
     """Unvalidated vectorized (drift, diffusion) closures.
 
@@ -173,30 +161,21 @@ def coefficients(model: Model) -> tuple[Callable, Callable]:
     full-truncation scheme clamps states first).
     """
     kappa, theta, xi = model.params.kappa, model.params.theta, model.params.xi
-    if model.kind == "gm":
-        p = model.exponent.func
-        return (
-            lambda x: kappa * (theta - x),
-            lambda x: xi * np.power(x, p(x)),
-        )
-    if model.kind == "cir":
-        return (
-            lambda x: kappa * (theta - x),
-            lambda x: xi * np.sqrt(x),
-        )
-    a, b = model.a, model.b
-    if a == 0:
+    if model.a == 0:
         f = lambda x: kappa * (theta - x)
     else:
         f = lambda x: kappa * x * (theta - x)
-    return f, lambda x: xi * np.power(x, b)
+    c = model.exponent.constant
+    if c is None:
+        p = model.exponent.func
+        return f, lambda x: xi * np.power(x, p(x))
+    return f, lambda x: xi * np.power(x, c)
 
 
 def drift(model: Model, x) -> float | np.ndarray:
     """Drift coefficient at state x >= 0."""
-    xa = _check_state(x)
     f, _ = coefficients(model)
-    return _scalar_like(x, f(xa))
+    return scalar_like(x, f(check_state(x)))
 
 
 def diffusion(model: Model, x) -> float | np.ndarray:
@@ -204,9 +183,8 @@ def diffusion(model: Model, x) -> float | np.ndarray:
 
     Negative states are rejected; the solvers clamp before calling.
     """
-    xa = _check_state(x)
     _, g = coefficients(model)
-    return _scalar_like(x, g(xa))
+    return scalar_like(x, g(check_state(x)))
 
 
 def growth_constant(model: Model) -> float:
@@ -214,10 +192,11 @@ def growth_constant(model: Model) -> float:
 
     Closed form max(2*kappa^2*max(theta^2, 1), xi^2), valid because
     x**(2p) <= 1 + x^2 whenever p in [1/2, 1]. Verified on an internal
-    grid before returning. Models with superlinear coefficients (pkm
-    with a = 1 or b = 3/2) admit no such constant and are rejected.
+    grid before returning. Models with superlinear coefficients (drift
+    power a = 1 or an exponent above 1, such as pkm's b = 3/2) admit no
+    such constant and are rejected.
     """
-    if model.kind == "pkm" and (model.a == 1 or model.b > 1.0):
+    if model.a == 1 or model.exponent.declared_pplus > 1.0:
         raise ValueError("growth constant undefined: coefficients are superlinear")
     kappa, theta, xi = model.params.kappa, model.params.theta, model.params.xi
     K = max(2.0 * kappa**2 * max(theta**2, 1.0), xi**2)
@@ -234,16 +213,14 @@ def feller_function(model: Model, x) -> float | np.ndarray:
 
     Expanded form: f(x) - xi^2 * x**(2 p(x)) * (p'(x) ln x + p(x)/x).
     """
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)) or np.any(xa <= 0.0):
-        raise ValueError("boundary test requires finite x > 0")
+    xa = check_state(x, "boundary test argument", "positive")
     f, _ = coefficients(model)
-    exp_fn = model.effective_exponent
+    exp_fn = model.exponent
     p = np.asarray(exp_fn.func(xa), dtype=float)
     dp = np.asarray(exp_fn.deriv(xa), dtype=float)
     xi = model.params.xi
     out = f(xa) - xi**2 * np.power(xa, 2.0 * p) * (dp * np.log(xa) + p / xa)
-    return _scalar_like(x, out)
+    return scalar_like(x, out)
 
 
 @dataclass(frozen=True)
@@ -294,14 +271,12 @@ def feller_check(model: Model, n_profile: int = 200) -> FellerReport:
     params = model.params
     kappa, theta, xi = params.kappa, params.theta, params.xi
 
-    exp_fn = model.effective_exponent
+    exp_fn = model.exponent
     p_zero = float(exp_fn.func(1e-12))
-    drift_limit = 0.0 if (model.kind == "pkm" and model.a == 1) else kappa * theta
+    drift_limit = float(coefficients(model)[0](0.0))
 
-    constant_half = model.kind == "cir" or (
-        model.kind == "gm"
-        and model.exponent.kind.startswith("const:")
-        and abs(p_zero - 0.5) <= P_HALF_TOL
+    constant_half = (
+        model.a == 0 and exp_fn.constant is not None and abs(p_zero - 0.5) <= P_HALF_TOL
     )
     if constant_half:
         criterion = "constant_half"
@@ -361,9 +336,7 @@ def generator_apply(model: Model, x, h1: float, h2: float) -> float:
     Returns 1/2 g(x)^2 h'' + f(x) h' from the caller-supplied
     derivatives h1 = h'(x), h2 = h''(x).
     """
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)) or np.any(xa <= 0.0):
-        raise ValueError("generator requires finite x > 0")
+    xa = check_state(x, "generator argument", "positive")
     f, g = coefficients(model)
     out = 0.5 * g(xa) ** 2 * h2 + f(xa) * h1
-    return _scalar_like(x, out)
+    return scalar_like(x, out)

@@ -14,7 +14,7 @@ into a sharp numerical test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,24 +78,23 @@ class PathBatch:
     def clamp_fraction(self) -> float:
         return float(self.clamp_counts.sum()) / (self.m_paths * self.grid.n_steps)
 
-    def path(self, j: int) -> Path:
-        return Path(grid=self.grid, values=self.values[j], clamp_count=int(self.clamp_counts[j]))
-
 
 def _check_policy(policy: str):
     if policy not in POLICIES:
         raise ValueError(f"unknown positivity policy {policy!r}; expected one of {POLICIES}")
 
 
-def _em_recursion(model: Model, grid: TimeGrid, increments: np.ndarray, policy: str):
-    """Shared Euler kernel; increments has shape (..., n_steps).
+def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy: str | None):
+    """The Euler kernel; increments has shape (..., n_steps).
 
-    Vectorizes over leading axes, so a batch run performs bit-identical
-    arithmetic to a per-path run (numpy ufuncs are lane-consistent).
+    v[j+1] = v[j] + f(v[j]) dt + g(v[j]) dW[j]. With a positivity policy
+    the coefficients see the clamped state max(v, 0) and the stored
+    value is clamped (full truncation) or reflected; ``policy=None``
+    applies no clamp. Vectorizes over leading axes, so a batch run
+    performs bit-identical arithmetic to a per-path run (numpy ufuncs
+    are lane-consistent).
     """
-    f, g = coefficients(model)
     dt = grid.dt
-    v0 = model.params.v0
     lead = increments.shape[:-1]
     n_steps = increments.shape[-1]
     if n_steps != grid.n_steps:
@@ -106,20 +105,26 @@ def _em_recursion(model: Model, grid: TimeGrid, increments: np.ndarray, policy: 
     clamps = np.zeros(lead, dtype=np.int64)
     v = np.full(lead, v0) if lead else np.float64(v0)
     for j in range(n_steps):
-        vplus = np.maximum(v, 0.0)
+        vplus = v if policy is None else np.maximum(v, 0.0)
         raw = v + f(vplus) * dt + g(vplus) * increments[..., j]
         if not np.all(np.isfinite(raw)):
             bad = np.argwhere(~np.isfinite(np.atleast_1d(raw)))
             path_idx = int(bad[0][0]) if lead else None
             raise PathOverflowError(step_index=j + 1, path_index=path_idx)
-        negative = raw < 0.0
-        if policy == "full-truncation":
-            v = np.maximum(raw, 0.0)
+        if policy is None:
+            v = raw
         else:
-            v = np.abs(raw)
-        clamps += negative
+            clamps += raw < 0.0
+            v = np.maximum(raw, 0.0) if policy == "full-truncation" else np.abs(raw)
         values[..., j + 1] = v
     return values, clamps
+
+
+def _one_row(increments_row, grid: TimeGrid) -> np.ndarray:
+    row = np.asarray(increments_row, dtype=float)
+    if row.ndim != 1 or row.shape[0] != grid.n_steps:
+        raise ValueError("increments_row must be one-dimensional and match the grid")
+    return row
 
 
 def euler_maruyama(
@@ -136,10 +141,8 @@ def euler_maruyama(
     the representable range.
     """
     _check_policy(policy)
-    row = np.asarray(increments_row, dtype=float)
-    if row.ndim != 1:
-        raise ValueError("increments_row must be one-dimensional")
-    values, clamps = _em_recursion(model, grid, row, policy)
+    row = _one_row(increments_row, grid)
+    values, clamps = _euler(*coefficients(model), model.params.v0, grid, row, policy)
     return Path(grid=grid, values=values, clamp_count=int(clamps))
 
 
@@ -154,7 +157,9 @@ def simulate_batch(
     result is independent of how paths are grouped or ordered.
     """
     _check_policy(policy)
-    values, clamps = _em_recursion(model, batch.grid, batch.increments, policy)
+    values, clamps = _euler(
+        *coefficients(model), model.params.v0, batch.grid, batch.increments, policy
+    )
     values.setflags(write=False)
     return PathBatch(grid=batch.grid, values=values, clamp_counts=clamps, policy=policy)
 
@@ -189,19 +194,9 @@ def euler_maruyama_truncated(
     globally Lipschitz, so the recursion is well defined for any state
     and is exactly the fixed point of the discrete Picard map.
     """
-    row = np.asarray(increments_row, dtype=float)
-    if row.ndim != 1 or row.shape[0] != grid.n_steps:
-        raise ValueError("increments_row must be one-dimensional and match the grid")
+    row = _one_row(increments_row, grid)
     f_n, g_n = _truncated_coefficient_maps(tp, model)
-    dt = grid.dt
-    values = np.empty(grid.n_steps + 1)
-    values[0] = model.params.v0
-    v = np.float64(model.params.v0)
-    for j in range(grid.n_steps):
-        v = v + f_n(v) * dt + g_n(v) * row[j]
-        if not np.isfinite(v):
-            raise PathOverflowError(step_index=j + 1)
-        values[j + 1] = v
+    values, _ = _euler(f_n, g_n, model.params.v0, grid, row, None)
     return Path(grid=grid, values=values, clamp_count=0)
 
 
@@ -221,12 +216,8 @@ class PicardReport:
     rate_envelope_constant: float
 
     def to_dict(self) -> dict:
-        return {
-            "iterations_used": self.iterations_used,
-            "sup_diffs": list(self.sup_diffs),
-            "converged": self.converged,
-            "rate_envelope_constant": self.rate_envelope_constant,
-        }
+        """Every field but the fixed-point path."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "fixed_point"}
 
 
 def _fit_rate_envelope(sup_diffs: np.ndarray, horizon: float) -> float:
@@ -265,9 +256,7 @@ def picard_solve(
         raise ValueError("tol must be positive")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    row = np.asarray(increments_row, dtype=float)
-    if row.ndim != 1 or row.shape[0] != grid.n_steps:
-        raise ValueError("increments_row must be one-dimensional and match the grid")
+    row = _one_row(increments_row, grid)
 
     f_n, g_n = _truncated_coefficient_maps(tp, model)
     dt = grid.dt

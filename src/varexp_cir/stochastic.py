@@ -54,7 +54,10 @@ def make_grid(T: float, dt: float) -> TimeGrid:
         raise ValueError(f"horizon must be positive and finite, got {T}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    n_steps = round(T / dt)
+    ratio = T / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"horizon {T} holds too many steps of size {dt}")
+    n_steps = round(ratio)
     if n_steps < 1 or abs(n_steps * dt - T) > dt * 1e-9:
         raise ValueError(f"horizon {T} is not an integer number of steps of size {dt}")
     return TimeGrid(horizon=float(T), dt=float(dt), n_steps=n_steps)

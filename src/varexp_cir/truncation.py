@@ -10,11 +10,11 @@ cubic Hermite so the truncation has a computable derivative bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exponent import ExponentFunction
+from .exponent import ExponentFunction, check_state, scalar_like
 from .model import Model, coefficients
 
 __all__ = [
@@ -27,6 +27,11 @@ __all__ = [
     "truncated_drift",
     "truncated_diffusion",
 ]
+
+
+#: Largest band index: the band edges are computed in double precision,
+#: which holds integers exactly only up to 2**53.
+MAX_BAND = 2**53
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,8 @@ class TruncationParams:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"band index n must be an integer >= 1, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or not (1 <= self.n <= MAX_BAND):
+            raise ValueError(f"band index n must be an integer in [1, 2**53], got {self.n}")
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 1.0 / (2.0 * self.n**2))
         eps, n = self.epsilon, self.n
@@ -62,19 +67,15 @@ class TruncationParams:
         return (1.0 / self.n + self.epsilon, self.n - self.epsilon)
 
 
-def _check_r(r) -> np.ndarray:
-    ra = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(ra)):
-        raise ValueError("truncation argument must be finite")
-    if np.any(ra < 0.0):
-        raise ValueError("radial truncation argument must be nonnegative")
-    return ra
-
-
-def _scalar_like(x, out):
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+def _pieces(tp: TruncationParams, r):
+    """The argument as an array, the conditions selecting the pieces of
+    theta_n (flat, lower bridge, band, upper bridge; else flat), and
+    the coordinates t1, t2 in [0, 1] across the two bridges."""
+    ra = check_state(r, "radial truncation argument")
+    n, eps, lo = tp.n, tp.epsilon, tp.lower
+    t1 = np.clip((ra - lo) / eps, 0.0, 1.0)
+    t2 = np.clip((ra - (n - eps)) / eps, 0.0, 1.0)
+    return ra, [ra <= lo, ra < lo + eps, ra <= n - eps, ra < n], t1, t2
 
 
 def theta_n(tp: TruncationParams, r) -> float | np.ndarray:
@@ -82,46 +83,28 @@ def theta_n(tp: TruncationParams, r) -> float | np.ndarray:
     middle band, constant n above, monotone C^1 Hermite bridges on the
     two gap intervals (value-matching, slope 0 on the flat side and 1
     on the identity side)."""
-    ra = _check_r(r)
-    n, eps = tp.n, tp.epsilon
-    lo = 1.0 / n
-
-    t1 = np.clip((ra - lo) / eps, 0.0, 1.0)
+    ra, pieces, t1, t2 = _pieces(tp, r)
+    n, eps, lo = tp.n, tp.epsilon, tp.lower
     bridge_lo = lo + eps * t1**2 * (2.0 - t1)
-    t2 = np.clip((ra - (n - eps)) / eps, 0.0, 1.0)
     bridge_hi = (n - eps) + eps * t2 * (1.0 + t2 - t2**2)
-
-    out = np.select(
-        [ra <= lo, ra < lo + eps, ra <= n - eps, ra < n],
-        [lo, bridge_lo, ra, bridge_hi],
-        default=float(n),
-    )
-    return _scalar_like(r, out)
+    out = np.select(pieces, [lo, bridge_lo, ra, bridge_hi], default=float(n))
+    return scalar_like(r, out)
 
 
 def theta_n_deriv(tp: TruncationParams, r) -> float | np.ndarray:
     """Analytic derivative of theta_n (0 on the flats, 1 on the band,
     t(4-3t) and (1-t)(1+3t) on the lower/upper bridges; both peak at 4/3)."""
-    ra = _check_r(r)
-    n, eps = tp.n, tp.epsilon
-    lo = 1.0 / n
-    t1 = np.clip((ra - lo) / eps, 0.0, 1.0)
-    t2 = np.clip((ra - (n - eps)) / eps, 0.0, 1.0)
-    out = np.select(
-        [ra <= lo, ra < lo + eps, ra <= n - eps, ra < n],
-        [0.0, t1 * (4.0 - 3.0 * t1), 1.0, (1.0 - t2) * (1.0 + 3.0 * t2)],
-        default=0.0,
-    )
-    return _scalar_like(r, out)
+    _, pieces, t1, t2 = _pieces(tp, r)
+    slopes = [0.0, t1 * (4.0 - 3.0 * t1), 1.0, (1.0 - t2) * (1.0 + 3.0 * t2)]
+    out = np.select(pieces, slopes, default=0.0)
+    return scalar_like(r, out)
 
 
 def rho_n(tp: TruncationParams, x) -> float | np.ndarray:
     """Odd extension theta_n(|x|) * sgn(x); zero at zero, |rho_n| <= n."""
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("truncation argument must be finite")
+    xa = check_state(x, "truncation argument", lower=None)
     out = theta_n(tp, np.abs(xa)) * np.sign(xa)
-    return _scalar_like(x, out)
+    return scalar_like(x, out)
 
 
 def _require_gm(model: Model):
@@ -132,7 +115,7 @@ def _require_gm(model: Model):
 def truncated_drift(tp: TruncationParams, model: Model, x) -> float | np.ndarray:
     """kappa * (theta - rho_n(x)); defined and Lipschitz on all of R."""
     _require_gm(model)
-    return _scalar_like(x, model.params.kappa * (model.params.theta - rho_n(tp, x)))
+    return scalar_like(x, model.params.kappa * (model.params.theta - rho_n(tp, x)))
 
 
 def truncated_diffusion(tp: TruncationParams, model: Model, x) -> float | np.ndarray:
@@ -145,15 +128,11 @@ def truncated_diffusion(tp: TruncationParams, model: Model, x) -> float | np.nda
     constant on (0, 1/n], so that clamp is a continuous extension).
     """
     _require_gm(model)
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("truncation argument must be finite")
-    if np.any(xa < 0.0):
-        raise ValueError("truncated diffusion requires x >= 0")
+    xa = check_state(x, "truncated diffusion argument")
     z = theta_n(tp, xa)
     z = np.where(xa == 0.0, 0.0, z)  # rho_n(0) = 0
     _, g = coefficients(model)
-    return _scalar_like(x, g(z))
+    return scalar_like(x, g(z))
 
 
 @dataclass(frozen=True)
@@ -180,16 +159,8 @@ class LipschitzReport:
     p_deriv_sup: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "L_n": self.L_n,
-            "C_n": self.C_n,
-            "Lf_n": self.Lf_n,
-            "Lg_n": self.Lg_n,
-            "Lhat_n": self.Lhat_n,
-            "empirical_sup_quotient": self.empirical_sup_quotient,
-        }
+        """Every field but the two numerical sups behind C_n and L_n."""
+        return {k: v for k, v in asdict(self).items() if k not in ("phi_deriv_sup", "p_deriv_sup")}
 
 
 def _phi_deriv_sup(tp: TruncationParams, n_grid: int = 10_000) -> float:
@@ -227,7 +198,7 @@ def lipschitz_constants(
     """Compute the closed-form constants and an empirical cross-check."""
     _require_gm(model)
     kappa, xi = model.params.kappa, model.params.xi
-    exp_fn = model.effective_exponent
+    exp_fn = model.exponent
     n = tp.n
 
     p_plus = exp_fn.declared_pplus

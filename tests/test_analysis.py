@@ -193,3 +193,14 @@ def test_aggregation_determinism(params, full_runs):
     a = martingale_report(pb, params)
     b = martingale_report(pb, params)
     assert a == b
+
+
+def test_ceilings_past_the_largest_double_are_inf():
+    # C_4 * t = 15008.4 and 3*K*T*(T+4) = 37500 are far past log(max double):
+    # the ceilings are inf, still true bounds
+    params = ModelParams(kappa=2.0, theta=0.05, xi=50.0, v0=0.05)
+    C_m, bound = moment_bound(params, 4, 1.0)
+    assert math.isfinite(C_m)
+    assert bound == math.inf
+    assert moment_bound(params, 2, 0.01)[1] < math.inf
+    assert second_moment_bound(params, cir_model(params), make_grid(1.0, 0.001)) == math.inf

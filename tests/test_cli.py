@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import varexp_cir
 from varexp_cir.cli import json_text, run
 
 
@@ -237,3 +242,106 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert conf["kappa"] == 1.0
     assert conf["paths"] == 6  # flag overrides file
     assert conf["seed"] == 11  # file overrides default
+
+
+HUGE_N = "1" + "0" * 200  # a 201-digit band index
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, config, expected",
+    [
+        pytest.param(["lipschitz", "--n", HUGE_N], None, 2, id="lipschitz-huge-n"),
+        pytest.param(["picard-verify", "--n", HUGE_N], None, 2, id="picard-huge-n"),
+        pytest.param(["lipschitz", "--n", str(10**150)], None, 2, id="lipschitz-n-past-int64"),
+        pytest.param(["simulate", "--T", "1e300", "--dt", "1e-300"], None, 2, id="grid-inf-steps"),
+        pytest.param(["simulate"], {"paths": None}, 2, id="config-paths-null"),
+        pytest.param(["simulate"], {"kappa": [1]}, 2, id="config-kappa-list"),
+        pytest.param(["feller"], {"kappa": [1]}, 2, id="feller-config-kappa-list"),
+        pytest.param(
+            ["simulate", "--model", "cir", "--paths", "8", "--T", "0.01"], {"xi": 1e300}, 3,
+            id="huge-xi-overflow",
+        ),
+        pytest.param(["simulate", "--seed", "-1", "--paths", "4"], None, 2, id="negative-seed"),
+        pytest.param(["simulate", "--seed", str(2**64), "--paths", "4"], None, 2, id="seed-64-bit"),
+        pytest.param(["simulate", "--dt", "0.0003", "--paths", "4"], None, 2, id="off-grid-dt"),
+        pytest.param(["simulate", "--model", "heston"], None, 2, id="unknown-model"),
+        pytest.param(["compare", "--paths", "0"], None, 2, id="zero-paths"),
+    ],
+)
+def test_hostile_input_exit_codes(capsys, tmp_path, argv, config, expected):
+    argv = list(argv)
+    if argv[0] in ("simulate", "compare"):
+        argv += ["--out", str(tmp_path / "out")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    code, _, err = _run(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in err
+
+
+def test_moment_ceiling_beyond_double_is_inf(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi": 50}))
+    out = tmp_path / "xi50"
+    code, _, err = _run(
+        capsys, "simulate", "--model", "cir", "--config", str(cfg),
+        "--paths", "20", "--T", "0.1", "--out", str(out),
+    )
+    assert code == 0, err
+    moments = json.loads((out / "cir_summary.json").read_text())["moments"]
+    bounds = [m["theoretical_bound"] for m in moments]
+    assert "inf" in bounds  # exp(C_4 t) is past the largest double
+    assert any(isinstance(b, float) for b in bounds)
+    assert all(m["satisfied"] for m in moments)
+
+
+def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_path, monkeypatch):
+    import varexp_cir.cli as cli
+    import varexp_cir.stochastic as stochastic
+
+    # 100 paths x 100 steps: the increments alone (10^4) fit under the cap,
+    # the increments plus a path matrix (100 x 201) do not
+    monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 10_000)
+    real_sample_batch = cli.sample_batch
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_batch called for an oversized run")
+
+    monkeypatch.setattr(cli, "sample_batch", refuse)
+    out = tmp_path / "big"
+    code, _, err = _run(capsys, "compare", "--paths", "100", "--T", "0.1", "--out", str(out))
+    assert code == 2
+    assert "cap" in err
+    assert not out.exists()
+
+    monkeypatch.setattr(cli, "sample_batch", real_sample_batch)
+    code, _, _ = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
+    assert code == 0  # 49 x 201 = 9849 values fit
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--paths", "5"], ["--bins", "0"], ["--out", "/nonexistent"], ["--dump-paths"],
+        ["--no-svg"], ["--policy", "reflect"], ["--orders", "2"], ["--checkpoints", "0.5"],
+    ],
+)
+def test_picard_verify_rejects_flags_it_does_not_read(capsys, flag):
+    code, _, err = _run(capsys, "picard-verify", "--T", "0.01", *flag)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(varexp_cir.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "varexp_cir", "feller", "--model", "cir"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "non-attainable"

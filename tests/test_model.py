@@ -192,3 +192,24 @@ def test_model_ids(params, gm_p1, cir):
     assert cir.model_id == "cir"
     assert parse_model("pkm:a=0,b=0.5", params).model_id == "pkm_a0_b0.5"
     assert parse_model("gm:const:0.5", params).model_id == "gm_const_0.5"
+
+
+def test_feller_check_pkm_square_root_is_classical(params, cir):
+    # pkm a=0, b=1/2 is the square-root model: same verdict and limit as cir,
+    # now with the classical condition stated
+    pkm = feller_check(pkm_model(params, 0, 0.5))
+    ref = feller_check(cir)
+    assert pkm.criterion_used == "constant_half"
+    assert (pkm.verdict, pkm.analytic_limit) == (ref.verdict, ref.analytic_limit)
+    assert (pkm.classical_lhs, pkm.classical_rhs, pkm.classical_holds) == (
+        ref.classical_lhs, ref.classical_rhs, ref.classical_holds,
+    )
+    # with the quadratic drift the classical condition does not apply
+    assert feller_check(pkm_model(params, 1, 0.5)).criterion_used == "p0_equal_half"
+
+
+def test_model_carries_its_coefficient_data(params):
+    assert cir_model(params).exponent.constant == 0.5
+    pkm = pkm_model(params, 1, 1.5)
+    assert (pkm.a, pkm.exponent.constant) == (1, 1.5)
+    assert gm_model(params, make_builtin("p1")).exponent.constant is None

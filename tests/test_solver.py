@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from varexp_cir.exponent import make_builtin
-from varexp_cir.model import ModelParams, gm_model
+from varexp_cir.model import ModelParams, cir_model, gm_model, parse_model
 from varexp_cir.solver import (
     PathOverflowError,
     band_exit_index,
@@ -209,3 +209,31 @@ def test_band_exit_index(gm_p1):
     assert band_exit_index(broken, 100) == 5
     with pytest.raises(ValueError):
         band_exit_index(path, 0)
+
+
+def test_cir_is_the_constant_half_exponent_bit_for_bit(params, small_batch):
+    # a constant exponent is a scalar power, which numpy takes as sqrt at 1/2
+    cir = simulate_batch(cir_model(params), small_batch)
+    half = simulate_batch(gm_model(params, make_builtin("const:0.5")), small_batch)
+    assert np.array_equal(cir.values, half.values)
+    assert np.array_equal(cir.clamp_counts, half.clamp_counts)
+
+
+@pytest.mark.parametrize("spec", ["cir", "gm:p1", "gm:p2", "gm:p3"])
+@pytest.mark.parametrize("n", [2, 10, 100])
+def test_truncated_euler_equals_scalar_recursion_bit_for_bit(params, spec, n):
+    grid = make_grid(0.2, 0.001)
+    model = parse_model(spec, params)
+    tp = TruncationParams(n)
+    row = path_increments(2024, 0, grid)
+    v = params.v0
+    manual = [v]
+    for j in range(grid.n_steps):
+        v = (
+            v
+            + truncated_drift(tp, model, v) * grid.dt
+            + truncated_diffusion(tp, model, max(v, tp.lower)) * row[j]
+        )
+        manual.append(v)
+    em = euler_maruyama_truncated(tp, model, grid, row)
+    assert np.array_equal(em.values, np.array(manual))
