@@ -142,6 +142,26 @@ def second_moment_bound(params: ModelParams, model: Model, grid: TimeGrid) -> fl
         return math.inf
 
 
+def _compensated(batch: PathBatch, params: ModelParams, columns) -> dict:
+    """{j: M(t_j) over paths} for the grid indices j in ``columns``.
+
+    Walks the grid one column at a time, adding the drift columns in the
+    order np.cumsum adds them, and keeps only the requested columns, so
+    no path-sized temporary is built.
+    """
+    wanted = set(columns)
+    values, dt = batch.values, batch.grid.dt
+    compensator = np.zeros(batch.m_paths)
+    out = {}
+    for j in range(max(wanted) + 1):
+        if j:
+            drift = params.kappa * (params.theta - values[:, j - 1]) * dt
+            compensator = compensator + drift if j > 1 else drift
+        if j in wanted:
+            out[j] = values[:, j] - compensator
+    return out
+
+
 def martingale_paths(batch: PathBatch, params: ModelParams) -> np.ndarray:
     """Per-path drift-compensated statistic at every grid node.
 
@@ -149,12 +169,8 @@ def martingale_paths(batch: PathBatch, params: ModelParams) -> np.ndarray:
     left-point quadrature matching the Euler recursion so the sum
     telescopes to v0 + sum_i g(v_i) dW_i exactly.
     """
-    dt = batch.grid.dt
-    drift = params.kappa * (params.theta - batch.values[:, :-1]) * dt
-    compensator = np.concatenate(
-        [np.zeros((batch.m_paths, 1)), np.cumsum(drift, axis=1)], axis=1
-    )
-    return batch.values - compensator
+    columns = _compensated(batch, params, range(batch.grid.n_steps + 1))
+    return np.stack(list(columns.values()), axis=1)
 
 
 @dataclass(frozen=True)
@@ -187,8 +203,9 @@ def martingale_report(
         checkpoints = default_checkpoints(batch.grid)
     if len(checkpoints) == 0:
         raise ValueError("at least one checkpoint is required")
-    mh = martingale_paths(batch, params)
-    means, stderrs = zip(*(_mean_stderr(mh[:, batch.grid.index_of(t)]) for t in checkpoints))
+    indices = [batch.grid.index_of(t) for t in checkpoints]
+    mh = _compensated(batch, params, indices)
+    means, stderrs = zip(*(_mean_stderr(mh[j]) for j in indices))
     v0 = params.v0
     allowance = params.kappa * (params.theta + v0) * batch.grid.dt
     deviations = [abs(mu - v0) for mu in means]

@@ -29,7 +29,7 @@ __all__ = [
     "validate_hypotheses",
 ]
 
-#: Default validation tolerance on the [1/2, 1] range check.
+#: Validation tolerance on the [1/2, 1] range check.
 RANGE_TOL = 1e-12
 
 
@@ -57,8 +57,6 @@ class ExponentFunction:
         bound is declared (any positive value works for the builtins,
         which have globally bounded derivatives; kept explicit so the
         boundary test can reuse it).
-    dsup : float
-        Declared sup of ``|p'|`` on (0, delta).
     constant : float or None
         The value of a constant exponent, None for a varying one. The
         diffusion raises states to this scalar instead of an array of
@@ -71,11 +69,7 @@ class ExponentFunction:
     declared_pminus: float
     declared_pplus: float
     delta: float = 1.0
-    dsup: float = math.inf
     constant: float | None = None
-
-    def __call__(self, x):
-        return self.func(x)
 
 
 def scalar_like(x, out):
@@ -115,14 +109,14 @@ def _sech2_nonneg(v):
     return 4.0 * e / (1.0 + e) ** 2
 
 
-#: name -> (p, p', declared inf, declared sup, sup |p'| near zero)
+#: name -> (p, p', declared inf, declared sup)
 _BUILTINS = {
     # 0.5 + 0.3*(1 - exp(-v)): ranges over [0.5, 0.8), p'(0+) = 0.3
-    "p1": (lambda v: 0.5 + 0.3 * (1.0 - np.exp(-v)), lambda v: 0.3 * np.exp(-v), 0.5, 0.8, 0.3),
+    "p1": (lambda v: 0.5 + 0.3 * (1.0 - np.exp(-v)), lambda v: 0.3 * np.exp(-v), 0.5, 0.8),
     # 0.6 + 0.2*tanh(v): ranges over [0.6, 0.8), p'(0+) = 0.2
-    "p2": (lambda v: 0.6 + 0.2 * np.tanh(v), lambda v: 0.2 * _sech2_nonneg(v), 0.6, 0.8, 0.2),
+    "p2": (lambda v: 0.6 + 0.2 * np.tanh(v), lambda v: 0.2 * _sech2_nonneg(v), 0.6, 0.8),
     # 0.55 + 0.2*v/(1+v): ranges over [0.55, 0.75), p'(0+) = 0.2
-    "p3": (lambda v: 0.55 + 0.2 * v / (1.0 + v), lambda v: 0.2 / (1.0 + v) ** 2, 0.55, 0.75, 0.2),
+    "p3": (lambda v: 0.55 + 0.2 * v / (1.0 + v), lambda v: 0.2 / (1.0 + v) ** 2, 0.55, 0.75),
 }
 
 
@@ -142,8 +136,6 @@ def constant_exponent(c: float) -> ExponentFunction:
         deriv=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
         declared_pminus=c,
         declared_pplus=c,
-        delta=1.0,
-        dsup=0.0,
         constant=c,
     )
 
@@ -154,7 +146,6 @@ def custom_exponent(
     pminus: float,
     pplus: float,
     delta: float = 1.0,
-    dsup: float = math.inf,
 ) -> ExponentFunction:
     """Wrap a user-supplied exponent.
 
@@ -170,7 +161,6 @@ def custom_exponent(
         declared_pminus=float(pminus),
         declared_pplus=float(pplus),
         delta=float(delta),
-        dsup=float(dsup),
     )
 
 
@@ -182,8 +172,7 @@ def make_builtin(name: str) -> ExponentFunction:
     classical square-root diffusion exponent.
     """
     if name in _BUILTINS:
-        func, deriv, pminus, pplus, dsup = _BUILTINS[name]
-        return ExponentFunction(name, func, deriv, pminus, pplus, delta=1.0, dsup=dsup)
+        return ExponentFunction(name, *_BUILTINS[name])
     if name.startswith("const:"):
         try:
             c = float(name[len("const:"):])
@@ -262,9 +251,7 @@ class HypothesisReport:
 
 
 def validate_hypotheses(
-    fn: ExponentFunction,
-    grid_cfg: GridConfig | None = None,
-    tol: float = RANGE_TOL,
+    fn: ExponentFunction, grid_cfg: GridConfig | None = None
 ) -> HypothesisReport:
     """Check the admissibility conditions on a finite grid.
 
@@ -292,9 +279,9 @@ def validate_hypotheses(
     p_zero = float(fn.func(cfg.x_min))
 
     failing = None
-    if observed_inf < 0.5 - tol:
+    if observed_inf < 0.5 - RANGE_TOL:
         failing = "inf_below_half"
-    elif observed_sup > 1.0 + tol:
+    elif observed_sup > 1.0 + RANGE_TOL:
         failing = "sup_above_one"
     elif not math.isfinite(dsup_near_zero):
         failing = "derivative_unbounded_near_zero"
@@ -311,5 +298,4 @@ def validate_hypotheses(
         grid_used=grid_desc,
         passed=failing is None,
         failing_clause=failing,
-        tol=tol,
     )

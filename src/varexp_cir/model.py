@@ -258,7 +258,7 @@ class FellerReport:
         return d
 
 
-def feller_check(model: Model, n_profile: int = 200) -> FellerReport:
+def feller_check(model: Model) -> FellerReport:
     """Classify the zero boundary as non-attainable / attainable.
 
     The limit of the boundary test function at 0+ splits on the
@@ -293,7 +293,7 @@ def feller_check(model: Model, n_profile: int = 200) -> FellerReport:
         analytic_limit = -math.inf
 
     try:
-        xs = np.geomspace(1e-10, exp_fn.delta, n_profile)
+        xs = np.geomspace(1e-10, exp_fn.delta, 200)
         ts = np.asarray(feller_function(model, xs), dtype=float)
         profile_ok = bool(np.all(np.isfinite(ts)))
     except (ValueError, FloatingPointError, ZeroDivisionError):

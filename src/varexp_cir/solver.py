@@ -20,7 +20,10 @@ import numpy as np
 
 from .model import Model, coefficients
 from .stochastic import BrownianBatch, TimeGrid
-from .truncation import TruncationParams, truncated_diffusion, truncated_drift
+from .truncation import TruncationParams, truncated_coefficients
+
+# Not called here: bench/tracer.py wraps these two names in this module.
+from .truncation import truncated_diffusion, truncated_drift  # noqa: F401
 
 __all__ = [
     "Path",
@@ -164,24 +167,6 @@ def simulate_batch(
     return PathBatch(grid=batch.grid, values=values, clamp_counts=clamps, policy=policy)
 
 
-def _truncated_coefficient_maps(tp: TruncationParams, model: Model):
-    """Globally defined (f_n, g_n) for the solvers.
-
-    The drift is defined on all of R already; the diffusion is extended
-    below the band floor by clamping the argument to 1/n, which matches
-    its constant value on (0, 1/n] and keeps the map globally Lipschitz.
-    """
-    floor = tp.lower
-
-    def f_n(x):
-        return truncated_drift(tp, model, x)
-
-    def g_n(x):
-        return truncated_diffusion(tp, model, np.maximum(x, floor))
-
-    return f_n, g_n
-
-
 def euler_maruyama_truncated(
     tp: TruncationParams,
     model: Model,
@@ -195,8 +180,7 @@ def euler_maruyama_truncated(
     and is exactly the fixed point of the discrete Picard map.
     """
     row = _one_row(increments_row, grid)
-    f_n, g_n = _truncated_coefficient_maps(tp, model)
-    values, _ = _euler(f_n, g_n, model.params.v0, grid, row, None)
+    values, _ = _euler(*truncated_coefficients(tp, model), model.params.v0, grid, row, None)
     return Path(grid=grid, values=values, clamp_count=0)
 
 
@@ -258,7 +242,7 @@ def picard_solve(
         raise ValueError("k_max must be at least 1")
     row = _one_row(increments_row, grid)
 
-    f_n, g_n = _truncated_coefficient_maps(tp, model)
+    f_n, g_n = truncated_coefficients(tp, model)
     dt = grid.dt
     v0 = model.params.v0
 
@@ -267,7 +251,7 @@ def picard_solve(
     converged = False
     for _ in range(k_max):
         left = v[:-1]
-        steps = np.asarray(f_n(left)) * dt + np.asarray(g_n(left)) * row
+        steps = f_n(left) * dt + g_n(left) * row
         v_next = np.concatenate(([v0], v0 + np.cumsum(steps)))
         if not np.all(np.isfinite(v_next)):
             # blown-up iterate: report the partial history, do not crash

@@ -24,6 +24,7 @@ __all__ = [
     "rho_n",
     "theta_n",
     "theta_n_deriv",
+    "truncated_coefficients",
     "truncated_drift",
     "truncated_diffusion",
 ]
@@ -67,15 +68,32 @@ class TruncationParams:
         return (1.0 / self.n + self.epsilon, self.n - self.epsilon)
 
 
-def _pieces(tp: TruncationParams, r):
-    """The argument as an array, the conditions selecting the pieces of
-    theta_n (flat, lower bridge, band, upper bridge; else flat), and
-    the coordinates t1, t2 in [0, 1] across the two bridges."""
-    ra = check_state(r, "radial truncation argument")
+def _pieces(tp: TruncationParams, ra: np.ndarray):
+    """The conditions selecting the pieces of theta_n (flat, lower
+    bridge, band, upper bridge; else flat) at the array ``ra``, and the
+    coordinates t1, t2 in [0, 1] across the two bridges."""
     n, eps, lo = tp.n, tp.epsilon, tp.lower
     t1 = np.clip((ra - lo) / eps, 0.0, 1.0)
     t2 = np.clip((ra - (n - eps)) / eps, 0.0, 1.0)
-    return ra, [ra <= lo, ra < lo + eps, ra <= n - eps, ra < n], t1, t2
+    return [ra <= lo, ra < lo + eps, ra <= n - eps, ra < n], t1, t2
+
+
+def _theta(tp: TruncationParams, ra: np.ndarray) -> np.ndarray:
+    pieces, t1, t2 = _pieces(tp, ra)
+    n, eps, lo = tp.n, tp.epsilon, tp.lower
+    bridge_lo = lo + eps * t1**2 * (2.0 - t1)
+    bridge_hi = (n - eps) + eps * t2 * (1.0 + t2 - t2**2)
+    return np.select(pieces, [lo, bridge_lo, ra, bridge_hi], default=float(n))
+
+
+def _theta_deriv(tp: TruncationParams, ra: np.ndarray) -> np.ndarray:
+    pieces, t1, t2 = _pieces(tp, ra)
+    slopes = [0.0, t1 * (4.0 - 3.0 * t1), 1.0, (1.0 - t2) * (1.0 + 3.0 * t2)]
+    return np.select(pieces, slopes, default=0.0)
+
+
+def _rho(tp: TruncationParams, xa: np.ndarray) -> np.ndarray:
+    return _theta(tp, np.abs(xa)) * np.sign(xa)
 
 
 def theta_n(tp: TruncationParams, r) -> float | np.ndarray:
@@ -83,39 +101,39 @@ def theta_n(tp: TruncationParams, r) -> float | np.ndarray:
     middle band, constant n above, monotone C^1 Hermite bridges on the
     two gap intervals (value-matching, slope 0 on the flat side and 1
     on the identity side)."""
-    ra, pieces, t1, t2 = _pieces(tp, r)
-    n, eps, lo = tp.n, tp.epsilon, tp.lower
-    bridge_lo = lo + eps * t1**2 * (2.0 - t1)
-    bridge_hi = (n - eps) + eps * t2 * (1.0 + t2 - t2**2)
-    out = np.select(pieces, [lo, bridge_lo, ra, bridge_hi], default=float(n))
-    return scalar_like(r, out)
+    return scalar_like(r, _theta(tp, check_state(r, "radial truncation argument")))
 
 
 def theta_n_deriv(tp: TruncationParams, r) -> float | np.ndarray:
     """Analytic derivative of theta_n (0 on the flats, 1 on the band,
     t(4-3t) and (1-t)(1+3t) on the lower/upper bridges; both peak at 4/3)."""
-    _, pieces, t1, t2 = _pieces(tp, r)
-    slopes = [0.0, t1 * (4.0 - 3.0 * t1), 1.0, (1.0 - t2) * (1.0 + 3.0 * t2)]
-    out = np.select(pieces, slopes, default=0.0)
-    return scalar_like(r, out)
+    return scalar_like(r, _theta_deriv(tp, check_state(r, "radial truncation argument")))
 
 
 def rho_n(tp: TruncationParams, x) -> float | np.ndarray:
     """Odd extension theta_n(|x|) * sgn(x); zero at zero, |rho_n| <= n."""
-    xa = check_state(x, "truncation argument", lower=None)
-    out = theta_n(tp, np.abs(xa)) * np.sign(xa)
-    return scalar_like(x, out)
+    return scalar_like(x, _rho(tp, check_state(x, "truncation argument", lower=None)))
 
 
-def _require_gm(model: Model):
+def truncated_coefficients(tp: TruncationParams, model: Model):
+    """Unvalidated (f_n, g_n) on all of R for finite states: the
+    truncated :func:`coefficients`, which the solvers use. g_n(x) =
+    g(theta_n(max(x, 1/n))) extends the diffusion below the band floor
+    by its constant value on (0, 1/n], keeping it globally Lipschitz."""
     if model.kind == "pkm":
         raise ValueError("band truncation is defined for the variable-exponent model only")
+    kappa, theta, floor = model.params.kappa, model.params.theta, tp.lower
+    _, g = coefficients(model)
+    return (
+        lambda x: kappa * (theta - _rho(tp, x)),
+        lambda x: g(_theta(tp, np.maximum(x, floor))),
+    )
 
 
 def truncated_drift(tp: TruncationParams, model: Model, x) -> float | np.ndarray:
     """kappa * (theta - rho_n(x)); defined and Lipschitz on all of R."""
-    _require_gm(model)
-    return scalar_like(x, model.params.kappa * (model.params.theta - rho_n(tp, x)))
+    f_n, _ = truncated_coefficients(tp, model)
+    return scalar_like(x, f_n(check_state(x, "truncation argument", lower=None)))
 
 
 def truncated_diffusion(tp: TruncationParams, model: Model, x) -> float | np.ndarray:
@@ -123,16 +141,12 @@ def truncated_diffusion(tp: TruncationParams, model: Model, x) -> float | np.nda
 
     Negative inputs are rejected: the exponent is only defined on
     nonnegative states and a fractional power of a negative base has no
-    principled value here. Solvers that need a globally defined
-    diffusion clamp the state to the band floor first (the map is
-    constant on (0, 1/n], so that clamp is a continuous extension).
+    principled value here. Solvers use the globally defined g_n of
+    :func:`truncated_coefficients` instead.
     """
-    _require_gm(model)
+    _, g_n = truncated_coefficients(tp, model)
     xa = check_state(x, "truncated diffusion argument")
-    z = theta_n(tp, xa)
-    z = np.where(xa == 0.0, 0.0, z)  # rho_n(0) = 0
-    _, g = coefficients(model)
-    return scalar_like(x, g(z))
+    return scalar_like(x, np.where(xa == 0.0, 0.0, g_n(xa)))  # rho_n(0) = 0
 
 
 @dataclass(frozen=True)
@@ -163,7 +177,7 @@ class LipschitzReport:
         return {k: v for k, v in asdict(self).items() if k not in ("phi_deriv_sup", "p_deriv_sup")}
 
 
-def _phi_deriv_sup(tp: TruncationParams, n_grid: int = 10_000) -> float:
+def _phi_deriv_sup(tp: TruncationParams) -> float:
     """Numerical sup of |phi'| on [1/n, n], phi(r) = theta_n(r)/r.
 
     Dense log grid plus linear refinement of the two gap intervals,
@@ -172,31 +186,25 @@ def _phi_deriv_sup(tp: TruncationParams, n_grid: int = 10_000) -> float:
     n, eps = tp.n, tp.epsilon
     lo = 1.0 / n
     grids = [
-        np.geomspace(lo, n, n_grid),
+        np.geomspace(lo, n, 10_000),
         np.linspace(lo, lo + eps, 2001),
         np.linspace(n - eps, n, 2001),
     ]
     r = np.concatenate(grids)
-    th = np.asarray(theta_n(tp, r))
-    dth = np.asarray(theta_n_deriv(tp, r))
-    phi_prime = (dth * r - th) / r**2
+    phi_prime = (_theta_deriv(tp, r) * r - _theta(tp, r)) / r**2
     return float(np.max(np.abs(phi_prime)))
 
 
-def _p_deriv_sup(fn: ExponentFunction, tp: TruncationParams, n_grid: int = 10_000) -> float:
+def _p_deriv_sup(fn: ExponentFunction, tp: TruncationParams) -> float:
     """Numerical sup of |p'| on [1/n, n] (where the mean-value bound is applied)."""
-    grid = np.geomspace(1.0 / tp.n, tp.n, n_grid)
+    grid = np.geomspace(1.0 / tp.n, tp.n, 10_000)
     return float(np.max(np.abs(np.asarray(fn.deriv(grid), dtype=float))))
 
 
-def lipschitz_constants(
-    tp: TruncationParams,
-    model: Model,
-    n_pairs: int = 10_000,
-    pair_seed: int = 0,
-) -> LipschitzReport:
-    """Compute the closed-form constants and an empirical cross-check."""
-    _require_gm(model)
+def lipschitz_constants(tp: TruncationParams, model: Model) -> LipschitzReport:
+    """Compute the closed-form constants and an empirical cross-check
+    over 10,000 random pairs in the band (fixed seed 0)."""
+    _, g_n = truncated_coefficients(tp, model)
     kappa, xi = model.params.kappa, model.params.xi
     exp_fn = model.exponent
     n = tp.n
@@ -211,14 +219,12 @@ def lipschitz_constants(
     Lg_n = xi * L_n * C_n
     Lhat_n = max(Lf_n**2, Lg_n**2)
 
-    rng = np.random.default_rng(pair_seed)
-    x = rng.uniform(1.0 / n, n, size=n_pairs)
-    y = rng.uniform(1.0 / n, n, size=n_pairs)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(1.0 / n, n, size=10_000)
+    y = rng.uniform(1.0 / n, n, size=10_000)
     keep = x != y
     x, y = x[keep], y[keep]
-    gx = np.asarray(truncated_diffusion(tp, model, x))
-    gy = np.asarray(truncated_diffusion(tp, model, y))
-    empirical = float(np.max(np.abs(gx - gy) / np.abs(x - y)))
+    empirical = float(np.max(np.abs(g_n(x) - g_n(y)) / np.abs(x - y)))
 
     return LipschitzReport(
         n=n,

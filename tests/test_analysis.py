@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from varexp_cir.analysis import (
     second_moment_bound,
     terminal_histogram,
 )
-from varexp_cir.model import ModelParams, cir_model, coefficients
-from varexp_cir.solver import PathBatch, euler_maruyama
+from varexp_cir.exponent import make_builtin
+from varexp_cir.model import ModelParams, cir_model, coefficients, gm_model
+from varexp_cir.solver import PathBatch, euler_maruyama, simulate_batch
 from varexp_cir.stochastic import make_grid
 
 
@@ -204,3 +206,34 @@ def test_ceilings_past_the_largest_double_are_inf():
     assert bound == math.inf
     assert moment_bound(params, 2, 0.01)[1] < math.inf
     assert second_moment_bound(params, cir_model(params), make_grid(1.0, 0.001)) == math.inf
+
+
+def test_martingale_report_holds_no_path_matrix(params):
+    grid = make_grid(0.5, 0.001)
+    values = np.random.default_rng(9).uniform(0.0, 0.2, size=(2000, grid.n_steps + 1))
+    pb = PathBatch(
+        grid=grid,
+        values=values,
+        clamp_counts=np.zeros(2000, dtype=np.int64),
+        policy="full-truncation",
+    )
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        martingale_report(pb, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 2
+
+
+def test_martingale_paths_equals_the_cumsum_formula(params, small_batch):
+    for model in (cir_model(params), gm_model(params, make_builtin("p1"))):
+        pb = simulate_batch(model, small_batch)
+        drift = params.kappa * (params.theta - pb.values[:, :-1]) * pb.grid.dt
+        compensator = np.concatenate(
+            [np.zeros((pb.m_paths, 1)), np.cumsum(drift, axis=1)], axis=1
+        )
+        expected = pb.values - compensator
+        assert martingale_paths(pb, params).tobytes() == expected.tobytes()

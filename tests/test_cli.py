@@ -339,9 +339,10 @@ def test_python_dash_m_runs_the_cli():
     src = str(Path(varexp_cir.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-m", "varexp_cir", "feller", "--model", "cir"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["verdict"] == "non-attainable"
+    for module in ("varexp_cir", "varexp_cir.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "feller", "--model", "cir"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "non-attainable"

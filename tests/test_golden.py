@@ -1,10 +1,13 @@
 """Bit-level pins of the reference ``compare`` run (seed 42, M=5000,
 N=1000): the increment checksum and the SHA-256 of every CSV and
-summary JSON it writes. A change that moves any of these digests
-changes program output and has to say why."""
+summary JSON it writes, plus the stdout of the 24 verification ops run
+beside it in ``bench/golden.json``. A change that moves any of these
+digests changes program output and has to say why."""
 
 import hashlib
 import json
+
+import pytest
 
 from varexp_cir.cli import run
 
@@ -36,3 +39,63 @@ def test_reference_compare_is_pinned(tmp_path, capsys):
     assert written == set(DIGESTS)
     for name, digest in DIGESTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+#: SHA-256 of the stdout of each verification op, from bench/golden.json.
+VERIFY_DIGESTS = {
+    "validate-exponent --exponent p1":
+        "c569dc86341891d2f02addbcc82faae4d1ea7cb25da6f2da42a7b68f6a7e12ba",
+    "validate-exponent --exponent p2":
+        "f2521f28a7ebe25619840526473d930f8d2cc8fbcf307f58e052bdd02afa8da6",
+    "validate-exponent --exponent p3":
+        "ed736650e8890d526f247b52e17e6be199e3b7dc219f9509815d519c822a9f1a",
+    "validate-exponent --exponent const:0.5":
+        "45bba81fce204dcbf531f8ba1ee630f1da6b1465ae6072854e19df45ce5398d5",
+    "feller --model cir":
+        "d9f6f234f8a33415f9663fae2abc51e449607c6b6db464964ffb64991135dcb7",
+    "feller --model gm:p1":
+        "088ddece9dc5c245eba8c7c7a1ddd37b905ecd56d648afa2fd15e33f00a5d015",
+    "feller --model gm:p2":
+        "bb7f91dd46b088beda0075f7fd107afca331fb371c3f743aa09c0b5fa823feb3",
+    "feller --model gm:p3":
+        "e4d55a4a910a56c7235c01baae51642db05a76496e704579dbb81b8699882b16",
+    "lipschitz --model cir --n 2":
+        "bf95ff8e377c8f50b1bc5fb3750028b4f7b92be465ceab72a02048b577bbec6c",
+    "lipschitz --model cir --n 10":
+        "4bf1af3d6b8a8d6f63844a2e2a94f6925e6ac07096f5b08fac80c18b6c282de1",
+    "lipschitz --model cir --n 100":
+        "77a53ac731965b30468d4a2e9433ca683e801eada47df088aab711561263b56d",
+    "lipschitz --model gm:p1 --n 2":
+        "9f1bcbf5db7d26e4e1a727ae921d82d2c7c2b2545ee8cef548e61b887f3ac319",
+    "lipschitz --model gm:p1 --n 10":
+        "457b00466191539286f480ea13ef2b1c2f7aa6be68ad93e54c1511d4a5e56061",
+    "lipschitz --model gm:p1 --n 100":
+        "4795c3600c16fe54271ea7412228f15bf5a1530e8ae29bb72ace86493c2fe3f6",
+    "lipschitz --model gm:p2 --n 2":
+        "6e3e7ff3665efc146b99686757e9b1921260d2984b2de93f3b4dcd1aaa186c6e",
+    "lipschitz --model gm:p2 --n 10":
+        "54c04dc54f6fd53fed51dc7e180017d7b27e8fa613701cccb18d7d5ab7e2ba8f",
+    "lipschitz --model gm:p2 --n 100":
+        "8feb7147e0303023885580f731e0498e785224fce52d0644cef8c576a2f7ee04",
+    "lipschitz --model gm:p3 --n 2":
+        "ec04bad06c96e893472e1a36a3ccea867ad02ec05c449d6a828a17dc416acd85",
+    "lipschitz --model gm:p3 --n 10":
+        "b02784af1b3a88438cc285f2254ef8511c96aa65f9d004662c0fda181b1b224d",
+    "lipschitz --model gm:p3 --n 100":
+        "4cf41d107d645b8d8a6e25a6d270ad5239b19b65a5a17a7f36711385894b6c67",
+    "picard-verify --model cir --seed 42":
+        "8c21ad823ef5ff05dec6ae595102f4d9c7bf2fb01178d05910a33c0e92623cbc",
+    "picard-verify --model gm:p1 --seed 42":
+        "a5eab19c9276e199d5c097773531d4e7a963827e1d0ec50920a5bc8038421dc1",
+    "picard-verify --model gm:p2 --seed 42":
+        "b31c98224dc9763de3b91cbd62d8bcba501a93717b1da2ed5b10431dc96963c2",
+    "picard-verify --model gm:p3 --seed 42":
+        "9a6e2ee2655c056035ca8320143625fe31e88789677bcd7d2155a23b1805078b",
+}
+
+
+@pytest.mark.parametrize("op", list(VERIFY_DIGESTS))
+def test_verification_stdout_is_pinned(op, capsys):
+    assert run(op.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[op]

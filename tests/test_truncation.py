@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varexp_cir.exponent import make_builtin
-from varexp_cir.model import diffusion, drift, gm_model, pkm_model
+from varexp_cir.model import diffusion, drift, gm_model, parse_model, pkm_model
 from varexp_cir.truncation import (
     TruncationParams,
     lipschitz_constants,
     rho_n,
     theta_n,
     theta_n_deriv,
+    truncated_coefficients,
     truncated_diffusion,
     truncated_drift,
 )
@@ -132,8 +133,34 @@ def test_truncated_diffusion_rejects_negative(gm_p1):
 
 def test_truncation_rejects_pkm(params):
     tp = TruncationParams(10)
-    with pytest.raises(ValueError):
-        truncated_drift(tp, pkm_model(params, 0, 0.5), 1.0)
+    pkm = pkm_model(params, 0, 0.5)
+    for call in (
+        lambda: truncated_drift(tp, pkm, 1.0),
+        lambda: truncated_coefficients(tp, pkm),
+        lambda: lipschitz_constants(tp, pkm),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("spec", ["cir", "gm:p1", "gm:p2", "gm:p3"])
+def test_raw_truncated_maps_equal_the_public_ones(params, spec):
+    model = parse_model(spec, params)
+    for n in (2, 10, 100):
+        tp = TruncationParams(n)
+        lo, eps = tp.lower, tp.epsilon
+        # every piece of theta_n: below 1/n, both bridges, the band, above n
+        r = np.concatenate([
+            np.linspace(lo / 64, lo, 33),
+            np.linspace(lo, lo + eps, 33),
+            np.linspace(lo + eps, n - eps, 65),
+            np.linspace(n - eps, n, 33),
+            np.linspace(n, 4.0 * n, 33),
+        ])
+        f_n, g_n = truncated_coefficients(tp, model)
+        x = np.concatenate([-r[::-1], [0.0], r])
+        assert f_n(x).tobytes() == np.asarray(truncated_drift(tp, model, x)).tobytes()
+        assert g_n(r).tobytes() == np.asarray(truncated_diffusion(tp, model, r)).tobytes()
 
 
 def test_cn_closed_form_constant_exponent(params):
