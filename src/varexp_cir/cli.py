@@ -16,7 +16,8 @@ One subcommand per verifiable claim plus the figure pipeline:
 Exit codes: 0 success, 1 verification check failed, 2 config/usage
 error, 3 numeric failure (overflow, non-convergence). Verification
 subcommands print their report as JSON on stdout; file-producing
-subcommands print a one-line summary. All floats are serialized with 17
+subcommands print a one-line summary. A reader that closes stdout early
+(``| head``) does not change the exit code. All floats are serialized with 17
 significant digits and files are written atomically, so identical
 configurations produce byte-identical outputs.
 
@@ -26,6 +27,7 @@ configurations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -103,22 +105,41 @@ def json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def atomic_write(path: FsPath, text: str):
+def atomic_write(path: FsPath, text):
+    """Write text, a string or an iterable of string chunks, to a temporary
+    file beside path and move it into place."""
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_text(text)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
-def write_csv(path: FsPath, header: list[str], rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
+#: Rows formatted per chunk of write_csv; a path CSV chunk is about 50 KB of text.
+_CSV_CHUNK_ROWS = 1024
+
+
+def _csv_chunks(header: list[str], rows):
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+        yield "".join(
             ",".join(
                 format(v, ".17g") if isinstance(v, (float, np.floating)) else str(v)
                 for v in row
             )
+            + "\n"
+            for row in chunk
         )
-    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_csv(path: FsPath, header: list[str], rows):
+    """Write a CSV atomically, formatting and writing the rows in fixed
+    chunks so the file's text is never held whole."""
+    atomic_write(path, _csv_chunks(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +361,14 @@ def _write_runs(ns, specs: list[str], figures: bool):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: file-producing ones print a summary line and return
-# None; verification ones return (payload, ok, summary) for run() to print,
-# with ok None for a numeric failure
+# subcommand handlers: file-producing ones return a summary line for run()
+# to print on stdout; verification ones return (payload, ok, summary) for
+# run() to print, with ok None for a numeric failure
 
 def cmd_simulate(ns):
     settings, _, results = _write_runs(ns, [ns.model], figures=False)
     summary = results[0][1]
-    print(
+    return (
         f"simulate {summary['model']}: M={settings['paths']} seed={settings['seed']} "
         f"clamp_fraction={summary['clamp']['fraction']:.3g} -> {settings['out']}"
     )
@@ -359,7 +380,7 @@ def cmd_compare(ns):
         raise ValueError("--exponents must name at least one exponent")
     specs = ["cir"] + [f"gm:{e}" for e in exponents]
     settings, checksum, _ = _write_runs(ns, specs, figures=not ns.no_svg)
-    print(
+    return (
         f"compare cir+{','.join(exponents)}: M={settings['paths']} seed={settings['seed']} "
         f"checksum={checksum[:12]} -> {settings['out']}"
     )
@@ -518,14 +539,34 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if result is None:
+    if isinstance(result, str):
+        _say(result, sys.stdout)
         return EXIT_OK
     payload, ok, summary = result
-    print(json_text(payload))
-    print(summary, file=sys.stderr)
+    _say(json_text(payload), sys.stdout)
+    _say(summary, sys.stderr)
     if ok is None:
         return EXIT_NUMERIC
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _say(text: str, stream):
+    """Print one line; a reader that has closed the stream is not an error.
+
+    The stream's file descriptor is then pointed at the null device, so
+    the flush at interpreter exit does not fail on it again.
+    """
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        try:
+            fd = stream.fileno()
+        except (AttributeError, OSError, ValueError):
+            return  # not backed by a file descriptor: nothing is left to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def main():

@@ -66,7 +66,12 @@ class Path:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Per-path trajectories stacked row-wise, plus clamp statistics."""
+    """Per-path trajectories stacked row-wise, plus clamp statistics.
+
+    values has shape (m_paths, n_steps + 1) and is stored time-major
+    (Fortran order): the state of every path at one grid node is
+    contiguous.
+    """
 
     grid: TimeGrid
     values: np.ndarray
@@ -95,7 +100,9 @@ def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy: str 
     value is clamped (full truncation) or reflected; ``policy=None``
     applies no clamp. Vectorizes over leading axes, so a batch run
     performs bit-identical arithmetic to a per-path run (numpy ufuncs
-    are lane-consistent).
+    are lane-consistent). Values are stored time-major (Fortran order),
+    so each step writes one contiguous column, and each step reads one
+    contiguous column of time-major increments such as sample_batch's.
     """
     dt = grid.dt
     lead = increments.shape[:-1]
@@ -103,7 +110,7 @@ def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy: str 
     if n_steps != grid.n_steps:
         raise ValueError("increments length does not match the grid")
 
-    values = np.empty(lead + (n_steps + 1,))
+    values = np.empty(lead + (n_steps + 1,), order="F")
     values[..., 0] = v0
     clamps = np.zeros(lead, dtype=np.int64)
     v = np.full(lead, v0) if lead else np.float64(v0)

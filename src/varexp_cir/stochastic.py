@@ -8,6 +8,14 @@ mapping stateless per (path, step) and reproducible across platforms.
 These properties are what make common-random-number comparisons across
 models exact: two models simulated against the same batch consume
 bit-identical increments.
+
+A batch is stored time-major: the (m_paths, n_steps) matrix is
+Fortran-ordered, so the increments of one time step over all paths are
+contiguous, which is the order the Euler kernel reads them in. It is
+filled a block of paths at a time: each path's raw words come from the
+one generator re-keyed to (seed, path_index), and the block is mapped
+to normals in one vectorized pass. Row j is still a function of
+(seed, j) alone, equal bit for bit to path_increments(seed, j, grid).
 """
 
 from __future__ import annotations
@@ -26,6 +34,11 @@ MAX_SEED = 2**64 - 1
 #: Refuse batches above this many stored increments (~8 GB of float64);
 #: regenerate rows on demand via path_increments for larger studies.
 MAX_STORED_INCREMENTS = 10**9
+
+# Paths per block when filling and hashing a batch: a 32 x 1000 block of
+# 64-bit words is 256 KB, small enough that its buffers stay in cache and
+# no path-sized temporary is built.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,8 @@ class BrownianBatch:
 
     Fully determined by (seed, m_paths, grid); row j depends only on
     (seed, j), so subsets of paths can be regenerated independently.
+    sample_batch stores the matrix time-major (Fortran order); the
+    checksum does not depend on the memory layout.
     """
 
     seed: int
@@ -104,15 +119,20 @@ class BrownianBatch:
         return self.increments[path_index]
 
     def checksum(self) -> str:
-        """SHA-256 over shape and raw bytes; recorded in run manifests."""
+        """SHA-256 over the shape, then the matrix's bytes in C (row) order;
+        recorded in run manifests. Hashed a block of rows at a time, so
+        no copy of the whole matrix is made."""
+        inc = self.increments
         h = hashlib.sha256()
-        h.update(np.array(self.increments.shape, dtype=np.uint64).tobytes())
-        h.update(np.ascontiguousarray(self.increments).tobytes())
+        h.update(np.array(inc.shape, dtype=np.uint64).tobytes())
+        for start in range(0, len(inc), _BLOCK):
+            h.update(np.ascontiguousarray(inc[start : start + _BLOCK]))
         return h.hexdigest()
 
 
 def sample_batch(seed: int, m_paths: int, grid: TimeGrid) -> BrownianBatch:
-    """Generate the full increment matrix row by row.
+    """Generate the full increment matrix, time-major, a block of paths
+    at a time; row j equals path_increments(seed, j, grid) bit for bit.
 
     Default experiment sizes are stored whole (5000 x 1000 doubles is
     40 MB); absurd sizes are refused, use path_increments to stream
@@ -121,12 +141,33 @@ def sample_batch(seed: int, m_paths: int, grid: TimeGrid) -> BrownianBatch:
     seed = _check_seed(seed)
     if m_paths < 1:
         raise ValueError("m_paths must be at least 1")
-    if m_paths * grid.n_steps > MAX_STORED_INCREMENTS:
+    n_steps = grid.n_steps
+    if m_paths * n_steps > MAX_STORED_INCREMENTS:
         raise ValueError(
             "batch too large to store; regenerate rows on demand with path_increments"
         )
-    increments = np.empty((m_paths, grid.n_steps))
-    for j in range(m_paths):
-        increments[j] = path_increments(seed, j, grid)
+    increments = np.empty((m_paths, n_steps), order="F")
+    # One generator, re-keyed per path to the state Philox(key=(seed, j)) starts in.
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    state = bitgen.state
+    key = state["state"]["key"]
+    raw = np.empty((_BLOCK, n_steps), dtype=np.uint64)
+    normals = np.empty((_BLOCK, n_steps))
+    scale = math.sqrt(grid.dt)
+    for start in range(0, m_paths, _BLOCK):
+        stop = min(start + _BLOCK, m_paths)
+        r, z = raw[: stop - start], normals[: stop - start]
+        for i, j in enumerate(range(start, stop)):
+            key[1] = j
+            bitgen.state = state
+            r[i] = bitgen.random_raw(n_steps)
+        # ((r >> 11) + 0.5) * 2**-53, then ndtri, then sqrt(dt), as in path_increments
+        np.right_shift(r, np.uint64(11), out=r)
+        z[...] = r
+        z += 0.5
+        z *= 2.0**-53
+        ndtri(z, out=z)
+        z *= scale
+        increments[start:stop] = z
     increments.setflags(write=False)
     return BrownianBatch(seed=seed, m_paths=m_paths, grid=grid, increments=increments)

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import varexp_cir
-from varexp_cir.cli import json_text, run
+from varexp_cir import ModelParams, cir_model, make_grid, sample_batch, simulate_batch
+from varexp_cir.cli import json_text, run, write_csv
 
 
 def _run(capsys, *argv):
@@ -346,3 +348,99 @@ def test_python_dash_m_runs_the_cli():
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["verdict"] == "non-attainable"
+
+
+def _old_csv_text(header, rows):
+    """The CSV bytes of the one-string writer write_csv replaced."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_dump_paths_bytes_equal_the_one_string_formula(capsys, tmp_path):
+    # 400 paths x 11 nodes = 4400 rows: several chunks of rows
+    out = tmp_path / "dump"
+    code, _, _ = _run(
+        capsys,
+        "simulate", "--model", "cir", "--paths", "400", "--T", "0.01",
+        "--seed", "7", "--out", str(out), "--dump-paths",
+    )
+    assert code == 0
+    grid = make_grid(0.01, 0.001)
+    pb = simulate_batch(cir_model(ModelParams(2.0, 0.05, 0.3, 0.05)), sample_batch(7, 400, grid))
+    rows = [
+        (grid.times[j], i, pb.values[i, j]) for i in range(400) for j in range(grid.n_steps + 1)
+    ]
+    expected = _old_csv_text(["t", "path_id", "v"], rows)
+    assert (out / "cir_path.csv").read_text() == expected
+
+
+def test_write_csv_streams_rows(tmp_path):
+    def rows():
+        for i in range(200_000):
+            yield (i * 1e-3, i % 7, 0.05 + i * 1e-9)
+
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ["t", "path_id", "v"], rows())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = _old_csv_text(["t", "path_id", "v"], rows())
+    assert path.read_text() == text
+    assert peak < len(text) / 4
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]  # no temporary left
+
+    def failing_rows():
+        yield from [(0.0, 0, 0.05)] * 3000  # past the first chunk
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        write_csv(tmp_path / "partial.csv", ["t", "path_id", "v"], failing_rows())
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["feller", "--model", "cir"], 0),
+        (["feller", "--model", "cir", "--config", "CFG"], 1),
+        (["compare", "--paths", "8", "--T", "0.01", "--no-svg", "--out", "OUT"], 0),
+    ],
+)
+def test_closed_stdout_keeps_the_computed_exit_code(monkeypatch, tmp_path, argv, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kappa": 0.1, "theta": 0.05, "xi": 1.0, "v0": 0.05}))
+    argv = [str(cfg) if a == "CFG" else str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run(argv) == expected
+
+
+def test_reader_closing_stdout_early_is_not_an_error():
+    src = str(Path(varexp_cir.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "varexp_cir", "feller", "--model", "cir"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()  # no reader is left before the CLI writes anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert "feller cir: non-attainable" in err

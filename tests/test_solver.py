@@ -13,7 +13,7 @@ from varexp_cir.solver import (
     picard_solve,
     simulate_batch,
 )
-from varexp_cir.stochastic import make_grid, path_increments, sample_batch
+from varexp_cir.stochastic import BrownianBatch, make_grid, path_increments, sample_batch
 from varexp_cir.truncation import TruncationParams, truncated_diffusion, truncated_drift
 
 
@@ -237,3 +237,28 @@ def test_truncated_euler_equals_scalar_recursion_bit_for_bit(params, spec, n):
         manual.append(v)
     em = euler_maruyama_truncated(tp, model, grid, row)
     assert np.array_equal(em.values, np.array(manual))
+
+
+def test_batch_paths_are_time_major_and_layout_free(gm_p1, small_batch):
+    pb = simulate_batch(gm_p1, small_batch)
+    assert small_batch.increments.flags.f_contiguous
+    assert pb.values.flags.f_contiguous
+    c_order = np.ascontiguousarray(small_batch.increments)
+    assert c_order.flags.c_contiguous
+    pb_c = simulate_batch(
+        gm_p1, BrownianBatch(small_batch.seed, small_batch.m_paths, small_batch.grid, c_order)
+    )
+    assert np.array_equal(pb_c.values, pb.values)
+    assert np.array_equal(pb_c.clamp_counts, pb.clamp_counts)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_names_the_path_in_a_time_major_batch(cir):
+    grid = make_grid(0.01, 0.001)
+    batch = sample_batch(5, 40, grid)
+    increments = np.array(batch.increments, order="F")
+    increments[37, 3] = np.inf  # step 4 of path 37, in the second block of paths
+    increments[12, 5] = np.inf  # a later step of an earlier path
+    with pytest.raises(PathOverflowError) as exc:
+        simulate_batch(cir, BrownianBatch(5, 40, grid, increments))
+    assert (exc.value.path_index, exc.value.step_index) == (37, 4)

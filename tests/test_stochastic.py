@@ -1,7 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from varexp_cir.stochastic import make_grid, path_increments, sample_batch
+from varexp_cir.stochastic import BrownianBatch, make_grid, path_increments, sample_batch
 
 
 def test_make_grid_examples():
@@ -73,3 +76,37 @@ def test_absurd_sizes_rejected(grid):
 def test_increments_are_read_only(small_batch):
     with pytest.raises(ValueError):
         small_batch.increments[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("m_paths", [1, 31, 32, 33, 97])
+def test_batch_rows_equal_path_increments_across_block_edges(m_paths):
+    grid = make_grid(1.0, 0.01)
+    batch = sample_batch(42, m_paths, grid)
+    rows = np.stack([path_increments(42, j, grid) for j in range(m_paths)])
+    assert np.array_equal(batch.increments, rows)
+    assert batch.increments.flags.f_contiguous
+
+
+def test_checksum_is_the_one_shot_formula_in_any_layout():
+    grid = make_grid(1.0, 0.01)
+    batch = sample_batch(3, 70, grid)
+    # the definition: SHA-256 of the shape, then the C-order bytes
+    h = hashlib.sha256()
+    h.update(np.array(batch.increments.shape, dtype=np.uint64).tobytes())
+    h.update(np.ascontiguousarray(batch.increments).tobytes())
+    expected = h.hexdigest()
+    assert batch.checksum() == expected
+    c_order = np.ascontiguousarray(batch.increments)
+    assert c_order.flags.c_contiguous
+    assert BrownianBatch(3, 70, grid, c_order).checksum() == expected
+
+
+def test_checksum_copies_no_matrix(grid):
+    batch = sample_batch(42, 1000, grid)
+    tracemalloc.start()
+    try:
+        batch.checksum()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < batch.increments.nbytes / 4
