@@ -14,12 +14,13 @@ One subcommand per verifiable claim plus the figure pipeline:
                            coefficients
 
 Exit codes: 0 success, 1 verification check failed, 2 config/usage
-error, 3 numeric failure (overflow, non-convergence). Verification
-subcommands print their report as JSON on stdout; file-producing
-subcommands print a one-line summary. A reader that closes stdout early
-(``| head``) does not change the exit code. All floats are serialized with 17
-significant digits and files are written atomically, so identical
-configurations produce byte-identical outputs.
+error or not enough memory, 3 numeric failure (overflow,
+non-convergence). Verification subcommands print their report as JSON
+on stdout; file-producing subcommands print a one-line summary. A
+reader that closes stdout early (``| head``) does not change the exit
+code. All floats are serialized with 17 significant digits and files
+are written atomically, so identical configurations produce
+byte-identical outputs.
 
 ``python -m varexp_cir`` runs the same command line.
 """
@@ -538,6 +539,11 @@ def run(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # a size under the storage cap can still exceed this machine's memory
+        print("error: not enough memory for this run; use fewer paths or a coarser grid",
+              file=sys.stderr)
         return EXIT_USAGE
     if isinstance(result, str):
         _say(result, sys.stdout)

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "ExponentFunction",
-    "GridConfig",
     "HypothesisReport",
     "HypothesisViolationError",
     "constant_exponent",
@@ -31,6 +30,15 @@ __all__ = [
 
 #: Validation tolerance on the [1/2, 1] range check.
 RANGE_TOL = 1e-12
+
+#: Radius of the neighbourhood of zero on which the derivative bound is
+#: checked and the boundary profile is sampled.
+NEAR_ZERO_RADIUS = 1.0
+
+#: The range check's log-spaced grid approximating inf/sup over x >= 0,
+#: and the size of the near-zero derivative sample.
+GRID_MIN, GRID_MAX, GRID_POINTS = 1e-12, 1e12, 10_000
+NEAR_ZERO_POINTS = 2_000
 
 
 class HypothesisViolationError(ValueError):
@@ -52,11 +60,6 @@ class ExponentFunction:
         Vectorized analytic derivative dp/dx.
     declared_pminus, declared_pplus : float
         Declared infimum / supremum of p over x >= 0.
-    delta : float
-        Radius of the neighbourhood of zero on which the derivative
-        bound is declared (any positive value works for the builtins,
-        which have globally bounded derivatives; kept explicit so the
-        boundary test can reuse it).
     constant : float or None
         The value of a constant exponent, None for a varying one. The
         diffusion raises states to this scalar instead of an array of
@@ -68,7 +71,6 @@ class ExponentFunction:
     deriv: Callable
     declared_pminus: float
     declared_pplus: float
-    delta: float = 1.0
     constant: float | None = None
 
 
@@ -141,11 +143,7 @@ def constant_exponent(c: float) -> ExponentFunction:
 
 
 def custom_exponent(
-    func: Callable,
-    deriv: Callable,
-    pminus: float,
-    pplus: float,
-    delta: float = 1.0,
+    func: Callable, deriv: Callable, pminus: float, pplus: float
 ) -> ExponentFunction:
     """Wrap a user-supplied exponent.
 
@@ -160,7 +158,6 @@ def custom_exponent(
         deriv=deriv,
         declared_pminus=float(pminus),
         declared_pplus=float(pplus),
-        delta=float(delta),
     )
 
 
@@ -189,38 +186,11 @@ def make_builtin(name: str) -> ExponentFunction:
 
 
 @dataclass(frozen=True)
-class GridConfig:
-    """Evaluation grid for the numerical hypothesis check.
-
-    A log-spaced grid on [x_min, x_max] approximates the inf/sup over
-    x >= 0; a dense log-spaced sample on (0, delta) probes the
-    derivative bound near zero.
-    """
-
-    x_min: float = 1e-12
-    x_max: float = 1e12
-    n_points: int = 10_000
-    n_near_zero: int = 2_000
-
-    def main_grid(self) -> np.ndarray:
-        if self.n_points < 2 or self.x_min <= 0 or self.x_max <= self.x_min:
-            raise ValueError("invalid hypothesis-check grid")
-        return np.geomspace(self.x_min, self.x_max, self.n_points)
-
-    def near_zero_grid(self, delta: float) -> np.ndarray:
-        if self.n_near_zero < 2:
-            raise ValueError("invalid hypothesis-check grid")
-        hi = min(delta, self.x_max)
-        # stay strictly inside (0, delta)
-        return np.geomspace(self.x_min, hi, self.n_near_zero + 1)[:-1]
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
     """Outcome of the numerical admissibility check.
 
-    ``passed`` is true iff ``observed_inf >= 1/2 - tol``,
-    ``observed_sup <= 1 + tol`` and the derivative sup near zero is
+    ``passed`` is true iff ``observed_inf >= 1/2 - RANGE_TOL``,
+    ``observed_sup <= 1 + RANGE_TOL`` and the derivative sup near zero is
     finite. The inf/sup are grid approximations; the grid bounds are
     recorded in ``grid_used``.
     """
@@ -232,7 +202,6 @@ class HypothesisReport:
     grid_used: str
     passed: bool
     failing_clause: str | None
-    tol: float = RANGE_TOL
 
     @property
     def verdict(self) -> str:
@@ -246,23 +215,22 @@ class HypothesisReport:
             "p_at_zero_plus": self.p_at_zero_plus,
             "grid_used": self.grid_used,
             "verdict": self.verdict,
-            "tol": self.tol,
+            "tol": RANGE_TOL,
         }
 
 
-def validate_hypotheses(
-    fn: ExponentFunction, grid_cfg: GridConfig | None = None
-) -> HypothesisReport:
+def validate_hypotheses(fn: ExponentFunction) -> HypothesisReport:
     """Check the admissibility conditions on a finite grid.
 
     The range condition (p stays inside [1/2, 1]) is checked over a
-    log-spaced grid; the near-zero derivative bound is checked on a
-    dense sample of (0, delta). The value p(0+) is estimated by
-    evaluation at x_min (all supported functions are continuous at 0).
+    log-spaced grid on [GRID_MIN, GRID_MAX]; the near-zero derivative
+    bound is checked on a dense sample of (0, NEAR_ZERO_RADIUS). The
+    value p(0+) is estimated by evaluation at GRID_MIN (all supported
+    functions are continuous at 0).
     """
-    cfg = grid_cfg or GridConfig()
-    grid = cfg.main_grid()
-    near_zero = cfg.near_zero_grid(fn.delta)
+    grid = np.geomspace(GRID_MIN, GRID_MAX, GRID_POINTS)
+    # stay strictly inside (0, NEAR_ZERO_RADIUS)
+    near_zero = np.geomspace(GRID_MIN, NEAR_ZERO_RADIUS, NEAR_ZERO_POINTS + 1)[:-1]
 
     values = np.asarray(fn.func(grid), dtype=float)
     if values.shape != grid.shape or not np.all(np.isfinite(values)):
@@ -276,7 +244,7 @@ def validate_hypotheses(
     observed_sup = float(values.max())
     abs_d = np.abs(derivs)
     dsup_near_zero = float(abs_d.max()) if np.all(np.isfinite(abs_d)) else math.inf
-    p_zero = float(fn.func(cfg.x_min))
+    p_zero = float(fn.func(GRID_MIN))
 
     failing = None
     if observed_inf < 0.5 - RANGE_TOL:
@@ -287,8 +255,8 @@ def validate_hypotheses(
         failing = "derivative_unbounded_near_zero"
 
     grid_desc = (
-        f"log[{cfg.x_min:g},{cfg.x_max:g}]x{cfg.n_points}"
-        f"+near-zero log(0,{fn.delta:g})x{cfg.n_near_zero}"
+        f"log[{GRID_MIN:g},{GRID_MAX:g}]x{GRID_POINTS}"
+        f"+near-zero log(0,{NEAR_ZERO_RADIUS:g})x{NEAR_ZERO_POINTS}"
     )
     return HypothesisReport(
         observed_inf=observed_inf,

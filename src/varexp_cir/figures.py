@@ -103,8 +103,8 @@ def _bars(to_px, edges, dens, color):
     return bars
 
 
-def svg_line_plot(series, title: str, xlabel: str = "t", ylabel: str = "v") -> str:
-    """Overlayed polylines; series is a list of (label, xs, ys)."""
+def svg_line_plot(series, title: str) -> str:
+    """Overlayed polylines of v against t; series is a list of (label, xs, ys)."""
     if not series:
         raise ValueError("at least one series is required")
     x_lo = min(float(np.min(xs)) for _, xs, _ in series)
@@ -113,11 +113,12 @@ def svg_line_plot(series, title: str, xlabel: str = "t", ylabel: str = "v") -> s
     y_hi = max(float(np.max(ys)) for _, _, ys in series)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    return _plot(series, (x_lo, x_hi, y_lo, y_hi), title, xlabel, ylabel, _polyline)
+    return _plot(series, (x_lo, x_hi, y_lo, y_hi), title, "t", "v", _polyline)
 
 
-def svg_histogram(series, title: str, xlabel: str = "v(T)", ylabel: str = "density") -> str:
-    """Overlayed translucent bars; series is a list of (label, edges, densities)."""
+def svg_histogram(series, title: str) -> str:
+    """Overlayed translucent density bars of v(T); series is a list of
+    (label, edges, densities)."""
     if not series:
         raise ValueError("at least one series is required")
     x_lo = min(float(np.min(edges)) for _, edges, _ in series)
@@ -127,4 +128,4 @@ def svg_histogram(series, title: str, xlabel: str = "v(T)", ylabel: str = "densi
         y_hi = 1.0
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    return _plot(series, (x_lo, x_hi, 0.0, y_hi), title, xlabel, ylabel, _bars)
+    return _plot(series, (x_lo, x_hi, 0.0, y_hi), title, "v(T)", "density", _bars)

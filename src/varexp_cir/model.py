@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .exponent import (
+    NEAR_ZERO_RADIUS,
     ExponentFunction,
     check_state,
     constant_exponent,
@@ -293,7 +294,7 @@ def feller_check(model: Model) -> FellerReport:
         analytic_limit = -math.inf
 
     try:
-        xs = np.geomspace(1e-10, exp_fn.delta, 200)
+        xs = np.geomspace(1e-10, NEAR_ZERO_RADIUS, 200)
         ts = np.asarray(feller_function(model, xs), dtype=float)
         profile_ok = bool(np.all(np.isfinite(ts)))
     except (ValueError, FloatingPointError, ZeroDivisionError):

@@ -71,7 +71,9 @@ class TruncationParams:
 def _pieces(tp: TruncationParams, ra: np.ndarray):
     """The conditions selecting the pieces of theta_n (flat, lower
     bridge, band, upper bridge; else flat) at the array ``ra``, and the
-    coordinates t1, t2 in [0, 1] across the two bridges."""
+    coordinates t1, t2 in [0, 1] across the two bridges. The lower flat
+    is not redundant: when eps is below half an ulp of 1/n (the default
+    eps for n > 2**52), lo + eps == lo and only it gives slope 0 at 1/n."""
     n, eps, lo = tp.n, tp.epsilon, tp.lower
     t1 = np.clip((ra - lo) / eps, 0.0, 1.0)
     t2 = np.clip((ra - (n - eps)) / eps, 0.0, 1.0)

@@ -444,3 +444,22 @@ def test_reader_closing_stdout_early_is_not_an_error():
     assert proc.wait(timeout=120) == 0, err
     assert "Traceback" not in err and "Exception ignored" not in err
     assert "feller cir: non-attainable" in err
+
+
+@pytest.mark.parametrize("command", ["compare", "moments"])
+@pytest.mark.parametrize("stage", ["sample_batch", "simulate_batch"])
+def test_out_of_memory_exits_two_without_traceback(capsys, tmp_path, monkeypatch, command, stage):
+    import varexp_cir.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stage, exhausted)
+    argv = [command, "--paths", "10", "--T", "0.1"]
+    if command == "compare":
+        argv += ["--no-svg", "--out", str(tmp_path / "oom")]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: not enough memory")
+    assert "Traceback" not in err
+    assert out == ""

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varexp_cir.exponent import (
-    GridConfig,
     HypothesisViolationError,
     constant_exponent,
     custom_exponent,
@@ -140,11 +139,6 @@ def test_custom_exponent_with_infinite_derivative_fails_clause():
     report = validate_hypotheses(fn)
     assert not report.passed
     assert report.failing_clause == "derivative_unbounded_near_zero"
-
-
-def test_validate_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        validate_hypotheses(make_builtin("p1"), GridConfig(n_points=1))
 
 
 def test_vectorized_evaluation_matches_scalar():

@@ -2,7 +2,13 @@
 N=1000): the increment checksum and the SHA-256 of every CSV and
 summary JSON it writes, plus the stdout of the 24 verification ops run
 beside it in ``bench/golden.json``. A change that moves any of these
-digests changes program output and has to say why."""
+digests changes program output and has to say why.
+
+The digests were taken with numpy 2.4.6 and scipy 1.17.1 (Python
+3.11): the increments' bits come from scipy's ``ndtri`` and the paths'
+from numpy's ``exp``, ``tanh`` and ``power``, so another version of
+either library may move them. CI installs these versions through
+``.github/constraints.txt``."""
 
 import hashlib
 import json

@@ -63,6 +63,48 @@ def test_theta_n_deriv_matches_finite_difference():
     assert np.max(np.abs(d)) <= 4.0 / 3.0 + 1e-12
 
 
+def _theta_five_pieces(tp, r):
+    """theta_n and its derivative with an explicit lower flat below 1/n."""
+    n, eps, lo = tp.n, tp.epsilon, tp.lower
+    t1 = np.clip((r - lo) / eps, 0.0, 1.0)
+    t2 = np.clip((r - (n - eps)) / eps, 0.0, 1.0)
+    pieces = [r <= lo, r < lo + eps, r <= n - eps, r < n]
+    bridge_lo = lo + eps * t1**2 * (2.0 - t1)
+    bridge_hi = (n - eps) + eps * t2 * (1.0 + t2 - t2**2)
+    value = np.select(pieces, [lo, bridge_lo, r, bridge_hi], default=float(n))
+    slopes = [0.0, t1 * (4.0 - 3.0 * t1), 1.0, (1.0 - t2) * (1.0 + 3.0 * t2)]
+    return value, np.select(pieces, slopes, default=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 10, 25, 100, 1000, 2**20, 2**40])
+def test_theta_n_equals_the_five_piece_formula_bit_for_bit(n):
+    """At every band edge and its neighbours, for four gap widths; the
+    smallest at n = 2**40 is below half an ulp of 1/n, where a formula
+    without the lower flat would give slope 1 at 1/n."""
+    for frac in (None, 0.999, 0.1, 1e-6):
+        tp = TruncationParams(n, epsilon=None if frac is None else frac / n**2)
+        eps, lo = tp.epsilon, tp.lower
+        edges = np.array([lo, lo + eps, n - eps, float(n)])
+        below, above = [edges], [edges]
+        for _ in range(3):  # three nextafter steps to either side of each edge
+            below.append(np.nextafter(below[-1], -np.inf))
+            above.append(np.nextafter(above[-1], np.inf))
+        r = np.concatenate(
+            below
+            + above
+            + [
+                np.array([0.0, 0.5 * lo, 2.0 * n]),
+                np.linspace(lo - eps, lo + 2.0 * eps, 257),
+                np.linspace(n - 2.0 * eps, n + eps, 257),
+            ]
+        )
+        value, slope = _theta_five_pieces(tp, r)
+        got_value = np.asarray(theta_n(tp, r))
+        got_slope = np.asarray(theta_n_deriv(tp, r))
+        assert np.array_equal(got_value.view(np.uint64), value.view(np.uint64))
+        assert np.array_equal(got_slope.view(np.uint64), slope.view(np.uint64))
+
+
 def test_rho_n_basics():
     tp = TruncationParams(10)
     assert rho_n(tp, 0.0) == 0.0
