@@ -32,8 +32,8 @@ tp = TruncationParams(10)
 
 row = path_increments(seed=1, path_index=0, grid=grid)
 report = picard_solve(tp, model, grid, row, tol=1e-9, k_max=200)
-euler = euler_maruyama_truncated(tp, model, grid, row)
-sup = float(np.max(np.abs(report.fixed_point.values - euler.values)))
+euler = euler_maruyama_truncated(tp, model, grid, row[None])[0]
+sup = float(np.max(np.abs(report.fixed_point - euler)))
 
 print(f"converged: {report.converged} after {report.iterations_used} sweeps")
 print(f"fitted envelope constant: {report.rate_envelope_constant:.3g}")

@@ -440,8 +440,8 @@ def cmd_picard_verify(ns):
     report = picard_solve(tp, model, grid, row, tol=ns.tol, k_max=ns.kmax)
     if not report.converged:
         return report.to_dict(), None, f"picard-verify: no convergence within {ns.kmax} iterations"
-    euler = euler_maruyama_truncated(tp, model, grid, row)
-    sup_diff = float(np.max(np.abs(report.fixed_point.values - euler.values)))
+    euler = euler_maruyama_truncated(tp, model, grid, row[None])[0]
+    sup_diff = float(np.max(np.abs(report.fixed_point - euler)))
     ok = sup_diff <= ns.tol
     payload = {"model": model.model_id, "n": ns.n, **report.to_dict()}
     payload["sup_diff_vs_euler"] = sup_diff

@@ -10,8 +10,7 @@ Three model families share the parameter record (kappa, theta, xi, v0):
   (theta - x) and diffusion xi * x**b, a in {0, 1}, b in {1/2, 1, 3/2}.
 
 The module also provides the differential form of the zero-boundary
-non-attainability test, the linear-growth constant, and the
-infinitesimal generator applied to caller-supplied derivatives.
+non-attainability test and the linear-growth constant.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "drift",
     "feller_check",
     "feller_function",
-    "generator_apply",
     "gm_model",
     "growth_constant",
     "parse_model",
@@ -330,14 +328,3 @@ def feller_check(model: Model) -> FellerReport:
         classical_holds=classical_holds,
     )
 
-
-def generator_apply(model: Model, x, h1: float, h2: float) -> float:
-    """Infinitesimal generator applied to h at x > 0.
-
-    Returns 1/2 g(x)^2 h'' + f(x) h' from the caller-supplied
-    derivatives h1 = h'(x), h2 = h''(x).
-    """
-    xa = check_state(x, "generator argument", "positive")
-    f, g = coefficients(model)
-    out = 0.5 * g(xa) ** 2 * h2 + f(xa) * h1
-    return scalar_like(x, out)

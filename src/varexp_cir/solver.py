@@ -26,12 +26,10 @@ from .truncation import TruncationParams, truncated_coefficients
 from .truncation import truncated_diffusion, truncated_drift  # noqa: F401
 
 __all__ = [
-    "Path",
     "PathBatch",
     "PathOverflowError",
     "PicardReport",
     "band_exit_index",
-    "euler_maruyama",
     "euler_maruyama_truncated",
     "picard_solve",
     "simulate_batch",
@@ -41,27 +39,12 @@ POLICIES = ("full-truncation", "reflection")
 
 
 class PathOverflowError(ArithmeticError):
-    """A non-finite state was produced; carries the offending step index."""
+    """A non-finite state was produced; carries the path and step index."""
 
-    def __init__(self, step_index: int, path_index: int | None = None):
+    def __init__(self, step_index: int, path_index: int):
         self.step_index = step_index
         self.path_index = path_index
-        where = f"step {step_index}" if path_index is None else f"path {path_index}, step {step_index}"
-        super().__init__(f"non-finite state produced at {where}")
-
-
-@dataclass(frozen=True)
-class Path:
-    """One discrete trajectory: values[j] approximates the state at t_j.
-
-    clamp_count is the number of steps whose pre-clamp value was
-    negative; with the full-truncation policy every stored value is
-    nonnegative.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    clamp_count: int
+        super().__init__(f"non-finite state produced at path {path_index}, step {step_index}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +53,8 @@ class PathBatch:
 
     values has shape (m_paths, n_steps + 1) and is stored time-major
     (Fortran order): the state of every path at one grid node is
-    contiguous.
+    contiguous. clamp_counts[i] is the number of steps of path i whose
+    pre-clamp value was negative.
     """
 
     grid: TimeGrid
@@ -93,67 +77,39 @@ def _check_policy(policy: str):
 
 
 def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy: str | None):
-    """The Euler kernel; increments has shape (..., n_steps).
+    """The Euler kernel; increments has shape (m_paths, n_steps).
 
     v[j+1] = v[j] + f(v[j]) dt + g(v[j]) dW[j]. With a positivity policy
     the coefficients see the clamped state max(v, 0) and the stored
     value is clamped (full truncation) or reflected; ``policy=None``
-    applies no clamp. Vectorizes over leading axes, so a batch run
-    performs bit-identical arithmetic to a per-path run (numpy ufuncs
-    are lane-consistent). Values are stored time-major (Fortran order),
-    so each step writes one contiguous column, and each step reads one
-    contiguous column of time-major increments such as sample_batch's.
+    applies no clamp. Every path advances in the same elementwise
+    arithmetic (numpy ufuncs are lane-consistent), so a row's values do
+    not depend on the other rows of its batch. Values are stored
+    time-major (Fortran order), so each step writes one contiguous
+    column, and each step reads one contiguous column of time-major
+    increments such as sample_batch's.
     """
+    if increments.ndim != 2 or increments.shape[1] != grid.n_steps:
+        raise ValueError("increments must have shape (m_paths, grid.n_steps)")
     dt = grid.dt
-    lead = increments.shape[:-1]
-    n_steps = increments.shape[-1]
-    if n_steps != grid.n_steps:
-        raise ValueError("increments length does not match the grid")
-
-    values = np.empty(lead + (n_steps + 1,), order="F")
-    values[..., 0] = v0
-    clamps = np.zeros(lead, dtype=np.int64)
-    v = np.full(lead, v0) if lead else np.float64(v0)
+    m_paths, n_steps = increments.shape
+    values = np.empty((m_paths, n_steps + 1), order="F")
+    values[:, 0] = v0
+    clamps = np.zeros(m_paths, dtype=np.int64)
+    v = np.full(m_paths, v0)
     for j in range(n_steps):
         vplus = v if policy is None else np.maximum(v, 0.0)
-        raw = v + f(vplus) * dt + g(vplus) * increments[..., j]
+        raw = v + f(vplus) * dt + g(vplus) * increments[:, j]
         if not np.all(np.isfinite(raw)):
-            bad = np.argwhere(~np.isfinite(np.atleast_1d(raw)))
-            path_idx = int(bad[0][0]) if lead else None
+            path_idx = int(np.flatnonzero(~np.isfinite(raw))[0])
             raise PathOverflowError(step_index=j + 1, path_index=path_idx)
         if policy is None:
             v = raw
         else:
             clamps += raw < 0.0
             v = np.maximum(raw, 0.0) if policy == "full-truncation" else np.abs(raw)
-        values[..., j + 1] = v
+        values[:, j + 1] = v
     return values, clamps
-
-
-def _one_row(increments_row, grid: TimeGrid) -> np.ndarray:
-    row = np.asarray(increments_row, dtype=float)
-    if row.ndim != 1 or row.shape[0] != grid.n_steps:
-        raise ValueError("increments_row must be one-dimensional and match the grid")
-    return row
-
-
-def euler_maruyama(
-    model: Model,
-    grid: TimeGrid,
-    increments_row: np.ndarray,
-    policy: str = "full-truncation",
-) -> Path:
-    """Simulate one path of the model along the given increments.
-
-    Full truncation: v[j+1] = v[j] + f(v[j]+) dt + g(v[j]+) dW[j],
-    stored clamped at zero; reflection stores |v[j+1]| instead.
-    Raises PathOverflowError (with the step index) if the state leaves
-    the representable range.
-    """
-    _check_policy(policy)
-    row = _one_row(increments_row, grid)
-    values, clamps = _euler(*coefficients(model), model.params.v0, grid, row, policy)
-    return Path(grid=grid, values=values, clamp_count=int(clamps))
 
 
 def simulate_batch(
@@ -163,8 +119,11 @@ def simulate_batch(
 ) -> PathBatch:
     """Simulate every path of the batch.
 
-    Each row is advanced by the same kernel as euler_maruyama, so the
-    result is independent of how paths are grouped or ordered.
+    Full truncation: v[j+1] = v[j] + f(v[j]+) dt + g(v[j]+) dW[j],
+    stored clamped at zero; reflection stores |v[j+1]| instead. Each
+    row's result is independent of how paths are grouped or ordered.
+    Raises PathOverflowError (with the path and step index) if a state
+    leaves the representable range.
     """
     _check_policy(policy)
     values, clamps = _euler(
@@ -178,23 +137,26 @@ def euler_maruyama_truncated(
     tp: TruncationParams,
     model: Model,
     grid: TimeGrid,
-    increments_row: np.ndarray,
-) -> Path:
-    """Plain Euler recursion on the band-truncated coefficients.
+    increments: np.ndarray,
+) -> np.ndarray:
+    """Plain Euler recursion on the band-truncated coefficients, one row
+    of (m_paths, n_steps + 1) values per row of (m_paths, n_steps)
+    increments.
 
     No positivity policy is applied: the truncated coefficients are
     globally Lipschitz, so the recursion is well defined for any state
     and is exactly the fixed point of the discrete Picard map.
     """
-    row = _one_row(increments_row, grid)
-    values, _ = _euler(*truncated_coefficients(tp, model), model.params.v0, grid, row, None)
-    return Path(grid=grid, values=values, clamp_count=0)
+    f_n, g_n = truncated_coefficients(tp, model)
+    increments = np.asarray(increments, dtype=float)
+    return _euler(f_n, g_n, model.params.v0, grid, increments, None)[0]
 
 
 @dataclass(frozen=True)
 class PicardReport:
     """Successive-approximation record.
 
+    fixed_point holds the last iterate at the n_steps + 1 grid nodes.
     sup_diffs[k] is the sup-norm distance between iterates k and k+1
     over the grid nodes; the fitted envelope constant describes the
     (M*T)**k / k! decay shape and is diagnostic only.
@@ -203,11 +165,11 @@ class PicardReport:
     iterations_used: int
     sup_diffs: tuple
     converged: bool
-    fixed_point: Path
+    fixed_point: np.ndarray
     rate_envelope_constant: float
 
     def to_dict(self) -> dict:
-        """Every field but the fixed-point path."""
+        """Every field but the fixed-point values."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "fixed_point"}
 
 
@@ -247,7 +209,9 @@ def picard_solve(
         raise ValueError("tol must be positive")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    row = _one_row(increments_row, grid)
+    row = np.asarray(increments_row, dtype=float)
+    if row.ndim != 1 or row.shape[0] != grid.n_steps:
+        raise ValueError("increments_row must be one-dimensional and match the grid")
 
     f_n, g_n = truncated_coefficients(tp, model)
     dt = grid.dt
@@ -276,15 +240,15 @@ def picard_solve(
         iterations_used=len(sup_diffs),
         sup_diffs=tuple(sup_diffs),
         converged=converged,
-        fixed_point=Path(grid=grid, values=v, clamp_count=0),
+        fixed_point=v,
         rate_envelope_constant=_fit_rate_envelope(diffs, grid.horizon),
     )
 
 
-def band_exit_index(path: Path, n: int) -> int | None:
-    """First grid index where the path leaves [1/n, n]; None if it never does."""
-    if n < 1:
-        raise ValueError("band index n must be >= 1")
-    outside = (path.values < 1.0 / n) | (path.values > float(n))
-    hits = np.flatnonzero(outside)
-    return int(hits[0]) if hits.size else None
+def band_exit_index(tp: TruncationParams, values: np.ndarray) -> np.ndarray:
+    """For each row of values, the first index outside tp.band, where the
+    truncated coefficients equal the originals; values.shape[1] if the
+    row never leaves."""
+    lo, hi = tp.band
+    outside = (values < lo) | (values > hi)
+    return np.where(outside.any(axis=1), outside.argmax(axis=1), values.shape[1])

@@ -115,9 +115,6 @@ class BrownianBatch:
     grid: TimeGrid
     increments: np.ndarray
 
-    def row(self, path_index: int) -> np.ndarray:
-        return self.increments[path_index]
-
     def checksum(self) -> str:
         """SHA-256 over the shape, then the matrix's bytes in C (row) order;
         recorded in run manifests. Hashed a block of rows at a time, so

@@ -75,9 +75,16 @@ def _pieces(tp: TruncationParams, ra: np.ndarray):
     is not redundant: when eps is below half an ulp of 1/n (the default
     eps for n > 2**52), lo + eps == lo and only it gives slope 0 at 1/n."""
     n, eps, lo = tp.n, tp.epsilon, tp.lower
-    t1 = np.clip((ra - lo) / eps, 0.0, 1.0)
-    t2 = np.clip((ra - (n - eps)) / eps, 0.0, 1.0)
+    t1 = np.minimum(np.maximum((ra - lo) / eps, 0.0), 1.0)
+    t2 = np.minimum(np.maximum((ra - (n - eps)) / eps, 0.0), 1.0)
     return [ra <= lo, ra < lo + eps, ra <= n - eps, ra < n], t1, t2
+
+
+def _select(pieces, choices, default):
+    """np.select over the four pieces of theta_n, as nested np.where,
+    which costs less on the few-element arrays of each solver step."""
+    (c0, c1, c2, c3), (x0, x1, x2, x3) = pieces, choices
+    return np.where(c0, x0, np.where(c1, x1, np.where(c2, x2, np.where(c3, x3, default))))
 
 
 def _theta(tp: TruncationParams, ra: np.ndarray) -> np.ndarray:
@@ -85,13 +92,13 @@ def _theta(tp: TruncationParams, ra: np.ndarray) -> np.ndarray:
     n, eps, lo = tp.n, tp.epsilon, tp.lower
     bridge_lo = lo + eps * t1**2 * (2.0 - t1)
     bridge_hi = (n - eps) + eps * t2 * (1.0 + t2 - t2**2)
-    return np.select(pieces, [lo, bridge_lo, ra, bridge_hi], default=float(n))
+    return _select(pieces, [lo, bridge_lo, ra, bridge_hi], float(n))
 
 
 def _theta_deriv(tp: TruncationParams, ra: np.ndarray) -> np.ndarray:
     pieces, t1, t2 = _pieces(tp, ra)
     slopes = [0.0, t1 * (4.0 - 3.0 * t1), 1.0, (1.0 - t2) * (1.0 + 3.0 * t2)]
-    return np.select(pieces, slopes, default=0.0)
+    return _select(pieces, slopes, 0.0)
 
 
 def _rho(tp: TruncationParams, xa: np.ndarray) -> np.ndarray:

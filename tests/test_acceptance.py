@@ -149,8 +149,8 @@ def test_criterion_6_picard_euler_equivalence(gm_p1, grid):
     for seed in range(5):
         row = path_increments(seed, 0, grid)
         rep = picard_solve(tp, gm_p1, grid, row, tol=1e-9, k_max=200)
-        em = euler_maruyama_truncated(tp, gm_p1, grid, row)
-        sup = float(np.max(np.abs(rep.fixed_point.values - em.values)))
+        em = euler_maruyama_truncated(tp, gm_p1, grid, row[None])[0]
+        sup = float(np.max(np.abs(rep.fixed_point - em)))
         tail = np.asarray(rep.sup_diffs)[3:]
         monotone = bool(np.all(np.diff(tail) <= 0.0)) if tail.size > 1 else True
         ok &= rep.converged and sup <= 1e-9 and monotone

@@ -15,8 +15,8 @@ from varexp_cir.analysis import (
 )
 from varexp_cir.exponent import make_builtin
 from varexp_cir.model import ModelParams, cir_model, coefficients, gm_model
-from varexp_cir.solver import PathBatch, euler_maruyama, simulate_batch
-from varexp_cir.stochastic import make_grid
+from varexp_cir.solver import PathBatch, simulate_batch
+from varexp_cir.stochastic import BrownianBatch, make_grid
 
 
 def _constant_batch(grid, value, m_paths=8):
@@ -120,13 +120,7 @@ def test_martingale_at_time_zero(params, full_runs):
 
 def test_martingale_deterministic_batch(params, gm_p1, grid):
     # zero increments: the compensated statistic telescopes back to v0
-    path = euler_maruyama(gm_p1, grid, np.zeros(grid.n_steps))
-    pb = PathBatch(
-        grid=grid,
-        values=path.values[None, :],
-        clamp_counts=np.zeros(1, dtype=np.int64),
-        policy="full-truncation",
-    )
+    pb = simulate_batch(gm_p1, BrownianBatch(0, 1, grid, np.zeros((1, grid.n_steps))))
     mh = martingale_paths(pb, params)
     assert np.max(np.abs(mh - params.v0)) <= 1e-14
 

@@ -11,7 +11,6 @@ from varexp_cir.model import (
     drift,
     feller_check,
     feller_function,
-    generator_apply,
     gm_model,
     growth_constant,
     parse_model,
@@ -158,17 +157,6 @@ def test_feller_check_pkm(params):
     assert feller_check(pkm_model(params, 0, 1.5)).verdict == "non-attainable"
     # a=1, b=1/2: drift limit 0, diffusion contributes -xi^2/2 < 0
     assert feller_check(pkm_model(params, 1, 0.5)).verdict == "attainable"
-
-
-def test_generator_identities(params, cir, gm_p1):
-    xs = np.geomspace(1e-4, 5.0, 50)
-    for model in (cir, gm_p1):
-        for x in xs:
-            # h(x) = x reproduces the drift; constants are killed
-            assert generator_apply(model, x, 1.0, 0.0) == pytest.approx(drift(model, x), rel=1e-14)
-            assert generator_apply(model, x, 0.0, 0.0) == 0.0
-    # h(x) = x^2 at x = theta: only the second-order term survives
-    assert generator_apply(cir, 0.05, 2 * 0.05, 2.0) == pytest.approx(0.0045)
 
 
 def test_parse_model_grammar(params):

@@ -8,7 +8,6 @@ from varexp_cir.model import ModelParams, cir_model, gm_model, parse_model
 from varexp_cir.solver import (
     PathOverflowError,
     band_exit_index,
-    euler_maruyama,
     euler_maruyama_truncated,
     picard_solve,
     simulate_batch,
@@ -17,53 +16,59 @@ from varexp_cir.stochastic import BrownianBatch, make_grid, path_increments, sam
 from varexp_cir.truncation import TruncationParams, truncated_diffusion, truncated_drift
 
 
+def one_path(model, grid, row, policy="full-truncation"):
+    """simulate_batch on the one-row batch holding ``row``."""
+    batch = BrownianBatch(0, 1, grid, np.asarray(row, dtype=float)[None])
+    return simulate_batch(model, batch, policy)
+
+
 def test_zero_increments_at_fixed_point(gm_p1, grid):
     # v0 = theta: the drift fixed point, path stays constant
-    path = euler_maruyama(gm_p1, grid, np.zeros(grid.n_steps))
-    assert np.all(path.values == 0.05)
-    assert path.clamp_count == 0
+    path = one_path(gm_p1, grid, np.zeros(grid.n_steps))
+    assert np.all(path.values[0] == 0.05)
+    assert path.clamp_counts[0] == 0
 
 
 def test_zero_increments_decay_toward_theta(params, grid):
     model = gm_model(
         ModelParams(params.kappa, params.theta, params.xi, v0=0.2), make_builtin("p1")
     )
-    path = euler_maruyama(model, grid, np.zeros(grid.n_steps))
-    assert np.all(np.diff(path.values) < 0)  # strictly decreasing toward theta
-    assert np.all(path.values > 0.05)
+    path = one_path(model, grid, np.zeros(grid.n_steps))
+    assert np.all(np.diff(path.values[0]) < 0)  # strictly decreasing toward theta
+    assert np.all(path.values[0] > 0.05)
     # explicit Euler on the linear ODE: v_j = theta + (v0-theta)*(1-kappa*dt)^j
     expected_T = 0.05 + 0.15 * (1.0 - 2.0 * 0.001) ** 1000
-    assert path.values[-1] == pytest.approx(expected_T, rel=1e-12)
+    assert path.values[0, -1] == pytest.approx(expected_T, rel=1e-12)
 
 
 def test_one_step_hand_value(gm_p1):
     # v1 = v0 + 0 + 0.3 * 0.05**p1(0.05) * 0.02, recomputed by hand
     grid = make_grid(0.001, 0.001)
-    path = euler_maruyama(gm_p1, grid, np.array([0.02]))
+    path = one_path(gm_p1, grid, np.array([0.02]))
     p_at = 0.5 + 0.3 * (1.0 - math.exp(-0.05))
     expected = 0.05 + 0.3 * 0.05**p_at * 0.02
     assert expected == pytest.approx(0.0512840, abs=5e-7)
-    assert path.values[1] == pytest.approx(expected, rel=1e-14)
+    assert path.values[0, 1] == pytest.approx(expected, rel=1e-14)
 
 
 def test_full_truncation_clamps_and_counts(gm_p1):
     # a giant negative increment forces the pre-clamp state below zero
     grid = make_grid(0.002, 0.001)
-    path = euler_maruyama(gm_p1, grid, np.array([-10.0, 0.0]))
-    assert path.clamp_count == 1
-    assert np.all(path.values >= 0.0)
-    assert path.values[1] == 0.0
+    path = one_path(gm_p1, grid, np.array([-10.0, 0.0]))
+    assert path.clamp_counts[0] == 1
+    assert np.all(path.values[0] >= 0.0)
+    assert path.values[0, 1] == 0.0
 
 
 def test_reflection_policy(gm_p1):
     grid = make_grid(0.002, 0.001)
-    truncated = euler_maruyama(gm_p1, grid, np.array([-10.0, 0.0]), policy="full-truncation")
-    reflected = euler_maruyama(gm_p1, grid, np.array([-10.0, 0.0]), policy="reflection")
-    assert reflected.clamp_count == 1
-    assert reflected.values[1] > 0.0
-    assert truncated.values[1] == 0.0
+    truncated = one_path(gm_p1, grid, np.array([-10.0, 0.0]), policy="full-truncation")
+    reflected = one_path(gm_p1, grid, np.array([-10.0, 0.0]), policy="reflection")
+    assert reflected.clamp_counts[0] == 1
+    assert reflected.values[0, 1] > 0.0
+    assert truncated.values[0, 1] == 0.0
     with pytest.raises(ValueError):
-        euler_maruyama(gm_p1, grid, np.array([0.0, 0.0]), policy="clip")
+        one_path(gm_p1, grid, np.array([0.0, 0.0]), policy="clip")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -73,16 +78,17 @@ def test_overflow_raises_with_step_index(params):
     )
     grid = make_grid(0.003, 0.001)
     with pytest.raises(PathOverflowError) as exc:
-        euler_maruyama(model, grid, np.zeros(3))
+        one_path(model, grid, np.zeros(3))
     assert exc.value.step_index >= 1
+    assert exc.value.path_index == 0
 
 
 def test_batch_rows_equal_single_paths(gm_p1, small_batch):
     pb = simulate_batch(gm_p1, small_batch)
     for j in (0, 7, 127):
-        single = euler_maruyama(gm_p1, small_batch.grid, small_batch.row(j))
-        assert np.array_equal(single.values, pb.values[j])
-        assert single.clamp_count == pb.clamp_counts[j]
+        single = one_path(gm_p1, small_batch.grid, small_batch.increments[j])
+        assert np.array_equal(single.values[0], pb.values[j])
+        assert single.clamp_counts[0] == pb.clamp_counts[j]
 
 
 def test_batch_order_independence(gm_p1, grid):
@@ -119,15 +125,15 @@ def test_picard_zeroth_iterate_is_constant(gm_p1, grid):
     # after one sweep the path is no longer constant, and the recorded
     # first correction is measured against the constant start
     assert report.sup_diffs[0] > 0.0
-    assert report.fixed_point.values[0] == 0.05
+    assert report.fixed_point[0] == 0.05
 
 
 def test_picard_converges_on_ode(gm_p1, grid):
     tp = TruncationParams(10)
     report = picard_solve(tp, gm_p1, grid, np.zeros(grid.n_steps), tol=1e-12, k_max=1200)
     assert report.converged
-    em = euler_maruyama_truncated(tp, gm_p1, grid, np.zeros(grid.n_steps))
-    assert np.max(np.abs(report.fixed_point.values - em.values)) <= 1e-12
+    em = euler_maruyama_truncated(tp, gm_p1, grid, np.zeros(grid.n_steps)[None])[0]
+    assert np.max(np.abs(report.fixed_point - em)) <= 1e-12
 
 
 def test_picard_fixed_point_equals_euler_brute_force(gm_p1):
@@ -149,10 +155,10 @@ def test_picard_fixed_point_equals_euler_brute_force(gm_p1):
         )
         manual.append(v)
     manual = np.array(manual)
-    assert np.max(np.abs(report.fixed_point.values - manual)) <= 1e-12
+    assert np.max(np.abs(report.fixed_point - manual)) <= 1e-12
 
-    em = euler_maruyama_truncated(tp, gm_p1, grid, row)
-    assert np.max(np.abs(em.values - manual)) <= 1e-15
+    em = euler_maruyama_truncated(tp, gm_p1, grid, row[None])[0]
+    assert np.max(np.abs(em - manual)) <= 1e-15
 
 
 def test_picard_euler_equivalence_random_seeds(gm_p1, grid):
@@ -161,8 +167,8 @@ def test_picard_euler_equivalence_random_seeds(gm_p1, grid):
         row = path_increments(seed, 0, grid)
         report = picard_solve(tp, gm_p1, grid, row, tol=1e-9, k_max=200)
         assert report.converged
-        em = euler_maruyama_truncated(tp, gm_p1, grid, row)
-        assert np.max(np.abs(report.fixed_point.values - em.values)) <= 1e-9
+        em = euler_maruyama_truncated(tp, gm_p1, grid, row[None])[0]
+        assert np.max(np.abs(report.fixed_point - em)) <= 1e-9
         diffs = np.asarray(report.sup_diffs)
         assert np.all(np.diff(diffs[3:]) <= 0.0)
 
@@ -173,8 +179,8 @@ def test_picard_euler_equivalence_other_levels(gm_p1, grid):
         row = path_increments(17, 0, grid)
         report = picard_solve(tp, gm_p1, grid, row, tol=1e-9, k_max=200)
         assert report.converged, n
-        em = euler_maruyama_truncated(tp, gm_p1, grid, row)
-        assert np.max(np.abs(report.fixed_point.values - em.values)) <= 1e-9
+        em = euler_maruyama_truncated(tp, gm_p1, grid, row[None])[0]
+        assert np.max(np.abs(report.fixed_point - em)) <= 1e-9
 
 
 def test_picard_nonconvergence_returns_partial_report(gm_p1, grid):
@@ -197,18 +203,52 @@ def test_picard_input_validation(gm_p1, grid):
 
 def test_band_exit_index(gm_p1):
     grid = make_grid(0.01, 0.001)
-    path = euler_maruyama(gm_p1, grid, np.zeros(grid.n_steps))
-    # constant 0.05 path: outside [1/10, 10] immediately, inside [1/100, 100]
-    assert band_exit_index(path, 10) == 0
-    assert band_exit_index(path, 100) is None
-    values = path.values.copy()
-    values[5] = 0.0
-    from varexp_cir.solver import Path
-
-    broken = Path(grid=grid, values=values, clamp_count=0)
-    assert band_exit_index(broken, 100) == 5
+    values = simulate_batch(gm_p1, BrownianBatch(0, 2, grid, np.zeros((2, grid.n_steps)))).values
+    # constant 0.05 rows: outside tp.band at n=10 immediately, inside it at n=100
+    assert band_exit_index(TruncationParams(10), values).tolist() == [0, 0]
+    assert band_exit_index(TruncationParams(100), values).tolist() == [11, 11]
+    broken = values.copy()
+    broken[1, 5] = 0.0
+    assert band_exit_index(TruncationParams(100), broken).tolist() == [11, 5]
     with pytest.raises(ValueError):
-        band_exit_index(path, 0)
+        TruncationParams(0)
+
+
+def test_truncated_euler_refuses_other_increment_shapes(gm_p1, grid):
+    tp = TruncationParams(10)
+    with pytest.raises(ValueError):
+        euler_maruyama_truncated(tp, gm_p1, grid, np.zeros(grid.n_steps))  # one row, 1-D
+    with pytest.raises(ValueError):
+        euler_maruyama_truncated(tp, gm_p1, grid, np.zeros((3, grid.n_steps - 1)))
+
+
+def test_oracle_chain_picard_truncated_euler_production_euler(params):
+    # The paper's chain on one batch: Picard iterates converge to truncated
+    # Euler, which equals production full-truncation Euler bit for bit up
+    # to and including the first state outside tp.band (inside the band
+    # f_n = f, g_n = g and max(v, 0) = v exactly). n <= 20 is left out:
+    # there v0 = 0.05 < 1/n puts every path outside the band at t = 0.
+    grid = make_grid(1.0, 0.001)
+    batch = sample_batch(7, 500, grid)
+    columns = np.arange(grid.n_steps + 1)
+    for spec in ("cir", "gm:p1", "gm:p2", "gm:p3"):
+        model = parse_model(spec, params)
+        production = simulate_batch(model, batch).values
+        for n in (25, 100, 1000):
+            tp = TruncationParams(n)
+            truncated = euler_maruyama_truncated(tp, model, grid, batch.increments)
+            exits = band_exit_index(tp, truncated)
+            assert np.array_equal(band_exit_index(tp, production), exits), (spec, n)
+            upto = columns[None, :] <= exits[:, None]
+            assert np.array_equal(
+                production.view(np.uint64)[upto], truncated.view(np.uint64)[upto]
+            ), (spec, n)
+            if n == 100:  # some paths do leave the band, so the check above bites
+                assert np.mean(exits < columns.size) > 0.0, spec
+            for i in range(16):
+                report = picard_solve(tp, model, grid, batch.increments[i], tol=1e-9, k_max=200)
+                assert report.converged, (spec, n, i)
+                assert np.max(np.abs(report.fixed_point - truncated[i])) <= 1e-9, (spec, n, i)
 
 
 def test_cir_is_the_constant_half_exponent_bit_for_bit(params, small_batch):
@@ -235,8 +275,8 @@ def test_truncated_euler_equals_scalar_recursion_bit_for_bit(params, spec, n):
             + truncated_diffusion(tp, model, max(v, tp.lower)) * row[j]
         )
         manual.append(v)
-    em = euler_maruyama_truncated(tp, model, grid, row)
-    assert np.array_equal(em.values, np.array(manual))
+    em = euler_maruyama_truncated(tp, model, grid, row[None])[0]
+    assert np.array_equal(em, np.array(manual))
 
 
 def test_batch_paths_are_time_major_and_layout_free(gm_p1, small_batch):

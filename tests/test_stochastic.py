@@ -38,7 +38,7 @@ def test_batch_determinism(grid):
 def test_per_path_substreams(grid, small_batch):
     # extracting path 7 alone equals row 7 of the full batch
     row7 = path_increments(small_batch.seed, 7, grid)
-    assert np.array_equal(row7, small_batch.row(7))
+    assert np.array_equal(row7, small_batch.increments[7])
     # a smaller batch is a prefix of a larger one
     small = sample_batch(small_batch.seed, 8, grid)
     assert np.array_equal(small.increments, small_batch.increments[:8])
