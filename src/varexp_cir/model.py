@@ -288,7 +288,7 @@ def feller_check(model: Model) -> FellerReport:
         analytic_limit = drift_limit - xi**2 / 2.0
     else:
         # below 1/2 the diffusion term diverges; the limit is -inf
-        criterion = "p0_equal_half"
+        criterion = "p0_below_half"
         analytic_limit = -math.inf
 
     try:

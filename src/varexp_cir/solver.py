@@ -205,8 +205,8 @@ def picard_solve(
     converge within k_max returns a partial report (converged=False)
     rather than raising.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     row = np.asarray(increments_row, dtype=float)

@@ -30,33 +30,26 @@ __all__ = [
 ]
 
 
-#: Largest band index: the band edges are computed in double precision,
-#: which holds integers exactly only up to 2**53.
-MAX_BAND = 2**53
+#: Largest band index n at which the upper band edge resolves in double
+#: precision: n - 1/(2 n**2) < n holds up to 185,363 and rounds to n
+#: from 185,364 on, where the upper bridge and its zero slope at n vanish.
+MAX_BAND = 185_363
 
 
 @dataclass(frozen=True)
 class TruncationParams:
-    """Band index n >= 1 and gap width 0 < eps < 1/n**2.
-
-    The default eps = 1/(2 n**2) satisfies the constraint with margin;
-    the bands must be well ordered (1/n + eps < n - eps), which for the
-    default requires n >= 2.
-    """
+    """Band index n in [2, MAX_BAND]; the gap width eps = 1/(2 n**2)
+    follows from it and keeps the bands ordered, 1/n + eps < n - eps."""
 
     n: int
-    epsilon: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or not (1 <= self.n <= MAX_BAND):
-            raise ValueError(f"band index n must be an integer in [1, 2**53], got {self.n}")
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", 1.0 / (2.0 * self.n**2))
-        eps, n = self.epsilon, self.n
-        if not (0.0 < eps < 1.0 / n**2):
-            raise ValueError(f"gap width must satisfy 0 < eps < 1/n^2, got {eps}")
-        if not (1.0 / n + eps < n - eps):
-            raise ValueError(f"bands collapse for n={n}, eps={eps}")
+        if not isinstance(self.n, (int, np.integer)) or not (2 <= self.n <= MAX_BAND):
+            raise ValueError(f"band index n must be an integer in [2, {MAX_BAND}], got {self.n}")
+
+    @property
+    def epsilon(self) -> float:
+        return 1.0 / (2.0 * self.n**2)
 
     @property
     def lower(self) -> float:
@@ -69,22 +62,21 @@ class TruncationParams:
 
 
 def _pieces(tp: TruncationParams, ra: np.ndarray):
-    """The conditions selecting the pieces of theta_n (flat, lower
-    bridge, band, upper bridge; else flat) at the array ``ra``, and the
-    coordinates t1, t2 in [0, 1] across the two bridges. The lower flat
-    is not redundant: when eps is below half an ulp of 1/n (the default
-    eps for n > 2**52), lo + eps == lo and only it gives slope 0 at 1/n."""
+    """The conditions selecting the pieces of theta_n (lower bridge,
+    band, upper bridge; else flat) at the array ``ra``, and the
+    coordinates t1, t2 in [0, 1] across the two bridges. At and below
+    1/n, t1 = 0 and the lower bridge is the flat: value 1/n, slope 0."""
     n, eps, lo = tp.n, tp.epsilon, tp.lower
     t1 = np.minimum(np.maximum((ra - lo) / eps, 0.0), 1.0)
     t2 = np.minimum(np.maximum((ra - (n - eps)) / eps, 0.0), 1.0)
-    return [ra <= lo, ra < lo + eps, ra <= n - eps, ra < n], t1, t2
+    return [ra < lo + eps, ra <= n - eps, ra < n], t1, t2
 
 
 def _select(pieces, choices, default):
-    """np.select over the four pieces of theta_n, as nested np.where,
+    """np.select over the three pieces of theta_n, as nested np.where,
     which costs less on the few-element arrays of each solver step."""
-    (c0, c1, c2, c3), (x0, x1, x2, x3) = pieces, choices
-    return np.where(c0, x0, np.where(c1, x1, np.where(c2, x2, np.where(c3, x3, default))))
+    (c0, c1, c2), (x0, x1, x2) = pieces, choices
+    return np.where(c0, x0, np.where(c1, x1, np.where(c2, x2, default)))
 
 
 def _theta(tp: TruncationParams, ra: np.ndarray) -> np.ndarray:
@@ -92,12 +84,12 @@ def _theta(tp: TruncationParams, ra: np.ndarray) -> np.ndarray:
     n, eps, lo = tp.n, tp.epsilon, tp.lower
     bridge_lo = lo + eps * t1**2 * (2.0 - t1)
     bridge_hi = (n - eps) + eps * t2 * (1.0 + t2 - t2**2)
-    return _select(pieces, [lo, bridge_lo, ra, bridge_hi], float(n))
+    return _select(pieces, [bridge_lo, ra, bridge_hi], float(n))
 
 
 def _theta_deriv(tp: TruncationParams, ra: np.ndarray) -> np.ndarray:
     pieces, t1, t2 = _pieces(tp, ra)
-    slopes = [0.0, t1 * (4.0 - 3.0 * t1), 1.0, (1.0 - t2) * (1.0 + 3.0 * t2)]
+    slopes = [t1 * (4.0 - 3.0 * t1), 1.0, (1.0 - t2) * (1.0 + 3.0 * t2)]
     return _select(pieces, slopes, 0.0)
 
 
@@ -127,15 +119,16 @@ def rho_n(tp: TruncationParams, x) -> float | np.ndarray:
 def truncated_coefficients(tp: TruncationParams, model: Model):
     """Unvalidated (f_n, g_n) on all of R for finite states: the
     truncated :func:`coefficients`, which the solvers use. g_n(x) =
-    g(theta_n(max(x, 1/n))) extends the diffusion below the band floor
-    by its constant value on (0, 1/n], keeping it globally Lipschitz."""
+    g(theta_n(x)) extends the diffusion below the band floor by its
+    constant value g(1/n), negative states included, since theta_n maps
+    every state below 1/n to 1/n; so g_n stays globally Lipschitz."""
     if model.kind == "pkm":
         raise ValueError("band truncation is defined for the variable-exponent model only")
-    kappa, theta, floor = model.params.kappa, model.params.theta, tp.lower
+    kappa, theta = model.params.kappa, model.params.theta
     _, g = coefficients(model)
     return (
         lambda x: kappa * (theta - _rho(tp, x)),
-        lambda x: g(_theta(tp, np.maximum(x, floor))),
+        lambda x: g(_theta(tp, x)),
     )
 
 

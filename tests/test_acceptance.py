@@ -15,8 +15,16 @@ import pytest
 from varexp_cir.analysis import check_moment_bounds, martingale_paths, martingale_report
 from varexp_cir.cli import run as cli_run
 from varexp_cir.exponent import constant_exponent, make_builtin, validate_hypotheses
-from varexp_cir.model import ModelParams, cir_model, coefficients, feller_check, gm_model
+from varexp_cir.model import (
+    ModelParams,
+    cir_model,
+    coefficients,
+    feller_check,
+    gm_model,
+    parse_model,
+)
 from varexp_cir.solver import (
+    band_exit_index,
     euler_maruyama_truncated,
     picard_solve,
     simulate_batch,
@@ -32,7 +40,7 @@ from varexp_cir.truncation import (
 from conftest import DT, KAPPA, M_PATHS, SEED, T, THETA, V0, XI
 
 
-def _report(criterion: int, name: str, ok: bool, detail: str = ""):
+def _report(criterion: int | str, name: str, ok: bool, detail: str = ""):
     print(f"\n[ACCEPTANCE {criterion}] {name}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"acceptance criterion {criterion} ({name}) failed: {detail}"
 
@@ -158,6 +166,41 @@ def test_criterion_6_picard_euler_equivalence(gm_p1, grid):
     elapsed = time.monotonic() - start
     ok &= elapsed < 5.0
     _report(6, "Picard/Euler fixed point", ok, f"{'; '.join(details)}; {elapsed:.2f}s")
+
+
+def test_criterion_6b_oracle_chain(params):
+    # The paper's chain on one batch: Picard iterates converge to truncated
+    # Euler, which equals production full-truncation Euler bit for bit up
+    # to and including the first state outside tp.band (inside the band
+    # f_n = f, g_n = g and max(v, 0) = v exactly). n <= 20 is left out:
+    # there v0 = 0.05 < 1/n puts every path outside the band at t = 0.
+    grid = make_grid(1.0, 0.001)
+    batch = sample_batch(7, 500, grid)
+    columns = np.arange(grid.n_steps + 1)
+    exit_fractions, worst_gap = [], 0.0
+    for spec in ("cir", "gm:p1", "gm:p2", "gm:p3"):
+        model = parse_model(spec, params)
+        production = simulate_batch(model, batch).values
+        for n in (25, 100, 1000):
+            tp = TruncationParams(n)
+            truncated = euler_maruyama_truncated(tp, model, grid, batch.increments)
+            exits = band_exit_index(tp, truncated)
+            assert np.array_equal(band_exit_index(tp, production), exits), (spec, n)
+            upto = columns[None, :] <= exits[:, None]
+            assert np.array_equal(
+                production.view(np.uint64)[upto], truncated.view(np.uint64)[upto]
+            ), (spec, n)
+            if n == 100:  # some paths do leave the band, so the check above bites
+                assert np.mean(exits < columns.size) > 0.0, spec
+                exit_fractions.append(f"{spec}:{np.mean(exits < columns.size):.3f}")
+            for i in range(16):
+                report = picard_solve(tp, model, grid, batch.increments[i], tol=1e-9, k_max=200)
+                assert report.converged, (spec, n, i)
+                gap = float(np.max(np.abs(report.fixed_point - truncated[i])))
+                assert gap <= 1e-9, (spec, n, i)
+                worst_gap = max(worst_gap, gap)
+    detail = f"n=100 exit fractions {', '.join(exit_fractions)}; worst Picard gap {worst_gap:.1e}"
+    _report("6b", "Picard/truncated Euler/production Euler chain", True, detail)
 
 
 def test_criterion_7_truncation_lipschitz(gm_p1):

@@ -256,6 +256,11 @@ HUGE_N = "1" + "0" * 200  # a 201-digit band index
         pytest.param(["lipschitz", "--n", HUGE_N], None, 2, id="lipschitz-huge-n"),
         pytest.param(["picard-verify", "--n", HUGE_N], None, 2, id="picard-huge-n"),
         pytest.param(["lipschitz", "--n", str(10**150)], None, 2, id="lipschitz-n-past-int64"),
+        pytest.param(["lipschitz", "--n", "185363"], None, 0, id="lipschitz-n-at-max-band"),
+        pytest.param(["lipschitz", "--n", "185364"], None, 2, id="lipschitz-n-past-max-band"),
+        pytest.param(["picard-verify", "--n", "185364"], None, 2, id="picard-n-past-max-band"),
+        pytest.param(["picard-verify", "--tol", "inf"], None, 2, id="picard-tol-inf"),
+        pytest.param(["picard-verify", "--tol", "nan"], None, 2, id="picard-tol-nan"),
         pytest.param(["simulate", "--T", "1e300", "--dt", "1e-300"], None, 2, id="grid-inf-steps"),
         pytest.param(["simulate"], {"paths": None}, 2, id="config-paths-null"),
         pytest.param(["simulate"], {"kappa": [1]}, 2, id="config-kappa-list"),

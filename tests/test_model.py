@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from varexp_cir.exponent import make_builtin
+from varexp_cir.exponent import constant_exponent, make_builtin
 from varexp_cir.model import (
     ModelParams,
     cir_model,
@@ -136,6 +136,12 @@ def test_feller_check_gm_builtins(params):
 
     r3 = feller_check(gm_model(params, make_builtin("p3")))
     assert r3.verdict == "non-attainable"
+
+    # p(0+) = 0.4 < 1/2: the diffusion term wins and the limit is -inf
+    r4 = feller_check(gm_model(params, constant_exponent(0.4)))
+    assert r4.criterion_used == "p0_below_half"
+    assert r4.analytic_limit == -math.inf
+    assert r4.verdict == "attainable"
 
 
 def test_feller_check_sweep_matches_inequality():

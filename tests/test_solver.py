@@ -222,35 +222,6 @@ def test_truncated_euler_refuses_other_increment_shapes(gm_p1, grid):
         euler_maruyama_truncated(tp, gm_p1, grid, np.zeros((3, grid.n_steps - 1)))
 
 
-def test_oracle_chain_picard_truncated_euler_production_euler(params):
-    # The paper's chain on one batch: Picard iterates converge to truncated
-    # Euler, which equals production full-truncation Euler bit for bit up
-    # to and including the first state outside tp.band (inside the band
-    # f_n = f, g_n = g and max(v, 0) = v exactly). n <= 20 is left out:
-    # there v0 = 0.05 < 1/n puts every path outside the band at t = 0.
-    grid = make_grid(1.0, 0.001)
-    batch = sample_batch(7, 500, grid)
-    columns = np.arange(grid.n_steps + 1)
-    for spec in ("cir", "gm:p1", "gm:p2", "gm:p3"):
-        model = parse_model(spec, params)
-        production = simulate_batch(model, batch).values
-        for n in (25, 100, 1000):
-            tp = TruncationParams(n)
-            truncated = euler_maruyama_truncated(tp, model, grid, batch.increments)
-            exits = band_exit_index(tp, truncated)
-            assert np.array_equal(band_exit_index(tp, production), exits), (spec, n)
-            upto = columns[None, :] <= exits[:, None]
-            assert np.array_equal(
-                production.view(np.uint64)[upto], truncated.view(np.uint64)[upto]
-            ), (spec, n)
-            if n == 100:  # some paths do leave the band, so the check above bites
-                assert np.mean(exits < columns.size) > 0.0, spec
-            for i in range(16):
-                report = picard_solve(tp, model, grid, batch.increments[i], tol=1e-9, k_max=200)
-                assert report.converged, (spec, n, i)
-                assert np.max(np.abs(report.fixed_point - truncated[i])) <= 1e-9, (spec, n, i)
-
-
 def test_cir_is_the_constant_half_exponent_bit_for_bit(params, small_batch):
     # a constant exponent is a scalar power, which numpy takes as sqrt at 1/2
     cir = simulate_batch(cir_model(params), small_batch)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from varexp_cir.exponent import make_builtin
 from varexp_cir.model import diffusion, drift, gm_model, parse_model, pkm_model
 from varexp_cir.truncation import (
+    MAX_BAND,
     TruncationParams,
     lipschitz_constants,
     rho_n,
@@ -20,16 +23,19 @@ from varexp_cir.truncation import (
 def test_truncation_params_validation():
     tp = TruncationParams(10)
     assert tp.epsilon == pytest.approx(1.0 / 200.0)
-    with pytest.raises(ValueError):
-        TruncationParams(0)
-    with pytest.raises(ValueError):
-        TruncationParams(10, epsilon=0.05)  # >= 1/n^2
-    with pytest.raises(ValueError):
-        TruncationParams(1)  # bands collapse at the default gap width
+    assert MAX_BAND == 185_363
+    # the largest n whose upper band edge n - eps still differs from n
+    assert MAX_BAND - 1.0 / (2.0 * MAX_BAND**2) < MAX_BAND
+    assert (MAX_BAND + 1) - 1.0 / (2.0 * (MAX_BAND + 1) ** 2) == MAX_BAND + 1
+    assert theta_n_deriv(TruncationParams(MAX_BAND), float(MAX_BAND)) == 0.0
+    for n in (0, 1, MAX_BAND + 1, 2**20, 2**40, 2**53):
+        with pytest.raises(ValueError):
+            TruncationParams(n)
+    assert [f.name for f in fields(TruncationParams)] == ["n"]  # eps follows from n
 
 
 def test_theta_n_branch_values():
-    tp10 = TruncationParams(10, epsilon=0.005)
+    tp10 = TruncationParams(10)
     assert theta_n(tp10, 0.05) == pytest.approx(0.1)  # below the band: 1/n
     assert theta_n(tp10, 5.0) == 5.0  # identity on the middle band
     assert theta_n(tp10, 50.0) == 10.0  # capped at n
@@ -76,33 +82,32 @@ def _theta_five_pieces(tp, r):
     return value, np.select(pieces, slopes, default=0.0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 10, 25, 100, 1000, 2**20, 2**40])
+@pytest.mark.parametrize("n", [2, 3, 7, 10, 25, 100, 1000, 2**17, MAX_BAND])
 def test_theta_n_equals_the_five_piece_formula_bit_for_bit(n):
-    """At every band edge and its neighbours, for four gap widths; the
-    smallest at n = 2**40 is below half an ulp of 1/n, where a formula
-    without the lower flat would give slope 1 at 1/n."""
-    for frac in (None, 0.999, 0.1, 1e-6):
-        tp = TruncationParams(n, epsilon=None if frac is None else frac / n**2)
-        eps, lo = tp.epsilon, tp.lower
-        edges = np.array([lo, lo + eps, n - eps, float(n)])
-        below, above = [edges], [edges]
-        for _ in range(3):  # three nextafter steps to either side of each edge
-            below.append(np.nextafter(below[-1], -np.inf))
-            above.append(np.nextafter(above[-1], np.inf))
-        r = np.concatenate(
-            below
-            + above
-            + [
-                np.array([0.0, 0.5 * lo, 2.0 * n]),
-                np.linspace(lo - eps, lo + 2.0 * eps, 257),
-                np.linspace(n - 2.0 * eps, n + eps, 257),
-            ]
-        )
-        value, slope = _theta_five_pieces(tp, r)
-        got_value = np.asarray(theta_n(tp, r))
-        got_slope = np.asarray(theta_n_deriv(tp, r))
-        assert np.array_equal(got_value.view(np.uint64), value.view(np.uint64))
-        assert np.array_equal(got_slope.view(np.uint64), slope.view(np.uint64))
+    """At every band edge and its neighbours, up to the largest band
+    level; the reference keeps an explicit lower flat that theta_n
+    folds into its lower bridge."""
+    tp = TruncationParams(n)
+    eps, lo = tp.epsilon, tp.lower
+    edges = np.array([lo, lo + eps, n - eps, float(n)])
+    below, above = [edges], [edges]
+    for _ in range(3):  # three nextafter steps to either side of each edge
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    r = np.concatenate(
+        below
+        + above
+        + [
+            np.array([0.0, 0.5 * lo, 2.0 * n]),
+            np.linspace(lo - eps, lo + 2.0 * eps, 257),
+            np.linspace(n - 2.0 * eps, n + eps, 257),
+        ]
+    )
+    value, slope = _theta_five_pieces(tp, r)
+    got_value = np.asarray(theta_n(tp, r))
+    got_slope = np.asarray(theta_n_deriv(tp, r))
+    assert np.array_equal(got_value.view(np.uint64), value.view(np.uint64))
+    assert np.array_equal(got_slope.view(np.uint64), slope.view(np.uint64))
 
 
 def test_rho_n_basics():
