@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import Model, ModelParams, growth_constant
+from .model import Model, ModelParams, coefficients, growth_constant
 from .solver import PathBatch
 from .stochastic import TimeGrid
 
@@ -23,7 +23,6 @@ __all__ = [
     "MomentReport",
     "check_moment_bounds",
     "empirical_moment",
-    "martingale_paths",
     "martingale_report",
     "moment_bound",
     "second_moment_bound",
@@ -99,19 +98,14 @@ class MomentReport:
         return asdict(self)
 
 
-def check_moment_bounds(
-    batch: PathBatch,
-    params: ModelParams,
-    orders=(2, 3, 4),
-    checkpoints=None,
-) -> list[MomentReport]:
-    """One MomentReport per (order, checkpoint) pair."""
+def check_moment_bounds(batch: PathBatch, orders=(2, 3, 4), checkpoints=None) -> list[MomentReport]:
+    """One MomentReport per (order, checkpoint) pair, for the batch's model."""
     if checkpoints is None:
         checkpoints = default_checkpoints(batch.grid)
     reports = []
     for m in orders:
         for t in checkpoints:
-            C_m, bound = moment_bound(params, m, t)
+            C_m, bound = moment_bound(batch.model.params, m, t)
             empirical, stderr = empirical_moment(batch, t, m)
             reports.append(
                 MomentReport(
@@ -127,7 +121,7 @@ def check_moment_bounds(
     return reports
 
 
-def second_moment_bound(params: ModelParams, model: Model, grid: TimeGrid) -> float:
+def second_moment_bound(model: Model, grid: TimeGrid) -> float:
     """Ceiling for E sup |v|^2 from the linear-growth constant:
     (1 + 3*v0^2) * exp(3*K*T*(T+4)), with deterministic initial state.
 
@@ -137,40 +131,33 @@ def second_moment_bound(params: ModelParams, model: Model, grid: TimeGrid) -> fl
     K = growth_constant(model)
     T = grid.horizon
     try:
-        return (1.0 + 3.0 * params.v0**2) * math.exp(3.0 * K * T * (T + 4.0))
+        return (1.0 + 3.0 * model.params.v0**2) * math.exp(3.0 * K * T * (T + 4.0))
     except OverflowError:
         return math.inf
 
 
-def _compensated(batch: PathBatch, params: ModelParams, columns) -> dict:
+def _compensated(batch: PathBatch, columns) -> dict:
     """{j: M(t_j) over paths} for the grid indices j in ``columns``.
 
+    M(t_j) = v(t_j) - sum_{i<j} f(v(t_i)) dt with f the batch's model
+    drift: the left-point sum of the Euler recursion, so on a path never
+    clamped it telescopes to v0 + sum_{i<j} g(v(t_i)) dW_i exactly.
     Walks the grid one column at a time, adding the drift columns in the
     order np.cumsum adds them, and keeps only the requested columns, so
     no path-sized temporary is built.
     """
+    f, _ = coefficients(batch.model)
     wanted = set(columns)
     values, dt = batch.values, batch.grid.dt
     compensator = np.zeros(batch.m_paths)
     out = {}
     for j in range(max(wanted) + 1):
         if j:
-            drift = params.kappa * (params.theta - values[:, j - 1]) * dt
+            drift = f(values[:, j - 1]) * dt
             compensator = compensator + drift if j > 1 else drift
         if j in wanted:
             out[j] = values[:, j] - compensator
     return out
-
-
-def martingale_paths(batch: PathBatch, params: ModelParams) -> np.ndarray:
-    """Per-path drift-compensated statistic at every grid node.
-
-    M(t_j) = v(t_j) - sum_{i<j} kappa*(theta - v(t_i)) dt, with the
-    left-point quadrature matching the Euler recursion so the sum
-    telescopes to v0 + sum_i g(v_i) dW_i exactly.
-    """
-    columns = _compensated(batch, params, range(batch.grid.n_steps + 1))
-    return np.stack(list(columns.values()), axis=1)
 
 
 @dataclass(frozen=True)
@@ -193,19 +180,16 @@ class MartingaleReport:
         return asdict(self)
 
 
-def martingale_report(
-    batch: PathBatch,
-    params: ModelParams,
-    checkpoints=None,
-) -> MartingaleReport:
-    """Check that the compensated statistic has constant mean v0."""
+def martingale_report(batch: PathBatch, checkpoints=None) -> MartingaleReport:
+    """Check that the statistic compensated by the model drift has mean v0."""
     if checkpoints is None:
         checkpoints = default_checkpoints(batch.grid)
     if len(checkpoints) == 0:
         raise ValueError("at least one checkpoint is required")
     indices = [batch.grid.index_of(t) for t in checkpoints]
-    mh = _compensated(batch, params, indices)
+    mh = _compensated(batch, indices)
     means, stderrs = zip(*(_mean_stderr(mh[j]) for j in indices))
+    params = batch.model.params
     v0 = params.v0
     allowance = params.kappa * (params.theta + v0) * batch.grid.dt
     deviations = [abs(mu - v0) for mu in means]

@@ -151,8 +151,15 @@ def _items(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else str(value).split(",")
 
 
+def _int(value) -> int:
+    """An integer setting; a number with a fractional part is refused."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value} is not an integer")
+    return int(value)
+
+
 def _ints(value) -> tuple:
-    return tuple(int(v) for v in _items(value))
+    return tuple(_int(v) for v in _items(value))
 
 
 def _checkpoints(value) -> tuple | None:
@@ -170,10 +177,10 @@ PARAMS = {"kappa": (2.0, float), "theta": (0.05, float), "xi": (0.3, float), "v0
 SETTINGS = {
     "T": (1.0, float),
     "dt": (0.001, float),
-    "paths": (5000, int),
-    "seed": (42, int),
+    "paths": (5000, _int),
+    "seed": (42, _int),
     "policy": ("full-trunc", _policy),
-    "bins": (50, int),
+    "bins": (50, _int),
     "orders": ("2,3,4", _ints),
     "checkpoints": (None, _checkpoints),
     "out": (".", FsPath),
@@ -194,7 +201,8 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _setting(ns, cfg: dict, key: str):
-    """Resolve one setting; a value its cast refuses is a usage error."""
+    """Resolve one setting; a value its cast refuses, or a boolean where a
+    value or list item is expected, is a usage error."""
     default, cast = {**PARAMS, **SETTINGS}[key]
     if getattr(ns, key, None) is not None:
         value, source = getattr(ns, key), f"--{key}"
@@ -205,6 +213,8 @@ def _setting(ns, cfg: dict, key: str):
     else:
         value, source = default, "default"
     try:
+        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+            raise TypeError("a boolean is not a setting value")
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{source} has a malformed value {value!r}") from None
@@ -234,14 +244,16 @@ def _versions() -> dict:
 # simulation and per-model outputs
 
 def _simulate(settings: dict, params: ModelParams, grid, specs: list[str]):
-    """The increment batch and a generator of (spec, model, path batch),
-    one model at a time, every model driven by the same increments.
+    """The increment batch and a generator of (spec, path batch), one
+    model at a time, every model driven by the same increments.
 
-    Models are parsed and the run's size is checked before anything is
-    allocated: the increments plus one model's path matrix must fit
-    under the storage cap.
+    Models are parsed, a model given twice is refused and the run's
+    size is checked before anything is allocated: the increments plus
+    one model's path matrix must fit under the storage cap.
     """
     models = [(spec, parse_model(spec, params)) for spec in specs]
+    if len({model.model_id for _, model in models}) < len(models):
+        raise ValueError(f"the models {', '.join(specs)} name one model more than once")
     m_paths = settings["paths"]
     stored = m_paths * (2 * grid.n_steps + 1)
     if stored > stochastic.MAX_STORED_INCREMENTS:
@@ -251,18 +263,18 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str]):
         )
     batch = sample_batch(settings["seed"], m_paths, grid)
     policy = settings["policy"]
-    runs = ((spec, model, simulate_batch(model, batch, policy)) for spec, model in models)
+    runs = ((spec, simulate_batch(model, batch, policy)) for spec, model in models)
     return batch, runs
 
 
-def _model_outputs(settings: dict, params, model, checksum: str, pb, dump_paths: bool):
-    """Write summary JSON, path CSV and histogram CSV for one model;
-    return the summary, the histogram and the file names."""
-    grid = pb.grid
+def _model_outputs(settings: dict, checksum: str, pb, dump_paths: bool):
+    """Write summary JSON, path CSV and histogram CSV for the model of
+    one path batch; return the summary, the histogram and the file names."""
+    grid, mid = pb.grid, pb.model.model_id
     checkpoints = settings["checkpoints"]
     hist = terminal_histogram(pb, grid.horizon, settings["bins"])
     summary = {
-        "model": model.model_id,
+        "model": mid,
         "seed": settings["seed"],
         "policy": pb.policy,
         "grid": {"T": grid.horizon, "dt": grid.dt, "n_steps": grid.n_steps},
@@ -272,13 +284,10 @@ def _model_outputs(settings: dict, params, model, checksum: str, pb, dump_paths:
             "clamped_steps": int(pb.clamp_counts.sum()),
             "fraction": pb.clamp_fraction,
         },
-        "moments": [
-            r.to_dict() for r in check_moment_bounds(pb, params, settings["orders"], checkpoints)
-        ],
-        "martingale": martingale_report(pb, params, checkpoints).to_dict(),
+        "moments": [r.to_dict() for r in check_moment_bounds(pb, settings["orders"], checkpoints)],
+        "martingale": martingale_report(pb, checkpoints).to_dict(),
         "terminal_histogram": hist.to_dict(),
     }
-    mid = model.model_id
     files = [f"{mid}_summary.json", f"{mid}_path.csv", f"{mid}_hist.csv"]
     out = settings["out"]
     atomic_write(out / files[0], json_text(summary) + "\n")
@@ -335,8 +344,8 @@ def _write_runs(ns, specs: list[str], figures: bool):
     checksum = batch.checksum()
     dump_paths = getattr(ns, "dump_paths", False)
     results, outputs = [], []
-    for spec, model, pb in runs:
-        summary, hist, files = _model_outputs(settings, params, model, checksum, pb, dump_paths)
+    for spec, pb in runs:
+        summary, hist, files = _model_outputs(settings, checksum, pb, dump_paths)
         results.append((spec, summary, pb.values[0].copy(), hist))
         outputs.extend(files)
         del pb  # free this model's paths before the next model is simulated
@@ -415,21 +424,21 @@ def cmd_lipschitz(ns):
 def cmd_moments(ns):
     settings, params, grid = _run_config(ns)
     _, runs = _simulate(settings, params, grid, [ns.model])
-    _, model, pb = next(runs)
-    reports = check_moment_bounds(pb, params, settings["orders"], settings["checkpoints"])
+    _, pb = next(runs)
+    reports = check_moment_bounds(pb, settings["orders"], settings["checkpoints"])
     ok = all(r.satisfied for r in reports)
-    payload = {"model": model.model_id, "reports": [r.to_dict() for r in reports]}
-    return payload, ok, f"moments {model.model_id}: {'ok' if ok else 'violated'}"
+    payload = {"model": pb.model.model_id, "reports": [r.to_dict() for r in reports]}
+    return payload, ok, f"moments {pb.model.model_id}: {'ok' if ok else 'violated'}"
 
 
 def cmd_martingale(ns):
     settings, params, grid = _run_config(ns)
     _, runs = _simulate(settings, params, grid, [ns.model])
-    _, model, pb = next(runs)
-    report = martingale_report(pb, params, settings["checkpoints"])
-    payload = {"model": model.model_id, **report.to_dict()}
+    _, pb = next(runs)
+    report = martingale_report(pb, settings["checkpoints"])
+    payload = {"model": pb.model.model_id, **report.to_dict()}
     verdict = "ok" if report.satisfied else "violated"
-    return payload, report.satisfied, f"martingale {model.model_id}: {verdict}"
+    return payload, report.satisfied, f"martingale {pb.model.model_id}: {verdict}"
 
 
 def cmd_picard_verify(ns):

@@ -4,8 +4,8 @@ The diffusion coefficient of the generalized mean-reverting model is
 ``xi * x**p(x)`` where ``p`` is a differentiable function of the state.
 Admissible exponents stay inside [1/2, 1] and have a bounded derivative
 near zero; this module provides the built-in exponent family, constant
-exponents, user-supplied custom exponents, and a numerical validator for
-the admissibility conditions.
+exponents, and a numerical validator for the admissibility conditions.
+A user-supplied exponent is an ``ExponentFunction`` of kind ``"custom"``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "HypothesisReport",
     "HypothesisViolationError",
     "constant_exponent",
-    "custom_exponent",
     "eval_dp",
     "eval_p",
     "make_builtin",
@@ -55,9 +54,11 @@ class ExponentFunction:
         Identifier: ``"p1"``, ``"p2"``, ``"p3"``, ``"const:<c>"`` or
         ``"custom"``.
     func : callable
-        Vectorized map from state x >= 0 to the exponent value.
+        Vectorized map from state x >= 0 to the exponent value; it must
+        accept scalars and numpy arrays.
     deriv : callable
-        Vectorized analytic derivative dp/dx.
+        Vectorized analytic derivative dp/dx; no derivative is computed
+        for a custom exponent, so its correctness is the caller's.
     declared_pminus, declared_pplus : float
         Declared infimum / supremum of p over x >= 0.
     constant : float or None
@@ -139,25 +140,6 @@ def constant_exponent(c: float) -> ExponentFunction:
         declared_pminus=c,
         declared_pplus=c,
         constant=c,
-    )
-
-
-def custom_exponent(
-    func: Callable, deriv: Callable, pminus: float, pplus: float
-) -> ExponentFunction:
-    """Wrap a user-supplied exponent.
-
-    Both callables must accept scalars and numpy arrays (the solvers
-    evaluate them vectorized across paths); no automatic differentiation
-    is attempted, the analytic derivative is the caller's contract and
-    is cross-checked against finite differences by the validator tests.
-    """
-    return ExponentFunction(
-        kind="custom",
-        func=func,
-        deriv=deriv,
-        declared_pminus=float(pminus),
-        declared_pplus=float(pplus),
     )
 
 

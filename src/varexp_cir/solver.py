@@ -51,12 +51,16 @@ class PathOverflowError(ArithmeticError):
 class PathBatch:
     """Per-path trajectories stacked row-wise, plus clamp statistics.
 
-    values has shape (m_paths, n_steps + 1) and is stored time-major
-    (Fortran order): the state of every path at one grid node is
-    contiguous. clamp_counts[i] is the number of steps of path i whose
-    pre-clamp value was negative.
+    model is the model the paths were simulated from; the analysis
+    functions read its parameters and drift from here, so a batch
+    cannot be checked against another model's. values has shape
+    (m_paths, n_steps + 1) and is stored time-major (Fortran order):
+    the state of every path at one grid node is contiguous.
+    clamp_counts[i] is the number of steps of path i whose pre-clamp
+    value was negative.
     """
 
+    model: Model
     grid: TimeGrid
     values: np.ndarray
     clamp_counts: np.ndarray
@@ -69,11 +73,6 @@ class PathBatch:
     @property
     def clamp_fraction(self) -> float:
         return float(self.clamp_counts.sum()) / (self.m_paths * self.grid.n_steps)
-
-
-def _check_policy(policy: str):
-    if policy not in POLICIES:
-        raise ValueError(f"unknown positivity policy {policy!r}; expected one of {POLICIES}")
 
 
 def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy: str | None):
@@ -125,12 +124,13 @@ def simulate_batch(
     Raises PathOverflowError (with the path and step index) if a state
     leaves the representable range.
     """
-    _check_policy(policy)
+    if policy not in POLICIES:
+        raise ValueError(f"unknown positivity policy {policy!r}; expected one of {POLICIES}")
     values, clamps = _euler(
         *coefficients(model), model.params.v0, batch.grid, batch.increments, policy
     )
     values.setflags(write=False)
-    return PathBatch(grid=batch.grid, values=values, clamp_counts=clamps, policy=policy)
+    return PathBatch(model, batch.grid, values, clamps, policy)
 
 
 def euler_maruyama_truncated(

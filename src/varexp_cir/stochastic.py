@@ -111,9 +111,12 @@ class BrownianBatch:
     """
 
     seed: int
-    m_paths: int
     grid: TimeGrid
     increments: np.ndarray
+
+    @property
+    def m_paths(self) -> int:
+        return self.increments.shape[0]
 
     def checksum(self) -> str:
         """SHA-256 over the shape, then the matrix's bytes in C (row) order;
@@ -167,4 +170,4 @@ def sample_batch(seed: int, m_paths: int, grid: TimeGrid) -> BrownianBatch:
         z *= scale
         increments[start:stop] = z
     increments.setflags(write=False)
-    return BrownianBatch(seed=seed, m_paths=m_paths, grid=grid, increments=increments)
+    return BrownianBatch(seed=seed, grid=grid, increments=increments)

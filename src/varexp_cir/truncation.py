@@ -117,23 +117,20 @@ def rho_n(tp: TruncationParams, x) -> float | np.ndarray:
 
 
 def truncated_coefficients(tp: TruncationParams, model: Model):
-    """Unvalidated (f_n, g_n) on all of R for finite states: the
-    truncated :func:`coefficients`, which the solvers use. g_n(x) =
-    g(theta_n(x)) extends the diffusion below the band floor by its
-    constant value g(1/n), negative states included, since theta_n maps
-    every state below 1/n to 1/n; so g_n stays globally Lipschitz."""
+    """Unvalidated (f_n, g_n) on all of R for finite states: the model's
+    own :func:`coefficients` composed with the truncation, which the
+    solvers use. f_n(x) = f(rho_n(x)) and g_n(x) = g(theta_n(x)); g_n
+    extends the diffusion below the band floor by its constant value
+    g(1/n), negative states included, since theta_n maps every state
+    below 1/n to 1/n; so g_n stays globally Lipschitz."""
     if model.kind == "pkm":
         raise ValueError("band truncation is defined for the variable-exponent model only")
-    kappa, theta = model.params.kappa, model.params.theta
-    _, g = coefficients(model)
-    return (
-        lambda x: kappa * (theta - _rho(tp, x)),
-        lambda x: g(_theta(tp, x)),
-    )
+    f, g = coefficients(model)
+    return lambda x: f(_rho(tp, x)), lambda x: g(_theta(tp, x))
 
 
 def truncated_drift(tp: TruncationParams, model: Model, x) -> float | np.ndarray:
-    """kappa * (theta - rho_n(x)); defined and Lipschitz on all of R."""
+    """The model drift at rho_n(x); defined and Lipschitz on all of R."""
     f_n, _ = truncated_coefficients(tp, model)
     return scalar_like(x, f_n(check_state(x, "truncation argument", lower=None)))
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from varexp_cir.analysis import check_moment_bounds, martingale_paths, martingale_report
+from varexp_cir.analysis import _compensated, check_moment_bounds, martingale_report
 from varexp_cir.cli import run as cli_run
 from varexp_cir.exponent import constant_exponent, make_builtin, validate_hypotheses
 from varexp_cir.model import (
@@ -113,22 +113,22 @@ def test_criterion_3_mean_reproduction():
     _report(3, "terminal mean reproduction", ok, f"{'; '.join(details)}; {elapsed:.1f}s")
 
 
-def test_criterion_4_moment_bounds(params, full_runs):
+def test_criterion_4_moment_bounds(full_runs):
     checkpoints = (T / 4, T / 2, 3 * T / 4, T)
     total = satisfied = 0
     for mid, (model, pb) in full_runs.items():
-        reports = check_moment_bounds(pb, params, orders=(2, 3, 4), checkpoints=checkpoints)
+        reports = check_moment_bounds(pb, orders=(2, 3, 4), checkpoints=checkpoints)
         total += len(reports)
         satisfied += sum(r.satisfied for r in reports)
     ok = total == 48 and satisfied == 48
     _report(4, "moment growth ceilings", ok, f"{satisfied}/{total} (12 checks x 4 models)")
 
 
-def test_criterion_5_martingale_property(params, full_runs, full_batch):
+def test_criterion_5_martingale_property(full_runs, full_batch):
     ok = True
     details = []
     for mid, (model, pb) in full_runs.items():
-        rep = martingale_report(pb, params, checkpoints=(T / 4, T / 2, 3 * T / 4, T))
+        rep = martingale_report(pb, checkpoints=(T / 4, T / 2, 3 * T / 4, T))
         per_checkpoint = all(
             abs(mu - V0) <= 4.0 * se for mu, se in zip(rep.mh_means, rep.mh_stderrs)
         )
@@ -137,7 +137,7 @@ def test_criterion_5_martingale_property(params, full_runs, full_batch):
     # telescoping identity on 10 random paths of the p1 run
     model, pb = full_runs["gm_p1"]
     _, g = coefficients(model)
-    mh = martingale_paths(pb, params)
+    mh = np.stack(list(_compensated(pb, range(pb.grid.n_steps + 1)).values()), axis=1)
     rng = np.random.default_rng(99)
     worst = 0.0
     for i in rng.integers(0, pb.m_paths, size=10):

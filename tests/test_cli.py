@@ -274,6 +274,18 @@ HUGE_N = "1" + "0" * 200  # a 201-digit band index
         pytest.param(["simulate", "--dt", "0.0003", "--paths", "4"], None, 2, id="off-grid-dt"),
         pytest.param(["simulate", "--model", "heston"], None, 2, id="unknown-model"),
         pytest.param(["compare", "--paths", "0"], None, 2, id="zero-paths"),
+        pytest.param(
+            ["compare", "--exponents", "p1,p1", "--paths", "4"], None, 2, id="repeated-model",
+        ),
+        pytest.param(
+            ["compare", "--exponents", "const:0.5,const:0.50", "--paths", "4"], None, 2,
+            id="repeated-model-spelled-twice",
+        ),
+        pytest.param(["simulate"], {"paths": 10.9}, 2, id="config-paths-fractional"),
+        pytest.param(["simulate"], {"seed": 42.5}, 2, id="config-seed-fractional"),
+        pytest.param(["simulate"], {"paths": True}, 2, id="config-paths-bool"),
+        pytest.param(["simulate"], {"kappa": True}, 2, id="config-kappa-bool"),
+        pytest.param(["simulate"], {"orders": [2.5]}, 2, id="config-orders-fractional"),
     ],
 )
 def test_hostile_input_exit_codes(capsys, tmp_path, argv, config, expected):
@@ -287,6 +299,45 @@ def test_hostile_input_exit_codes(capsys, tmp_path, argv, config, expected):
     code, _, err = _run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in err
+
+
+def test_repeated_model_is_refused_before_sampling(capsys, tmp_path, monkeypatch):
+    import varexp_cir.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_batch called for a repeated model")
+
+    monkeypatch.setattr(cli, "sample_batch", refuse)
+    out = tmp_path / "twice"
+    code, _, err = _run(capsys, "compare", "--exponents", "const:0.5,const:0.50", "--out", str(out))
+    assert code == 2
+    assert "more than once" in err
+    assert not out.exists()
+
+
+def test_integer_config_values_are_checked_not_truncated(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"paths": 10.9}))
+    code, _, err = _run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "config key 'paths'" in err
+    # integral values, as numbers, strings or the environment, still work
+    cfg.write_text(json.dumps({"paths": "6", "bins": 5.0, "orders": [2, "3"], "T": 0.01}))
+    monkeypatch.setenv("VAREXP_SEED", "7")
+    code, _, err = _run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "ok"))
+    assert code == 0, err
+    conf = json.loads((tmp_path / "ok" / "manifest.json").read_text())["config"]
+    assert (conf["paths"], conf["seed"], conf["bins"], conf["orders"]) == (6, 7, 5, [2, 3])
+
+
+def test_martingale_compensates_with_the_model_drift(capsys, tmp_path):
+    # pkm a=1 drifts by kappa * x * (theta - x); compensating it with the
+    # gm/cir drift kappa * (theta - x) reads a deviation of about 0.39
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"v0": 0.5, "xi": 0.1}))
+    code, out, err = _run(capsys, "martingale", "--model", "pkm:a=1,b=0.5", "--config", str(cfg))
+    assert code == 0, err
+    assert json.loads(out)["satisfied"]
 
 
 def test_moment_ceiling_beyond_double_is_inf(capsys, tmp_path):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varexp_cir.exponent import (
+    ExponentFunction,
     HypothesisViolationError,
     constant_exponent,
-    custom_exponent,
     eval_dp,
     eval_p,
     make_builtin,
@@ -130,11 +130,12 @@ def test_constant_passes_iff_in_range(c):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_custom_exponent_with_infinite_derivative_fails_clause():
     # derivative blows up near zero and overflows to inf on the grid
-    fn = custom_exponent(
+    fn = ExponentFunction(
+        kind="custom",
         func=lambda x: np.full_like(np.asarray(x, dtype=float), 0.75),
         deriv=lambda x: 1.0 / (np.asarray(x, dtype=float) ** 200),
-        pminus=0.75,
-        pplus=0.75,
+        declared_pminus=0.75,
+        declared_pplus=0.75,
     )
     report = validate_hypotheses(fn)
     assert not report.passed

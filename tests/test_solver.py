@@ -18,7 +18,7 @@ from varexp_cir.truncation import TruncationParams, truncated_diffusion, truncat
 
 def one_path(model, grid, row, policy="full-truncation"):
     """simulate_batch on the one-row batch holding ``row``."""
-    batch = BrownianBatch(0, 1, grid, np.asarray(row, dtype=float)[None])
+    batch = BrownianBatch(0, grid, np.asarray(row, dtype=float)[None])
     return simulate_batch(model, batch, policy)
 
 
@@ -203,7 +203,7 @@ def test_picard_input_validation(gm_p1, grid):
 
 def test_band_exit_index(gm_p1):
     grid = make_grid(0.01, 0.001)
-    values = simulate_batch(gm_p1, BrownianBatch(0, 2, grid, np.zeros((2, grid.n_steps)))).values
+    values = simulate_batch(gm_p1, BrownianBatch(0, grid, np.zeros((2, grid.n_steps)))).values
     # constant 0.05 rows: outside tp.band at n=10 immediately, inside it at n=100
     assert band_exit_index(TruncationParams(10), values).tolist() == [0, 0]
     assert band_exit_index(TruncationParams(100), values).tolist() == [11, 11]
@@ -257,7 +257,7 @@ def test_batch_paths_are_time_major_and_layout_free(gm_p1, small_batch):
     c_order = np.ascontiguousarray(small_batch.increments)
     assert c_order.flags.c_contiguous
     pb_c = simulate_batch(
-        gm_p1, BrownianBatch(small_batch.seed, small_batch.m_paths, small_batch.grid, c_order)
+        gm_p1, BrownianBatch(small_batch.seed, small_batch.grid, c_order)
     )
     assert np.array_equal(pb_c.values, pb.values)
     assert np.array_equal(pb_c.clamp_counts, pb.clamp_counts)
@@ -271,5 +271,5 @@ def test_overflow_names_the_path_in_a_time_major_batch(cir):
     increments[37, 3] = np.inf  # step 4 of path 37, in the second block of paths
     increments[12, 5] = np.inf  # a later step of an earlier path
     with pytest.raises(PathOverflowError) as exc:
-        simulate_batch(cir, BrownianBatch(5, 40, grid, increments))
+        simulate_batch(cir, BrownianBatch(5, grid, increments))
     assert (exc.value.path_index, exc.value.step_index) == (37, 4)

@@ -98,7 +98,7 @@ def test_checksum_is_the_one_shot_formula_in_any_layout():
     assert batch.checksum() == expected
     c_order = np.ascontiguousarray(batch.increments)
     assert c_order.flags.c_contiguous
-    assert BrownianBatch(3, 70, grid, c_order).checksum() == expected
+    assert BrownianBatch(3, grid, c_order).checksum() == expected
 
 
 def test_checksum_copies_no_matrix(grid):
