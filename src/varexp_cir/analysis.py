@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import Model, ModelParams, coefficients, growth_constant
+from .model import Model, ModelParams, growth_constant
 from .solver import PathBatch
 from .stochastic import TimeGrid
 
@@ -53,7 +53,7 @@ def empirical_moment(batch: PathBatch, t: float, m: int) -> tuple[float, float]:
         raise ValueError("moment order must be >= 1")
     if batch.m_paths < 1:
         raise ValueError("empty batch")
-    return _mean_stderr(batch.values[:, batch.grid.index_of(t)] ** m)
+    return _mean_stderr(batch.values[:, batch.column(t)] ** m)
 
 
 def moment_bound(params: ModelParams, m: int, t: float) -> tuple[float, float]:
@@ -136,30 +136,6 @@ def second_moment_bound(model: Model, grid: TimeGrid) -> float:
         return math.inf
 
 
-def _compensated(batch: PathBatch, columns) -> dict:
-    """{j: M(t_j) over paths} for the grid indices j in ``columns``.
-
-    M(t_j) = v(t_j) - sum_{i<j} f(v(t_i)) dt with f the batch's model
-    drift: the left-point sum of the Euler recursion, so on a path never
-    clamped it telescopes to v0 + sum_{i<j} g(v(t_i)) dW_i exactly.
-    Walks the grid one column at a time, adding the drift columns in the
-    order np.cumsum adds them, and keeps only the requested columns, so
-    no path-sized temporary is built.
-    """
-    f, _ = coefficients(batch.model)
-    wanted = set(columns)
-    values, dt = batch.values, batch.grid.dt
-    compensator = np.zeros(batch.m_paths)
-    out = {}
-    for j in range(max(wanted) + 1):
-        if j:
-            drift = f(values[:, j - 1]) * dt
-            compensator = compensator + drift if j > 1 else drift
-        if j in wanted:
-            out[j] = values[:, j] - compensator
-    return out
-
-
 @dataclass(frozen=True)
 class MartingaleReport:
     """Batch means of the drift-compensated statistic at checkpoints.
@@ -181,14 +157,15 @@ class MartingaleReport:
 
 
 def martingale_report(batch: PathBatch, checkpoints=None) -> MartingaleReport:
-    """Check that the statistic compensated by the model drift has mean v0."""
+    """Check that M(t) = v(t) - sum_{t_i<t} f(v(t_i)) dt, the statistic the
+    Euler kernel compensated as it stepped, has mean v0. On a path never
+    clamped it telescopes to v0 + sum_{t_i<t} g(v(t_i)) dW_i exactly."""
     if checkpoints is None:
         checkpoints = default_checkpoints(batch.grid)
     if len(checkpoints) == 0:
         raise ValueError("at least one checkpoint is required")
-    indices = [batch.grid.index_of(t) for t in checkpoints]
-    mh = _compensated(batch, indices)
-    means, stderrs = zip(*(_mean_stderr(mh[j]) for j in indices))
+    columns = [batch.column(t) for t in checkpoints]
+    means, stderrs = zip(*(_mean_stderr(batch.compensated[:, k]) for k in columns))
     params = batch.model.params
     v0 = params.v0
     allowance = params.kappa * (params.theta + v0) * batch.grid.dt
@@ -230,8 +207,7 @@ def terminal_histogram(batch: PathBatch, t: float, n_bins: int) -> Histogram:
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    j = batch.grid.index_of(t)
-    vals = batch.values[:, j]
+    vals = batch.values[:, batch.column(t)]
     lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
         half = max(abs(lo), 1.0) * np.finfo(float).eps

@@ -38,7 +38,7 @@ from pathlib import Path as FsPath
 import numpy as np
 import scipy
 
-from . import __version__, stochastic
+from . import __version__, analysis, solver, stochastic
 from .analysis import check_moment_bounds, martingale_report, terminal_histogram
 from .exponent import (
     HypothesisViolationError,
@@ -163,7 +163,7 @@ def _ints(value) -> tuple:
 
 
 def _checkpoints(value) -> tuple | None:
-    return None if value is None else tuple(float(v) for v in _items(value)) or None
+    return None if value is None else tuple(float(v) for v in _items(value))
 
 
 def _policy(value) -> str:
@@ -201,8 +201,8 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _setting(ns, cfg: dict, key: str):
-    """Resolve one setting; a value its cast refuses, or a boolean where a
-    value or list item is expected, is a usage error."""
+    """Resolve one setting; a value its cast refuses, a boolean where a value
+    or list item is expected, or an empty list, is a usage error."""
     default, cast = {**PARAMS, **SETTINGS}[key]
     if getattr(ns, key, None) is not None:
         value, source = getattr(ns, key), f"--{key}"
@@ -213,8 +213,9 @@ def _setting(ns, cfg: dict, key: str):
     else:
         value, source = default, "default"
     try:
-        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
-            raise TypeError("a boolean is not a setting value")
+        items = value if isinstance(value, list) else [value]
+        if not items or any(isinstance(v, bool) for v in items):
+            raise TypeError("a boolean or an empty list is not a setting value")
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{source} has a malformed value {value!r}") from None
@@ -243,33 +244,88 @@ def _versions() -> dict:
 # ---------------------------------------------------------------------------
 # simulation and per-model outputs
 
-def _simulate(settings: dict, params: ModelParams, grid, specs: list[str]):
-    """The increment batch and a generator of (spec, path batch), one
-    model at a time, every model driven by the same increments.
+#: Increments per chunk of paths: 8,388 paths (64 MB) at N = 1000, so the reference
+#: run is one chunk; smaller chunks pay numpy's per-call overhead on every step.
+_CHUNK = 2**23
 
-    Models are parsed, a model given twice is refused and the run's
-    size is checked before anything is allocated: the increments plus
-    one model's path matrix must fit under the storage cap.
-    """
+
+def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump):
+    """Walk the paths in chunks of rows, each filled once, hashed in row order
+    and driving every model; return the increment checksum and one (spec,
+    path batch) per model, holding the checkpoints and T. With dump, chunks
+    keep every node and go to dump(path batch, first path). A repeated model
+    or a run whose kept state plus one chunk passes the cap is refused first."""
     models = [(spec, parse_model(spec, params)) for spec in specs]
     if len({model.model_id for _, model in models}) < len(models):
         raise ValueError(f"the models {', '.join(specs)} name one model more than once")
-    m_paths = settings["paths"]
-    stored = m_paths * (2 * grid.n_steps + 1)
-    if stored > stochastic.MAX_STORED_INCREMENTS:
+    m_paths, n_steps = settings["paths"], grid.n_steps
+    if m_paths < 1:
+        raise ValueError("paths must be at least 1")
+    checkpoints = settings["checkpoints"] or analysis.default_checkpoints(grid)
+    nodes = sorted({grid.index_of(t) for t in checkpoints} | {n_steps})
+    rows = min(max(1, _CHUNK // n_steps), m_paths)
+    held = m_paths * len(models) * (2 * len(nodes) + 1) + rows * n_steps
+    if held > stochastic.MAX_STORED_INCREMENTS:
         raise ValueError(
-            f"{m_paths} paths of {grid.n_steps} steps store {stored} values, "
+            f"{m_paths} paths of {n_steps} steps hold {held} values, "
             f"above the cap of {stochastic.MAX_STORED_INCREMENTS}"
         )
-    batch = sample_batch(settings["seed"], m_paths, grid)
-    policy = settings["policy"]
-    runs = ((spec, simulate_batch(model, batch, policy)) for spec, model in models)
-    return batch, runs
+    shape = (m_paths, len(nodes))
+    runs = [(spec, solver.PathBatch(
+        model, grid, np.array(nodes), np.empty(shape, order="F"), np.empty(shape, order="F"),
+        np.empty(m_paths, dtype=np.int64), np.empty(n_steps + 1), settings["policy"],
+    )) for spec, model in models]
+    columns = nodes if dump else slice(None)
+    h = stochastic.checksum_start(m_paths, n_steps)
+    for start in range(0, m_paths, rows):
+        batch = sample_batch(settings["seed"], range(start, min(start + rows, m_paths)), grid)
+        stochastic.hash_rows(h, batch.increments)
+        for _, run in runs:
+            pb = simulate_batch(run.model, batch, settings["policy"], None if dump else nodes)
+            run.values[start : start + rows] = pb.values[:, columns]
+            run.compensated[start : start + rows] = pb.compensated[:, columns]
+            run.clamp_counts[start : start + rows] = pb.clamp_counts
+            if start == 0:
+                run.path0[:] = pb.path0
+            if dump:
+                dump(pb, start)
+        del batch, pb  # free the chunk before the next one is filled
+    return h.hexdigest(), runs
+
+
+class _PathDump:
+    """--dump-paths: every path at every node, appended a chunk at a time to a
+    temporary file per model, moved into place (or removed) as the with block ends."""
+
+    def __init__(self, out: FsPath, grid):
+        self.out, self.files = out, {}
+        self.times = [format(t, ".17g") for t in grid.times.tolist()]
+
+    def __call__(self, pb, first_path: int):
+        path = self.out / f"{pb.model.model_id}_path.csv"
+        if path not in self.files:
+            self.out.mkdir(parents=True, exist_ok=True)
+            self.files[path] = open(path.with_name(path.name + f".tmp-{os.getpid()}"), "w")
+            self.files[path].write("t,path_id,v\n")
+        for i in range(pb.m_paths):
+            row = zip(self.times, pb.values[i].tolist())
+            self.files[path].write("".join([f"{t},{first_path + i},{v:.17g}\n" for t, v in row]))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        for path, fh in self.files.items():
+            fh.close()
+            if exc_type is None:
+                os.replace(fh.name, path)
+            else:
+                os.unlink(fh.name)
 
 
 def _model_outputs(settings: dict, checksum: str, pb, dump_paths: bool):
-    """Write summary JSON, path CSV and histogram CSV for the model of
-    one path batch; return the summary, the histogram and the file names."""
+    """Write summary JSON, path CSV (unless dumped) and histogram CSV for the
+    model of one path batch; return the summary, the histogram and the file names."""
     grid, mid = pb.grid, pb.model.model_id
     checkpoints = settings["checkpoints"]
     hist = terminal_histogram(pb, grid.horizon, settings["bins"])
@@ -291,12 +347,9 @@ def _model_outputs(settings: dict, checksum: str, pb, dump_paths: bool):
     files = [f"{mid}_summary.json", f"{mid}_path.csv", f"{mid}_hist.csv"]
     out = settings["out"]
     atomic_write(out / files[0], json_text(summary) + "\n")
-
-    times = grid.times
-    paths = range(pb.m_paths) if dump_paths else (0,)
-    rows = ((times[j], i, pb.values[i, j]) for i in paths for j in range(grid.n_steps + 1))
-    write_csv(out / files[1], ["t", "path_id", "v"], rows)
-
+    if not dump_paths:
+        rows = zip(grid.times, itertools.repeat(0), pb.path0)
+        write_csv(out / files[1], ["t", "path_id", "v"], rows)
     hist_rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities)
     write_csv(out / files[2], ["bin_left", "bin_right", "count", "density"], hist_rows)
     return summary, hist, files
@@ -332,23 +385,21 @@ def _figures(out: FsPath, times, runs) -> list[str]:
 
 
 def _write_runs(ns, specs: list[str], figures: bool):
-    """The simulate/compare pipeline: one increment batch, per-model
-    outputs, optional figures, then the manifest. Each path matrix is
-    dropped once its outputs are written. Returns the settings, the
+    """The simulate/compare pipeline: one walk over the paths, per-model
+    outputs, optional figures, then the manifest. Returns the settings, the
     increment checksum and one (spec, summary, path 0, histogram) per model.
     """
     settings, params, grid = _run_config(ns)
-    batch, runs = _simulate(settings, params, grid, specs)
     out = settings["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    checksum = batch.checksum()
     dump_paths = getattr(ns, "dump_paths", False)
+    with _PathDump(out, grid) as dump:
+        checksum, runs = _simulate(settings, params, grid, specs, dump if dump_paths else None)
+    out.mkdir(parents=True, exist_ok=True)
     results, outputs = [], []
     for spec, pb in runs:
         summary, hist, files = _model_outputs(settings, checksum, pb, dump_paths)
-        results.append((spec, summary, pb.values[0].copy(), hist))
+        results.append((spec, summary, pb.path0, hist))
         outputs.extend(files)
-        del pb  # free this model's paths before the next model is simulated
     if figures:
         outputs.extend(_figures(out, grid.times, results))
     manifest = {
@@ -423,8 +474,7 @@ def cmd_lipschitz(ns):
 
 def cmd_moments(ns):
     settings, params, grid = _run_config(ns)
-    _, runs = _simulate(settings, params, grid, [ns.model])
-    _, pb = next(runs)
+    _, [(_, pb)] = _simulate(settings, params, grid, [ns.model], None)
     reports = check_moment_bounds(pb, settings["orders"], settings["checkpoints"])
     ok = all(r.satisfied for r in reports)
     payload = {"model": pb.model.model_id, "reports": [r.to_dict() for r in reports]}
@@ -433,8 +483,7 @@ def cmd_moments(ns):
 
 def cmd_martingale(ns):
     settings, params, grid = _run_config(ns)
-    _, runs = _simulate(settings, params, grid, [ns.model])
-    _, pb = next(runs)
+    _, [(_, pb)] = _simulate(settings, params, grid, [ns.model], None)
     report = martingale_report(pb, settings["checkpoints"])
     payload = {"model": pb.model.model_id, **report.to_dict()}
     verdict = "ok" if report.satisfied else "violated"
@@ -535,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+def run(argv) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -585,7 +634,7 @@ def _say(text: str, stream):
 
 
 def main():
-    sys.exit(run())
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

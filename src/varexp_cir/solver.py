@@ -49,21 +49,24 @@ class PathOverflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Per-path trajectories stacked row-wise, plus clamp statistics.
+    """Per-path states at the grid nodes kept, plus clamp statistics.
 
     model is the model the paths were simulated from; the analysis
     functions read its parameters and drift from here, so a batch
-    cannot be checked against another model's. values has shape
-    (m_paths, n_steps + 1) and is stored time-major (Fortran order):
-    the state of every path at one grid node is contiguous.
-    clamp_counts[i] is the number of steps of path i whose pre-clamp
-    value was negative.
+    cannot be checked against another model's. nodes holds the grid
+    indices kept, increasing; values[:, k] is every path's state at node
+    nodes[k] and compensated[:, k] the statistic v - sum f(v) dt there,
+    both time-major. clamp_counts[i] is the number of steps of path i
+    whose pre-clamp value was negative; path0 is row 0 at every node.
     """
 
     model: Model
     grid: TimeGrid
+    nodes: np.ndarray
     values: np.ndarray
+    compensated: np.ndarray
     clamp_counts: np.ndarray
+    path0: np.ndarray
     policy: str
 
     @property
@@ -74,8 +77,15 @@ class PathBatch:
     def clamp_fraction(self) -> float:
         return float(self.clamp_counts.sum()) / (self.m_paths * self.grid.n_steps)
 
+    def column(self, t: float) -> int:
+        """The column holding grid time t; ValueError if it was not kept."""
+        j = self.grid.index_of(t)
+        if j not in self.nodes:
+            raise ValueError(f"time {t} is not a node this path batch kept")
+        return int(np.searchsorted(self.nodes, j))
 
-def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy: str | None):
+
+def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy, nodes):
     """The Euler kernel; increments has shape (m_paths, n_steps).
 
     v[j+1] = v[j] + f(v[j]) dt + g(v[j]) dW[j]. With a positivity policy
@@ -83,54 +93,65 @@ def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy: str 
     value is clamped (full truncation) or reflected; ``policy=None``
     applies no clamp. Every path advances in the same elementwise
     arithmetic (numpy ufuncs are lane-consistent), so a row's values do
-    not depend on the other rows of its batch. Values are stored
-    time-major (Fortran order), so each step writes one contiguous
-    column, and each step reads one contiguous column of time-major
-    increments such as sample_batch's.
+    not depend on the other rows of its batch. Each step's f(v+) dt is
+    also summed, in step order, into the martingale compensator. Returns,
+    time-major at the grid indices in nodes (increasing), the state and
+    the state minus the compensator (the stored state is never negative,
+    so v+ is the state), then the clamp counts and row 0 at every node.
     """
-    if increments.ndim != 2 or increments.shape[1] != grid.n_steps:
-        raise ValueError("increments must have shape (m_paths, grid.n_steps)")
+    if increments.ndim != 2 or increments.shape[1] != grid.n_steps or not len(increments):
+        raise ValueError("increments must have shape (m_paths, grid.n_steps), m_paths >= 1")
     dt = grid.dt
     m_paths, n_steps = increments.shape
-    values = np.empty((m_paths, n_steps + 1), order="F")
-    values[:, 0] = v0
-    clamps = np.zeros(m_paths, dtype=np.int64)
-    v = np.full(m_paths, v0)
-    for j in range(n_steps):
-        vplus = v if policy is None else np.maximum(v, 0.0)
-        raw = v + f(vplus) * dt + g(vplus) * increments[:, j]
-        if not np.all(np.isfinite(raw)):
-            path_idx = int(np.flatnonzero(~np.isfinite(raw))[0])
-            raise PathOverflowError(step_index=j + 1, path_index=path_idx)
-        if policy is None:
-            v = raw
-        else:
-            clamps += raw < 0.0
-            v = np.maximum(raw, 0.0) if policy == "full-truncation" else np.abs(raw)
-        values[:, j + 1] = v
-    return values, clamps
+    values, compensated = (np.empty((m_paths, len(nodes)), order="F") for _ in range(2))
+    path0, clamps = np.empty(n_steps + 1), np.zeros(m_paths, dtype=np.int64)
+    v, compensator, k = np.full(m_paths, v0), 0.0, 0
+    for j in range(n_steps + 1):
+        if j:
+            vplus = v if policy is None else np.maximum(v, 0.0)
+            fd = f(vplus) * dt
+            raw = v + fd + g(vplus) * increments[:, j - 1]
+            if not np.all(np.isfinite(raw)):
+                path_idx = int(np.flatnonzero(~np.isfinite(raw))[0])
+                raise PathOverflowError(step_index=j, path_index=path_idx)
+            if policy is None:
+                v = raw
+            else:
+                clamps += raw < 0.0
+                v = np.maximum(raw, 0.0) if policy == "full-truncation" else np.abs(raw)
+            compensator = compensator + fd if j > 1 else fd
+        path0[j] = v[0]
+        if k < len(nodes) and nodes[k] == j:
+            values[:, k], compensated[:, k] = v, v - compensator
+            k += 1
+    return values, compensated, clamps, path0
 
 
 def simulate_batch(
-    model: Model,
-    batch: BrownianBatch,
-    policy: str = "full-truncation",
+    model: Model, batch: BrownianBatch, policy: str = "full-truncation", nodes=None
 ) -> PathBatch:
-    """Simulate every path of the batch.
+    """Simulate every path of the batch, keeping the grid indices in nodes
+    (every node by default).
 
     Full truncation: v[j+1] = v[j] + f(v[j]+) dt + g(v[j]+) dW[j],
     stored clamped at zero; reflection stores |v[j+1]| instead. Each
-    row's result is independent of how paths are grouped or ordered.
+    row's result is independent of how paths are grouped or ordered,
+    so a run walked in chunks of rows gives the rows of one batch.
     Raises PathOverflowError (with the path and step index) if a state
     leaves the representable range.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown positivity policy {policy!r}; expected one of {POLICIES}")
-    values, clamps = _euler(
-        *coefficients(model), model.params.v0, batch.grid, batch.increments, policy
+    n_steps = batch.grid.n_steps
+    nodes = np.arange(n_steps + 1) if nodes is None else np.unique(np.asarray(nodes, dtype=int))
+    if nodes.size == 0 or nodes[0] < 0 or nodes[-1] > n_steps:
+        raise ValueError(f"nodes must be a nonempty set of grid indices in [0, {n_steps}]")
+    values, compensated, clamps, path0 = _euler(
+        *coefficients(model), model.params.v0, batch.grid, batch.increments, policy, nodes
     )
-    values.setflags(write=False)
-    return PathBatch(model, batch.grid, values, clamps, policy)
+    for a in (nodes, values, compensated, path0):
+        a.setflags(write=False)
+    return PathBatch(model, batch.grid, nodes, values, compensated, clamps, path0, policy)
 
 
 def euler_maruyama_truncated(
@@ -149,7 +170,7 @@ def euler_maruyama_truncated(
     """
     f_n, g_n = truncated_coefficients(tp, model)
     increments = np.asarray(increments, dtype=float)
-    return _euler(f_n, g_n, model.params.v0, grid, increments, None)[0]
+    return _euler(f_n, g_n, model.params.v0, grid, increments, None, range(grid.n_steps + 1))[0]
 
 
 @dataclass(frozen=True)

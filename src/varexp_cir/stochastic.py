@@ -31,8 +31,8 @@ __all__ = ["BrownianBatch", "TimeGrid", "make_grid", "path_increments", "sample_
 
 MAX_SEED = 2**64 - 1
 
-#: Refuse batches above this many stored increments (~8 GB of float64);
-#: regenerate rows on demand via path_increments for larger studies.
+#: Refuse batches, and CLI runs, that would hold more than this many
+#: float64 values (~8 GB).
 MAX_STORED_INCREMENTS = 10**9
 
 # Paths per block when filling and hashing a batch: a 32 x 1000 block of
@@ -100,12 +100,25 @@ def path_increments(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
     return ndtri(u) * math.sqrt(grid.dt)
 
 
+def checksum_start(m_paths: int, n_steps: int):
+    """A running SHA-256 of an (m_paths, n_steps) matrix, fed its shape."""
+    return hashlib.sha256(np.array((m_paths, n_steps), dtype=np.uint64).tobytes())
+
+
+def hash_rows(h, increments: np.ndarray):
+    """Feed rows to the running hash h in C (row) order, a block of rows at
+    a time, and return h; rows fed over several calls hash as one matrix."""
+    for start in range(0, len(increments), _BLOCK):
+        h.update(np.ascontiguousarray(increments[start : start + _BLOCK]))
+    return h
+
+
 @dataclass(frozen=True)
 class BrownianBatch:
     """An m_paths x n_steps matrix of Gaussian increments, Normal(0, dt).
 
-    Fully determined by (seed, m_paths, grid); row j depends only on
-    (seed, j), so subsets of paths can be regenerated independently.
+    Each row depends only on (seed, its path index), so subsets of paths
+    can be regenerated independently.
     sample_batch stores the matrix time-major (Fortran order); the
     checksum does not depend on the memory layout.
     """
@@ -120,33 +133,22 @@ class BrownianBatch:
 
     def checksum(self) -> str:
         """SHA-256 over the shape, then the matrix's bytes in C (row) order;
-        recorded in run manifests. Hashed a block of rows at a time, so
-        no copy of the whole matrix is made."""
-        inc = self.increments
-        h = hashlib.sha256()
-        h.update(np.array(inc.shape, dtype=np.uint64).tobytes())
-        for start in range(0, len(inc), _BLOCK):
-            h.update(np.ascontiguousarray(inc[start : start + _BLOCK]))
-        return h.hexdigest()
+        recorded in run manifests."""
+        return hash_rows(checksum_start(*self.increments.shape), self.increments).hexdigest()
 
 
-def sample_batch(seed: int, m_paths: int, grid: TimeGrid) -> BrownianBatch:
-    """Generate the full increment matrix, time-major, a block of paths
-    at a time; row j equals path_increments(seed, j, grid) bit for bit.
-
-    Default experiment sizes are stored whole (5000 x 1000 doubles is
-    40 MB); absurd sizes are refused, use path_increments to stream
-    rows instead.
-    """
+def sample_batch(seed: int, m_paths, grid: TimeGrid) -> BrownianBatch:
+    """Increments of paths 0..m_paths-1, or of a range of path indices (a
+    chunk of a larger run), time-major, a block of paths at a time; the row
+    of path j equals path_increments(seed, j, grid) bit for bit."""
     seed = _check_seed(seed)
-    if m_paths < 1:
-        raise ValueError("m_paths must be at least 1")
+    paths = range(m_paths) if isinstance(m_paths, (int, np.integer)) else m_paths
+    if not isinstance(paths, range) or len(paths) < 1 or paths.start < 0 or paths.step != 1:
+        raise ValueError("m_paths must be at least 1, or a nonempty range of path indices")
     n_steps = grid.n_steps
-    if m_paths * n_steps > MAX_STORED_INCREMENTS:
-        raise ValueError(
-            "batch too large to store; regenerate rows on demand with path_increments"
-        )
-    increments = np.empty((m_paths, n_steps), order="F")
+    if len(paths) * n_steps > MAX_STORED_INCREMENTS:
+        raise ValueError("batch too large to store; walk the paths in chunks of rows")
+    increments = np.empty((len(paths), n_steps), order="F")
     # One generator, re-keyed per path to the state Philox(key=(seed, j)) starts in.
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     state = bitgen.state
@@ -154,10 +156,10 @@ def sample_batch(seed: int, m_paths: int, grid: TimeGrid) -> BrownianBatch:
     raw = np.empty((_BLOCK, n_steps), dtype=np.uint64)
     normals = np.empty((_BLOCK, n_steps))
     scale = math.sqrt(grid.dt)
-    for start in range(0, m_paths, _BLOCK):
-        stop = min(start + _BLOCK, m_paths)
+    for start in range(0, len(paths), _BLOCK):
+        stop = min(start + _BLOCK, len(paths))
         r, z = raw[: stop - start], normals[: stop - start]
-        for i, j in enumerate(range(start, stop)):
+        for i, j in enumerate(paths[start:stop]):
             key[1] = j
             bitgen.state = state
             r[i] = bitgen.random_raw(n_steps)

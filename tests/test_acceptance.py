@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from varexp_cir.analysis import _compensated, check_moment_bounds, martingale_report
+from varexp_cir.analysis import check_moment_bounds, martingale_report
 from varexp_cir.cli import run as cli_run
 from varexp_cir.exponent import constant_exponent, make_builtin, validate_hypotheses
 from varexp_cir.model import (
@@ -137,7 +137,7 @@ def test_criterion_5_martingale_property(full_runs, full_batch):
     # telescoping identity on 10 random paths of the p1 run
     model, pb = full_runs["gm_p1"]
     _, g = coefficients(model)
-    mh = np.stack(list(_compensated(pb, range(pb.grid.n_steps + 1)).values()), axis=1)
+    mh = pb.compensated  # the kernel's compensated statistic at every node
     rng = np.random.default_rng(99)
     worst = 0.0
     for i in rng.integers(0, pb.m_paths, size=10):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from varexp_cir.analysis import (
-    _compensated,
     check_moment_bounds,
     empirical_moment,
     martingale_report,
@@ -24,15 +23,20 @@ def _constant_batch(model, grid, value, m_paths=8):
     return PathBatch(
         model=model,
         grid=grid,
+        nodes=np.arange(grid.n_steps + 1),
         values=values,
+        compensated=values,
         clamp_counts=np.zeros(m_paths, dtype=np.int64),
+        path0=values[0],
         policy="full-truncation",
     )
 
 
 def _martingale_paths(pb):
-    """The compensated statistic at every grid node, one row per path."""
-    return np.stack(list(_compensated(pb, range(pb.grid.n_steps + 1)).values()), axis=1)
+    """The compensated statistic at every grid node, one row per path, as
+    the Euler kernel accumulated it on a full-node library batch."""
+    assert np.array_equal(pb.nodes, np.arange(pb.grid.n_steps + 1))
+    return pb.compensated
 
 
 def test_empirical_moment_constant_batch(cir, grid):
@@ -227,8 +231,11 @@ def test_martingale_report_holds_no_path_matrix(params):
     pb = PathBatch(
         model=cir_model(params),
         grid=grid,
+        nodes=np.arange(grid.n_steps + 1),
         values=values,
+        compensated=values,
         clamp_counts=np.zeros(2000, dtype=np.int64),
+        path0=values[0],
         policy="full-truncation",
     )
     tracemalloc.start()

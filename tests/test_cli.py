@@ -9,7 +9,17 @@ from pathlib import Path
 import pytest
 
 import varexp_cir
-from varexp_cir import ModelParams, cir_model, make_grid, sample_batch, simulate_batch
+from varexp_cir import (
+    ModelParams,
+    check_moment_bounds,
+    cir_model,
+    make_grid,
+    martingale_report,
+    parse_model,
+    sample_batch,
+    simulate_batch,
+    terminal_histogram,
+)
 from varexp_cir.cli import json_text, run, write_csv
 
 
@@ -286,6 +296,13 @@ HUGE_N = "1" + "0" * 200  # a 201-digit band index
         pytest.param(["simulate"], {"paths": True}, 2, id="config-paths-bool"),
         pytest.param(["simulate"], {"kappa": True}, 2, id="config-kappa-bool"),
         pytest.param(["simulate"], {"orders": [2.5]}, 2, id="config-orders-fractional"),
+        pytest.param(
+            ["moments", "--paths", "8", "--T", "0.01"], {"orders": []}, 2, id="config-orders-empty",
+        ),
+        pytest.param(
+            ["moments", "--paths", "8", "--T", "0.01"], {"checkpoints": []}, 2,
+            id="config-checkpoints-empty",
+        ),
     ],
 )
 def test_hostile_input_exit_codes(capsys, tmp_path, argv, config, expected):
@@ -299,6 +316,8 @@ def test_hostile_input_exit_codes(capsys, tmp_path, argv, config, expected):
     code, _, err = _run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in err
+    if config is not None and expected == 2:
+        assert f"config key {next(iter(config))!r}" in err  # the refusal names its source
 
 
 def test_repeated_model_is_refused_before_sampling(capsys, tmp_path, monkeypatch):
@@ -360,8 +379,10 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
     import varexp_cir.cli as cli
     import varexp_cir.stochastic as stochastic
 
-    # 100 paths x 100 steps: the increments alone (10^4) fit under the cap,
-    # the increments plus a path matrix (100 x 201) do not
+    # compare holds, per path, 4 models x (4 kept nodes + 4 compensated
+    # values + 1 clamp count), plus one chunk of increments (here every
+    # path, 100 steps each): 100 paths hold 3600 + 10^4 values, past the
+    # cap, while 49 paths hold 1764 + 4900 = 6664
     monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 10_000)
     real_sample_batch = cli.sample_batch
 
@@ -377,7 +398,82 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
 
     monkeypatch.setattr(cli, "sample_batch", real_sample_batch)
     code, _, _ = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
-    assert code == 0  # 49 x 201 = 9849 values fit
+    assert code == 0
+
+
+def _walk(capsys, tmp_path, monkeypatch, rows):
+    """Outputs of compare --dump-paths, moments and martingale on 200 paths of
+    100 steps, walked in chunks of ``rows`` paths: compare's files and
+    manifest (its output directory left out), then the two stdouts."""
+    import varexp_cir.cli as cli
+
+    monkeypatch.setattr(cli, "_CHUNK", rows * 100)
+    filled = []
+    real_sample_batch = cli.sample_batch
+
+    def counted(seed, paths, grid):
+        filled.append(len(paths))
+        return real_sample_batch(seed, paths, grid)
+
+    monkeypatch.setattr(cli, "sample_batch", counted)
+    run = ["--paths", "200", "--T", "0.1"]
+    out = tmp_path / f"rows{rows}"
+    code, _, err = _run(capsys, "compare", *run, "--dump-paths", "--out", str(out))
+    assert code == 0, err
+    assert filled == [rows] * (200 // rows) + [200 % rows] * (200 % rows > 0)
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["config"]["out"]
+    stdouts = [_run(capsys, cmd, "--model", "gm:p2", *run)[1] for cmd in ("moments", "martingale")]
+    return files, manifest, stdouts
+
+
+def test_every_chunk_size_gives_the_same_bytes(capsys, tmp_path, monkeypatch):
+    files, manifest, stdouts = _walk(capsys, tmp_path, monkeypatch, 200)  # one chunk
+    assert len(files) == 18 and all(stdouts)
+    for rows in (1, 31, 32, 33, 64):
+        assert _walk(capsys, tmp_path, monkeypatch, rows) == (files, manifest, stdouts), rows
+
+
+def test_cli_walk_equals_the_library_on_a_full_batch(capsys, tmp_path):
+    # T = 0.1 is not a checkpoint: the walk keeps it for the histogram only
+    out = tmp_path / "walk"
+    code, _, err = _run(
+        capsys, "compare", "--paths", "200", "--T", "0.1", "--checkpoints", "0.025,0.05",
+        "--no-svg", "--out", str(out),
+    )
+    assert code == 0, err
+    batch = sample_batch(42, 200, make_grid(0.1, 0.001))
+    checkpoints = (0.025, 0.05)
+    for spec in ("cir", "gm:p1", "gm:p2", "gm:p3"):
+        pb = simulate_batch(parse_model(spec, ModelParams(2.0, 0.05, 0.3, 0.05)), batch)
+        summary = json.loads((out / f"{pb.model.model_id}_summary.json").read_text())
+        expected = {
+            "moments": [r.to_dict() for r in check_moment_bounds(pb, (2, 3, 4), checkpoints)],
+            "martingale": martingale_report(pb, checkpoints).to_dict(),
+            "terminal_histogram": terminal_histogram(pb, 0.1, 50).to_dict(),
+        }
+        assert {key: summary[key] for key in expected} == json.loads(json_text(expected)), spec
+
+
+def test_memory_is_bounded_by_the_kept_state(capsys, tmp_path, monkeypatch):
+    import varexp_cir.cli as cli
+
+    # 40,000 paths x 100 steps in chunks of 1000 paths: the run holds 4
+    # models x 40,000 paths x 9 kept values (11.5 MB) plus one 0.8 MB
+    # chunk; the whole increment matrix alone would be 32 MB
+    monkeypatch.setattr(cli, "_CHUNK", 1000 * 100)
+    tracemalloc.start()
+    try:
+        code, _, err = _run(
+            capsys, "compare", "--paths", "40000", "--T", "0.1", "--no-svg",
+            "--out", str(tmp_path / "big"),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak < 20 * 10**6
 
 
 @pytest.mark.parametrize(
