@@ -28,11 +28,15 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
+import mmap
 import os
+import signal
 import sys
+import warnings
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -248,13 +252,93 @@ def _versions() -> dict:
 #: run is one chunk; smaller chunks pay numpy's per-call overhead on every step.
 _CHUNK = 2**23
 
+#: Fewest rows of a chunk a worker process is given: fewer cost more to fork than they save.
+_WORKER_ROWS = 1024
+
+
+def _shared(count: int) -> np.ndarray:
+    """count float64 zeros in an anonymous mapping, which forked children share."""
+    return np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=np.float64)[:count]
+
+
+def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range):
+    """Fill the increments of a range of paths and drive every model on them in
+    spec order, writing their rows of the kept arrays and path 0 and handing
+    each path batch to dump, if given. Return the increments and the first
+    overflow's (model index, step, path), or None."""
+    batch = sample_batch(settings["seed"], paths, grid)
+    for i, (_, run) in enumerate(runs):
+        try:
+            pb = simulate_batch(run.model, batch, settings["policy"], None if dump else nodes)
+        except PathOverflowError as exc:
+            return batch.increments, (i, exc.step_index, paths.start + exc.path_index)
+        columns = nodes if dump else slice(None)
+        run.values[paths.start : paths.stop] = pb.values[:, columns]
+        run.compensated[paths.start : paths.stop] = pb.compensated[:, columns]
+        run.clamp_counts[paths.start : paths.stop] = pb.clamp_counts
+        if paths.start == 0:
+            run.path0[:] = pb.path0
+        if dump:
+            dump(pb, paths.start)
+    return batch.increments, None
+
+
+def _round(h, walk, parts: list[range], n_steps: int):
+    """Walk the first part of a chunk's rows here and every other part in a
+    forked child at once; feed the increments to h in row order and raise the
+    overflow of least (model index, step, path), as a walk of the whole chunk
+    in one process does. Kill and reap every child on the way out."""
+    children, first = [], parts[0].stop
+    buffer = _shared((parts[-1].stop - first) * n_steps).reshape(-1, n_steps)
+    try:
+        for paths in parts[1:]:
+            r, w = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork while numpy's idle BLAS threads exist. The
+                # child is safe: it runs only ufuncs, Philox and os.write, then os._exit.
+                warnings.filterwarnings("ignore", "This process .* fork", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child: walk its rows, report in plain values, exit
+                try:
+                    try:
+                        increments, report = walk(paths)
+                        buffer[paths.start - first : paths.stop - first] = increments
+                    except Exception as exc:  # short enough for one atomic pipe write
+                        report = (type(exc).__name__, str(exc)[:300])
+                    os.write(w, json.dumps(report or ()).encode())
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        increments, fault = walk(parts[0])
+        stochastic.hash_rows(h, increments)
+        del increments  # free this part before the children's rows are read
+        faults = [fault] if fault else []
+        for _, r in children:  # a child killed before it could report ran out of memory
+            report = json.loads(os.read(r, 4096) or b'["MemoryError"]')
+            if report and isinstance(report[0], str):
+                kind = {"MemoryError": MemoryError, "ValueError": ValueError}.get(report[0])
+                raise kind(*report[1:]) if kind else RuntimeError(": ".join(report))
+            faults += [tuple(report)] if report else []
+        if faults:
+            raise PathOverflowError(*min(faults)[1:])
+        stochastic.hash_rows(h, buffer)
+    finally:  # each child has reported, or this process leaves on an exception
+        for pid, r in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(r)
+            os.waitpid(pid, 0)
+
 
 def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump):
     """Walk the paths in chunks of rows, each filled once, hashed in row order
     and driving every model; return the increment checksum and one (spec,
-    path batch) per model, holding the checkpoints and T. With dump, chunks
-    keep every node and go to dump(path batch, first path). A repeated model
-    or a run whose kept state plus one chunk passes the cap is refused first."""
+    path batch) per model, holding the checkpoints and T. Each chunk is split
+    between this process and forked workers, one per usable CPU with at
+    least _WORKER_ROWS rows, which changes no output and no overflow raised.
+    With dump, chunks are walked here, keep every node and go to dump(path
+    batch, first path). A repeated model or a run whose kept state plus one
+    chunk passes the cap is refused first."""
     models = [(spec, parse_model(spec, params)) for spec in specs]
     if len({model.model_id for _, model in models}) < len(models):
         raise ValueError(f"the models {', '.join(specs)} name one model more than once")
@@ -270,26 +354,21 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump)
             f"{m_paths} paths of {n_steps} steps hold {held} values, "
             f"above the cap of {stochastic.MAX_STORED_INCREMENTS}"
         )
-    shape = (m_paths, len(nodes))
+    k = len(nodes)  # per model: k rows of values, k of compensated, 1 of clamp counts
+    blocks = _shared(held - rows * n_steps).reshape(len(models), 2 * k + 1, m_paths)
     runs = [(spec, solver.PathBatch(
-        model, grid, np.array(nodes), np.empty(shape, order="F"), np.empty(shape, order="F"),
-        np.empty(m_paths, dtype=np.int64), np.empty(n_steps + 1), settings["policy"],
-    )) for spec, model in models]
-    columns = nodes if dump else slice(None)
+        model, grid, np.array(nodes), block[:k].T, block[k:-1].T, block[-1].view(np.int64),
+        np.empty(n_steps + 1), settings["policy"],
+    )) for (spec, model), block in zip(models, blocks)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = (cpus or 1) if not dump and hasattr(os, "fork") else 1
+    walk = functools.partial(_walk_rows, settings, grid, runs, nodes, dump)
     h = stochastic.checksum_start(m_paths, n_steps)
     for start in range(0, m_paths, rows):
-        batch = sample_batch(settings["seed"], range(start, min(start + rows, m_paths)), grid)
-        stochastic.hash_rows(h, batch.increments)
-        for _, run in runs:
-            pb = simulate_batch(run.model, batch, settings["policy"], None if dump else nodes)
-            run.values[start : start + rows] = pb.values[:, columns]
-            run.compensated[start : start + rows] = pb.compensated[:, columns]
-            run.clamp_counts[start : start + rows] = pb.clamp_counts
-            if start == 0:
-                run.path0[:] = pb.path0
-            if dump:
-                dump(pb, start)
-        del batch, pb  # free the chunk before the next one is filled
+        stop = min(start + rows, m_paths)
+        n_parts = max(1, min(workers, (stop - start) // _WORKER_ROWS))
+        cuts = [start + (stop - start) * i // n_parts for i in range(n_parts + 1)]
+        _round(h, walk, [range(a, b) for a, b in zip(cuts, cuts[1:])], n_steps)
     return h.hexdigest(), runs
 
 

@@ -273,3 +273,66 @@ def test_overflow_names_the_path_in_a_time_major_batch(cir):
     with pytest.raises(PathOverflowError) as exc:
         simulate_batch(cir, BrownianBatch(5, grid, increments))
     assert (exc.value.path_index, exc.value.step_index) == (37, 4)
+
+
+def _euler_oracle(f, g, v0, grid, increments, policy, nodes):
+    """The Euler step as it was before the kernel dropped max(v, 0), checked
+    finiteness with reductions and skipped clamp-free steps."""
+    dt = grid.dt
+    m_paths, n_steps = increments.shape
+    values, compensated = (np.empty((m_paths, len(nodes)), order="F") for _ in range(2))
+    path0, clamps = np.empty(n_steps + 1), np.zeros(m_paths, dtype=np.int64)
+    v, compensator, k = np.full(m_paths, v0), 0.0, 0
+    for j in range(n_steps + 1):
+        if j:
+            vplus = np.maximum(v, 0.0)
+            fd = f(vplus) * dt
+            raw = v + fd + g(vplus) * increments[:, j - 1]
+            if not np.all(np.isfinite(raw)):
+                raise PathOverflowError(j, int(np.flatnonzero(~np.isfinite(raw))[0]))
+            clamps += raw < 0.0
+            v = np.maximum(raw, 0.0) if policy == "full-truncation" else np.abs(raw)
+            compensator = compensator + fd if j > 1 else fd
+        path0[j] = v[0]
+        if k < len(nodes) and nodes[k] == j:
+            values[:, k], compensated[:, k] = v, v - compensator
+            k += 1
+    return values, compensated, clamps, path0
+
+
+@pytest.mark.parametrize("policy", ["full-truncation", "reflection"])
+@pytest.mark.parametrize(
+    "spec, xi, v0",
+    [
+        ("cir", 1.0, 0.01),
+        ("gm:p1", 1.0, 0.01),
+        ("pkm:a=0,b=0.5", 1.5, 0.05),
+        ("pkm:a=1,b=1", 20.0, 0.2),
+    ],
+)
+def test_euler_kernel_equals_the_previous_step_bit_for_bit(spec, xi, v0, policy):
+    from varexp_cir.model import coefficients
+
+    grid = make_grid(0.5, 0.001)
+    batch = sample_batch(3, 300, grid)
+    model = parse_model(spec, ModelParams(2.0, 0.05, xi, v0))
+    nodes = np.array([0, 100, 250, 499, 500])
+    pb = simulate_batch(model, batch, policy, nodes)
+    expected = _euler_oracle(*coefficients(model), v0, grid, batch.increments, policy, nodes)
+    assert expected[2].sum() > 100  # a clamp-heavy configuration
+    for got, want in zip((pb.values, pb.compensated, pb.clamp_counts, pb.path0), expected):
+        assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_euler_kernel_overflows_where_the_previous_step_did():
+    from varexp_cir.model import coefficients
+
+    grid = make_grid(1.0, 0.01)
+    batch = sample_batch(10, 1000, grid)
+    model = parse_model("pkm:a=0,b=1.5", ModelParams(2.0, 0.05, 30.0, 30.0))
+    with pytest.raises(PathOverflowError) as want:
+        _euler_oracle(*coefficients(model), 30.0, grid, batch.increments, "full-truncation", [100])
+    with pytest.raises(PathOverflowError) as got:
+        simulate_batch(model, batch, "full-truncation", [100])
+    assert (got.value.path_index, got.value.step_index) == (want.value.path_index, 13) == (602, 13)
