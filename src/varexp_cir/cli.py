@@ -98,16 +98,15 @@ def json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [json_text(v, indent + 2) for v in obj]
-        if not items:
-            return "[]"
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
+        items, brackets = [json_text(v, indent + 2) for v in obj], "[]"
+    elif isinstance(obj, dict):
         items = [f'{json.dumps(str(k))}: {json_text(v, indent + 2)}' for k, v in obj.items()]
-        if not items:
-            return "{}"
-        return "{\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        brackets = "{}"
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(inner + it for it in items) + "\n" + pad + brackets[1]
 
 
 def atomic_write(path: FsPath, text):
@@ -252,8 +251,9 @@ def _versions() -> dict:
 #: run is one chunk; smaller chunks pay numpy's per-call overhead on every step.
 _CHUNK = 2**23
 
-#: Fewest rows of a chunk a worker process is given: fewer cost more to fork than they save.
-_WORKER_ROWS = 1024
+#: Fewest increments (rows x steps) in a worker's part. Split on 2 CPUs, parts of 2**18 lost
+#: time (one model, N = 1000), and every part from 2**20 on won (N = 10, 100 and 1000).
+_WORKER_INCREMENTS = 2**20
 
 
 def _shared(count: int) -> np.ndarray:
@@ -263,9 +263,8 @@ def _shared(count: int) -> np.ndarray:
 
 def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range):
     """Fill the increments of a range of paths and drive every model on them in
-    spec order, writing their rows of the kept arrays and path 0 and handing
-    each path batch to dump, if given. Return the increments and the first
-    overflow's (model index, step, path), or None."""
+    spec order into their rows of the kept arrays, path 0 and dump, if given.
+    Return the increments and the first overflow's (model, step, path) or None."""
     batch = sample_batch(settings["seed"], paths, grid)
     for i, (_, run) in enumerate(runs):
         try:
@@ -285,24 +284,35 @@ def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range):
 
 def _round(h, walk, parts: list[range], n_steps: int):
     """Walk the first part of a chunk's rows here and every other part in a
-    forked child at once; feed the increments to h in row order and raise the
-    overflow of least (model index, step, path), as a walk of the whole chunk
-    in one process does. Kill and reap every child on the way out."""
-    children, first = [], parts[0].stop
+    forked child at once, or here once a pipe or fork fails; feed the increments
+    to h in row order and raise the overflow of least (model index, step, path),
+    as a one-process walk does. Kill and reap every child on the way out."""
+    children, rest, first = [], [], parts[0].stop
     buffer = _shared((parts[-1].stop - first) * n_steps).reshape(-1, n_steps)
+
+    def keep(paths):  # walk a later part into the buffer; return its overflow
+        increments, fault = walk(paths)
+        buffer[paths.start - first : paths.stop - first] = increments
+        return fault
+
     try:
-        for paths in parts[1:]:
-            r, w = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12+ warns on fork while numpy's idle BLAS threads exist. The
-                # child is safe: it runs only ufuncs, Philox and os.write, then os._exit.
-                warnings.filterwarnings("ignore", "This process .* fork", DeprecationWarning)
-                pid = os.fork()
+        for n, paths in enumerate(parts[1:], 1):
+            fds = ()
+            try:
+                fds = r, w = os.pipe()
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on fork while numpy's idle BLAS threads exist. The
+                    # child is safe: it runs only ufuncs, Philox and os.write, then os._exit.
+                    warnings.filterwarnings("ignore", "This process .* fork", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no process or descriptor to spare (EAGAIN, ENOMEM, EMFILE)
+                list(map(os.close, fds))
+                rest = parts[n:]
+                break
             if pid == 0:  # the child: walk its rows, report in plain values, exit
                 try:
                     try:
-                        increments, report = walk(paths)
-                        buffer[paths.start - first : paths.stop - first] = increments
+                        report = keep(paths)
                     except Exception as exc:  # short enough for one atomic pipe write
                         report = (type(exc).__name__, str(exc)[:300])
                     os.write(w, json.dumps(report or ()).encode())
@@ -312,16 +322,16 @@ def _round(h, walk, parts: list[range], n_steps: int):
             children.append((pid, r))
         increments, fault = walk(parts[0])
         stochastic.hash_rows(h, increments)
-        del increments  # free this part before the children's rows are read
-        faults = [fault] if fault else []
+        del increments  # free this part before the later parts' rows are read
+        faults = [fault, *map(keep, rest)]
         for _, r in children:  # a child killed before it could report ran out of memory
             report = json.loads(os.read(r, 4096) or b'["MemoryError"]')
             if report and isinstance(report[0], str):
                 kind = {"MemoryError": MemoryError, "ValueError": ValueError}.get(report[0])
                 raise kind(*report[1:]) if kind else RuntimeError(": ".join(report))
-            faults += [tuple(report)] if report else []
-        if faults:
-            raise PathOverflowError(*min(faults)[1:])
+            faults.append(tuple(report))
+        if any(faults):
+            raise PathOverflowError(*min(f for f in faults if f)[1:])
         stochastic.hash_rows(h, buffer)
     finally:  # each child has reported, or this process leaves on an exception
         for pid, r in children:
@@ -333,12 +343,11 @@ def _round(h, walk, parts: list[range], n_steps: int):
 def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump):
     """Walk the paths in chunks of rows, each filled once, hashed in row order
     and driving every model; return the increment checksum and one (spec,
-    path batch) per model, holding the checkpoints and T. Each chunk is split
-    between this process and forked workers, one per usable CPU with at
-    least _WORKER_ROWS rows, which changes no output and no overflow raised.
-    With dump, chunks are walked here, keep every node and go to dump(path
-    batch, first path). A repeated model or a run whose kept state plus one
-    chunk passes the cap is refused first."""
+    path batch) per model, holding the checkpoints and T. A chunk is split
+    between this process and forked workers, one per CPU in its affinity set,
+    each part of _WORKER_INCREMENTS or more; no output changes. With dump, it
+    is walked here, keeps every node and goes to dump(path batch, first path).
+    A repeated model, or a run that would hold more than the cap, is refused first."""
     models = [(spec, parse_model(spec, params)) for spec in specs]
     if len({model.model_id for _, model in models}) < len(models):
         raise ValueError(f"the models {', '.join(specs)} name one model more than once")
@@ -348,25 +357,27 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump)
     checkpoints = settings["checkpoints"] or analysis.default_checkpoints(grid)
     nodes = sorted({grid.index_of(t) for t in checkpoints} | {n_steps})
     rows = min(max(1, _CHUNK // n_steps), m_paths)
-    held = m_paths * len(models) * (2 * len(nodes) + 1) + rows * n_steps
-    if held > stochastic.MAX_STORED_INCREMENTS:
-        raise ValueError(
-            f"{m_paths} paths of {n_steps} steps hold {held} values, "
-            f"above the cap of {stochastic.MAX_STORED_INCREMENTS}"
-        )
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    least = max(1, _WORKER_INCREMENTS // n_steps)  # rows in a worker's part
+    workers = 1 if dump or not hasattr(os, "fork") else max(1, min(cpus or 1, rows // least))
     k = len(nodes)  # per model: k rows of values, k of compensated, 1 of clamp counts
-    blocks = _shared(held - rows * n_steps).reshape(len(models), 2 * k + 1, m_paths)
+    kept = m_paths * len(models) * (2 * k + 1)
+    held = kept + (2 * rows - rows // workers) * n_steps  # a round's parts and shared buffer
+    if held > (cap := stochastic.MAX_STORED_INCREMENTS):  # walked in one process, it may fit
+        workers, held = 1, kept + rows * n_steps
+    if held > cap:
+        raise ValueError(f"{m_paths} paths of {n_steps} steps hold {held} values, "
+                         f"above the cap of {cap}")
+    blocks = _shared(kept).reshape(len(models), 2 * k + 1, m_paths)
     runs = [(spec, solver.PathBatch(
         model, grid, np.array(nodes), block[:k].T, block[k:-1].T, block[-1].view(np.int64),
         np.empty(n_steps + 1), settings["policy"],
     )) for (spec, model), block in zip(models, blocks)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = (cpus or 1) if not dump and hasattr(os, "fork") else 1
     walk = functools.partial(_walk_rows, settings, grid, runs, nodes, dump)
     h = stochastic.checksum_start(m_paths, n_steps)
     for start in range(0, m_paths, rows):
         stop = min(start + rows, m_paths)
-        n_parts = max(1, min(workers, (stop - start) // _WORKER_ROWS))
+        n_parts = max(1, min(workers, (stop - start) // least))
         cuts = [start + (stop - start) * i // n_parts for i in range(n_parts + 1)]
         _round(h, walk, [range(a, b) for a, b in zip(cuts, cuts[1:])], n_steps)
     return h.hexdigest(), runs
@@ -415,10 +426,7 @@ def _model_outputs(settings: dict, checksum: str, pb, dump_paths: bool):
         "grid": {"T": grid.horizon, "dt": grid.dt, "n_steps": grid.n_steps},
         "m_paths": pb.m_paths,
         "increment_checksum": checksum,
-        "clamp": {
-            "clamped_steps": int(pb.clamp_counts.sum()),
-            "fraction": pb.clamp_fraction,
-        },
+        "clamp": {"clamped_steps": int(pb.clamp_counts.sum()), "fraction": pb.clamp_fraction},
         "moments": [r.to_dict() for r in check_moment_bounds(pb, settings["orders"], checkpoints)],
         "martingale": martingale_report(pb, checkpoints).to_dict(),
         "terminal_histogram": hist.to_dict(),
@@ -444,8 +452,7 @@ def _figures(out: FsPath, times, runs) -> list[str]:
     for spec, _, path0, hist in runs[1:]:
         exponent_name = spec[len("gm:"):]
         slug = exponent_name.replace(":", "_")
-        path_name = f"fig_{slug}_path.svg"
-        hist_name = f"fig_{slug}_hist.svg"
+        path_name, hist_name = f"fig_{slug}_path.svg", f"fig_{slug}_hist.svg"
         path_svg = svg_line_plot(
             [("cir", times, cir_path), (f"gm {exponent_name}", times, path0)],
             title=f"Sample path (path 0): cir vs gm {exponent_name}",
@@ -688,17 +695,12 @@ def run(argv) -> int:
     payload, ok, summary = result
     _say(json_text(payload), sys.stdout)
     _say(summary, sys.stderr)
-    if ok is None:
-        return EXIT_NUMERIC
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_NUMERIC if ok is None else EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _say(text: str, stream):
-    """Print one line; a reader that has closed the stream is not an error.
-
-    The stream's file descriptor is then pointed at the null device, so
-    the flush at interpreter exit does not fail on it again.
-    """
+    """Print one line; a reader that has closed the stream is not an error. The
+    stream's descriptor then points at the null device, so the flush at exit passes."""
     try:
         print(text, file=stream)
         stream.flush()

@@ -90,13 +90,13 @@ def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy, node
 
     v[j+1] = v[j] + f(v[j]) dt + g(v[j]) dW[j]. A positivity policy clamps
     (full truncation) or reflects the stored value, so the coefficients see
-    max(v, 0) = v (v0 > 0, the clamp gives +0.0); a step whose least value
-    is positive skips it; ``policy=None`` applies none. Every path advances
-    in the same elementwise arithmetic (numpy ufuncs are lane-consistent),
-    so a row's values do not depend on the other rows of its batch. Each
-    step's f(v) dt is summed in place into the martingale compensator.
-    Returns, time-major at the grid indices in nodes (increasing), the state
-    and the state minus the compensator, then clamp counts and row 0.
+    max(v, 0) = v (v0 > 0, the clamp is idempotent); ``policy=None``
+    applies none. Every path advances in the same elementwise arithmetic
+    (numpy ufuncs are lane-consistent), so a row's values do not depend on
+    the other rows of its batch. Each step's f(v) dt is also summed, in
+    step order, into the martingale compensator. Returns, time-major at
+    the grid indices in nodes (increasing), the state and the state minus
+    the compensator, then the clamp counts and row 0 at every node.
     """
     if increments.ndim != 2 or increments.shape[1] != grid.n_steps or not len(increments):
         raise ValueError("increments must have shape (m_paths, grid.n_steps), m_paths >= 1")
@@ -107,20 +107,17 @@ def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy, node
     v, compensator, k = np.full(m_paths, v0), 0.0, 0
     for j in range(n_steps + 1):
         if j:
-            fd = f(v)
-            fd *= dt
-            raw = v + fd
-            raw += g(v) * increments[:, j - 1]
-            lo, hi = np.minimum.reduce(raw), np.maximum.reduce(raw)  # NaN propagates
-            if not (math.isfinite(lo) and math.isfinite(hi)):
+            fd = f(v) * dt
+            raw = v + fd + g(v) * increments[:, j - 1]
+            if not np.all(np.isfinite(raw)):
                 path_idx = int(np.flatnonzero(~np.isfinite(raw))[0])
                 raise PathOverflowError(step_index=j, path_index=path_idx)
-            if policy is None or lo > 0.0:
+            if policy is None:
                 v = raw
             else:
                 clamps += raw < 0.0
                 v = np.maximum(raw, 0.0) if policy == "full-truncation" else np.abs(raw)
-            compensator = np.add(compensator, fd, out=compensator) if j > 1 else fd
+            compensator = compensator + fd if j > 1 else fd
         path0[j] = v[0]
         if k < len(nodes) and nodes[k] == j:
             values[:, k], compensated[:, k] = v, v - compensator

@@ -442,10 +442,25 @@ def _workers(monkeypatch, workers):
     import varexp_cir.cli as cli
 
     forks, real_fork = [], os.fork
-    monkeypatch.setattr(cli, "_WORKER_ROWS", 1)
+    monkeypatch.setattr(cli, "_WORKER_INCREMENTS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     return forks
+
+
+def _split_outputs(capsys, out):
+    """compare's files, manifest (its output directory left out) and stdout,
+    then the stdouts of moments and martingale, on 200 paths of 100 steps."""
+    run = ["--paths", "200", "--T", "0.1"]
+    code, stdout, err = _run(capsys, "compare", *run, "--out", str(out))
+    assert code == 0, err
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["config"]["out"]
+    stdouts = [stdout.replace(str(out), "<out>")]
+    for cmd in ("moments", "martingale"):
+        stdouts.append(_run(capsys, cmd, "--model", "gm:p2", *run)[1])
+    return files, manifest, stdouts
 
 
 def test_every_worker_count_gives_the_same_bytes(capsys, tmp_path, monkeypatch):
@@ -454,25 +469,68 @@ def test_every_worker_count_gives_the_same_bytes(capsys, tmp_path, monkeypatch):
     def outputs(workers, rows):
         monkeypatch.setattr(cli, "_CHUNK", rows * 100)
         forks = _workers(monkeypatch, workers)
-        run = ["--paths", "200", "--T", "0.1"]
-        out = tmp_path / f"w{workers}r{rows}"
-        code, stdout, err = _run(capsys, "compare", *run, "--out", str(out))
-        assert code == 0, err
+        result = _split_outputs(capsys, tmp_path / f"w{workers}r{rows}")
         rounds = [min(rows, 200 - start) for start in range(0, 200, rows)]
-        assert len(forks) == sum(min(workers, n) - 1 for n in rounds)
-        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
-        manifest = json.loads((out / "manifest.json").read_text())
-        del manifest["config"]["out"]
-        stdouts = [stdout.replace(str(out), "<out>")]
-        for cmd in ("moments", "martingale"):
-            stdouts.append(_run(capsys, cmd, "--model", "gm:p2", *run)[1])
-        return files, manifest, stdouts
+        assert len(forks) == 3 * sum(min(workers, n) - 1 for n in rounds)
+        return result
 
     expected = outputs(1, 200)
     assert len(expected[0]) == 18 and all(expected[2])
     for workers in (1, 2, 3):
         for rows in (1, 33, 200):
             assert outputs(workers, rows) == expected, (workers, rows)
+
+
+def test_a_split_past_the_cap_is_walked_in_one_process(capsys, tmp_path, monkeypatch):
+    # 49 paths of 100 steps hold 1764 kept values and a 4900-value chunk; split
+    # in three, a round also holds its later parts in a shared buffer, 3300
+    # values more. Past the cap, that run is walked in one process, so
+    # whether a run is refused does not depend on the CPU count
+    import varexp_cir.stochastic as stochastic
+
+    forks = _workers(monkeypatch, 3)
+    for cap, expected_forks, expected_code in ((9964, 2, 0), (9963, 0, 0), (6663, 0, 2)):
+        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", cap)
+        forks.clear()
+        code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--no-svg",
+                            "--out", str(tmp_path / str(cap)))
+        assert (code, len(forks)) == (expected_code, expected_forks), err
+    assert "above the cap of 6663" in err
+
+
+@pytest.mark.parametrize("failing", ["pipe", "fork", "every-second-fork"])
+def test_a_failing_fork_walks_the_rest_here(capsys, tmp_path, monkeypatch, failing):
+    # out of processes (EAGAIN) or memory (ENOMEM) to fork, or of descriptors
+    # for the pipe (EMFILE): the parts left are walked in this process, in
+    # row order, with the same bytes as a one-process walk and no pipe left open
+    import errno
+
+    import varexp_cir.cli as cli
+
+    expected = _split_outputs(capsys, tmp_path / "one")
+    monkeypatch.setattr(cli, "_CHUNK", 33 * 100)
+    _workers(monkeypatch, 3)
+    real_pipe, real_fork, pipes, forks = os.pipe, os.fork, [], []
+
+    def pipe():
+        if failing == "pipe":
+            raise OSError(errno.EMFILE, "Too many open files")
+        pipes.extend(real_pipe())
+        return tuple(pipes[-2:])
+
+    def fork():
+        forks.append(1)
+        if failing == "fork" or len(forks) % 2 == 0:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    assert _split_outputs(capsys, tmp_path / "split") == expected
+    assert len(pipes) == 2 * len(forks) and bool(forks) == (failing != "pipe")
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -276,8 +276,8 @@ def test_overflow_names_the_path_in_a_time_major_batch(cir):
 
 
 def _euler_oracle(f, g, v0, grid, increments, policy, nodes):
-    """The Euler step as it was before the kernel dropped max(v, 0), checked
-    finiteness with reductions and skipped clamp-free steps."""
+    """The Euler step as it was before the kernel dropped max(v, 0): the
+    coefficients saw the clamped copy of the (never negative) state."""
     dt = grid.dt
     m_paths, n_steps = increments.shape
     values, compensated = (np.empty((m_paths, len(nodes)), order="F") for _ in range(2))
