@@ -105,23 +105,26 @@ def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy, node
     values, compensated = (np.empty((m_paths, len(nodes)), order="F") for _ in range(2))
     path0, clamps = np.empty(n_steps + 1), np.zeros(m_paths, dtype=np.int64)
     v, compensator, k = np.full(m_paths, v0), 0.0, 0
-    for j in range(n_steps + 1):
-        if j:
-            fd = f(v) * dt
-            raw = v + fd + g(v) * increments[:, j - 1]
-            if not np.all(np.isfinite(raw)):
-                path_idx = int(np.flatnonzero(~np.isfinite(raw))[0])
-                raise PathOverflowError(step_index=j, path_index=path_idx)
-            if policy is None:
-                v = raw
-            else:
-                clamps += raw < 0.0
-                v = np.maximum(raw, 0.0) if policy == "full-truncation" else np.abs(raw)
-            compensator = compensator + fd if j > 1 else fd
-        path0[j] = v[0]
-        if k < len(nodes) and nodes[k] == j:
-            values[:, k], compensated[:, k] = v, v - compensator
-            k += 1
+    # The isfinite check reports an overflow, so numpy's warning is silenced: printed
+    # once per process, it would make stderr depend on how many workers walked the run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_steps + 1):
+            if j:
+                fd = f(v) * dt
+                raw = v + fd + g(v) * increments[:, j - 1]
+                if not np.all(np.isfinite(raw)):
+                    path_idx = int(np.flatnonzero(~np.isfinite(raw))[0])
+                    raise PathOverflowError(step_index=j, path_index=path_idx)
+                if policy is None:
+                    v = raw
+                else:
+                    clamps += raw < 0.0
+                    v = np.maximum(raw, 0.0) if policy == "full-truncation" else np.abs(raw)
+                compensator = compensator + fd if j > 1 else fd
+            path0[j] = v[0]
+            if k < len(nodes) and nodes[k] == j:
+                values[:, k], compensated[:, k] = v, v - compensator
+                k += 1
     return values, compensated, clamps, path0
 
 
@@ -141,7 +144,10 @@ def simulate_batch(
     if policy not in POLICIES:
         raise ValueError(f"unknown positivity policy {policy!r}; expected one of {POLICIES}")
     n_steps = batch.grid.n_steps
-    nodes = np.arange(n_steps + 1) if nodes is None else np.unique(np.asarray(nodes, dtype=int))
+    # sorted(set()), not np.unique, which loads numpy.ma on its first call
+    nodes = np.arange(n_steps + 1) if nodes is None else np.array(
+        sorted(set(np.asarray(nodes, dtype=int).flat)), dtype=int
+    )
     if nodes.size == 0 or nodes[0] < 0 or nodes[-1] > n_steps:
         raise ValueError(f"nodes must be a nonempty set of grid indices in [0, {n_steps}]")
     values, compensated, clamps, path0 = _euler(

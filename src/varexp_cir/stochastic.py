@@ -16,16 +16,25 @@ filled a block of paths at a time: each path's raw words come from the
 one generator re-keyed to (seed, path_index), and the block is mapped
 to normals in one vectorized pass. Row j is still a function of
 (seed, j) alone, equal bit for bit to path_increments(seed, j, grid).
+
+The inverse CDF is scipy's compiled ``ndtri`` ufunc, loaded from its
+extension module ``scipy.special._ufuncs`` without running the
+``scipy.special`` package's own import, which spends about 0.3 s loading
+its array-API layer (``numpy.testing``, ``numpy.f2py``). It is the very
+object ``scipy.special.ndtri`` names; see _load_ndtri.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import math
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.random  # noqa: F401  else loaded on first use, in the walk, once per worker
 
 __all__ = ["BrownianBatch", "TimeGrid", "make_grid", "path_increments", "sample_batch"]
 
@@ -39,6 +48,34 @@ MAX_STORED_INCREMENTS = 10**9
 # 64-bit words is 256 KB, small enough that its buffers stay in cache and
 # no path-sized temporary is built.
 _BLOCK = 32
+
+
+def _load_ndtri():
+    """scipy's ndtri ufunc. While scipy.special._ufuncs loads, a bare module
+    holding only the package's path stands in for scipy.special, so its
+    __init__ does not run; the stand-in is then dropped, and a later import
+    of scipy.special runs the real package, which finds the same _ufuncs.
+    If scipy.special is loaded already, or that load fails, import it."""
+    if "scipy.special" not in sys.modules:
+        try:
+            import scipy
+
+            stand_in = types.ModuleType("scipy.special")
+            stand_in.__path__ = [scipy.__path__[0] + "/special"]
+            sys.modules["scipy.special"] = stand_in
+            try:
+                return importlib.import_module("scipy.special._ufuncs").ndtri
+            finally:
+                if sys.modules.get("scipy.special") is stand_in:
+                    del sys.modules["scipy.special"]
+        except Exception:  # scipy's private layout moved: the public import still works
+            pass
+    from scipy.special import ndtri
+
+    return ndtri
+
+
+ndtri = _load_ndtri()
 
 
 @dataclass(frozen=True)
@@ -87,9 +124,10 @@ def path_increments(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
 
     The raw 64-bit Philox stream keyed by (seed, path_index) is mapped
     to uniforms u = ((r >> 11) + 0.5) * 2**-53 in (0, 1) and through the
-    inverse normal CDF (scipy.special.ndtri, Cephes; peak relative error
+    inverse normal CDF: scipy's ndtri ufunc (Cephes; peak relative error
     about 1e-15 in the central region, so increments are reproducible
-    across platforms to that precision at worst).
+    across platforms to that precision at worst), taken from
+    scipy.special._ufuncs by _load_ndtri, the object scipy.special.ndtri is.
     """
     seed = _check_seed(seed)
     if path_index < 0:

@@ -443,6 +443,7 @@ def _workers(monkeypatch, workers):
 
     forks, real_fork = [], os.fork
     monkeypatch.setattr(cli, "_WORKER_INCREMENTS", 1)
+    monkeypatch.setattr(cli, "_CPU_MAX", os.devnull)  # no cgroup quota caps the split
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     return forks
@@ -533,7 +534,6 @@ def test_a_failing_fork_walks_the_rest_here(capsys, tmp_path, monkeypatch, faili
             os.fstat(fd)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
     "seed, config, rows, message",
@@ -564,6 +564,56 @@ def test_overflow_names_the_run_path_at_every_split(
     )
     assert code == 3
     assert err == f"numeric failure: non-finite state produced at {message}\n"
+
+
+def test_stderr_before_an_overflow_exit_is_the_same_at_every_worker_count(tmp_path):
+    # numpy's overflow warning was printed once by every process whose rows
+    # overflowed; the kernel's own finiteness check is the one report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi": 100, "v0": 100}))
+    argv = ["simulate", "--model", "pkm:a=0,b=1.5", "--paths", "40000", "--T", "1",
+            "--dt", "0.01", "--seed", "7", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    script = (  # a fresh process prints warnings as a user sees them, its workers' too
+        "import sys, pytest\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from test_cli import _workers\n"
+        "from varexp_cir.cli import run\n"
+        "forks = _workers(pytest.MonkeyPatch(), int(sys.argv[1]))\n"
+        "code = run(sys.argv[2:])\n"
+        "print(len(forks))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(varexp_cir.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    errs = []
+    for workers in (1, 2, 3):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(workers), *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (3, f"{workers - 1}\n"), proc.stderr
+        errs.append(proc.stderr)
+    assert "RuntimeWarning" not in errs[0]
+    assert errs == ["numeric failure: non-finite state produced at path 732, step 11\n"] * 3
+
+
+@pytest.mark.parametrize(
+    "text, cap",
+    [("max 100000\n", None), ("150000 100000\n", 2), ("50000 100000\n", 1), ("no quota", None)],
+)
+def test_a_cgroup_cpu_quota_caps_the_workers(capsys, tmp_path, monkeypatch, text, cap):
+    import varexp_cir.cli as cli
+
+    forks = _workers(monkeypatch, 3)
+    cpu_max = tmp_path / "cpu.max"
+    cpu_max.write_text(text)
+    monkeypatch.setattr(cli, "_CPU_MAX", str(cpu_max))
+    assert cli._cpu_quota() == cap
+    code, _, err = _run(capsys, "compare", "--paths", "30", "--T", "0.1", "--no-svg",
+                        "--out", str(tmp_path / "o"))
+    assert (code, len(forks)) == (0, min(3, cap or 3) - 1), err
+    monkeypatch.setattr(cli, "_CPU_MAX", str(tmp_path / "absent"))
+    assert cli._cpu_quota() is None
 
 
 @pytest.mark.parametrize("failure", ["memory-error", "killed", "parent-fails-first"])

@@ -71,7 +71,6 @@ def test_reflection_policy(gm_p1):
         one_path(gm_p1, grid, np.array([0.0, 0.0]), policy="clip")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_raises_with_step_index(params):
     model = gm_model(
         ModelParams(kappa=1e150, theta=1e150, xi=0.3, v0=0.05), make_builtin("p1")
@@ -263,7 +262,6 @@ def test_batch_paths_are_time_major_and_layout_free(gm_p1, small_batch):
     assert np.array_equal(pb_c.clamp_counts, pb.clamp_counts)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_names_the_path_in_a_time_major_batch(cir):
     grid = make_grid(0.01, 0.001)
     batch = sample_batch(5, 40, grid)

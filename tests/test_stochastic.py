@@ -1,9 +1,16 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import varexp_cir
+from varexp_cir import stochastic
 from varexp_cir.stochastic import BrownianBatch, make_grid, path_increments, sample_batch
 
 
@@ -110,3 +117,92 @@ def test_checksum_copies_no_matrix(grid):
     finally:
         tracemalloc.stop()
     assert peak < batch.increments.nbytes / 4
+
+
+def _uniforms(seed: int, paths: int, n_steps: int) -> np.ndarray:
+    """The uniforms path_increments feeds to ndtri, for paths 0..paths-1."""
+    raw = np.stack([
+        np.random.Philox(key=np.array([seed, j], dtype=np.uint64)).random_raw(n_steps)
+        for j in range(paths)
+    ])
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _same_bits(ndtri, u: np.ndarray) -> bool:
+    import scipy.special
+
+    return np.array_equal(ndtri(u).view(np.uint64), scipy.special.ndtri(u).view(np.uint64))
+
+
+def test_loaded_ndtri_is_scipys_bit_for_bit():
+    import scipy.special
+
+    extremes = np.array([2.0**-54, 1.0 - 2.0**-53, 0.5])
+    u = np.concatenate([_uniforms(42, 64, 1000).ravel(), extremes])
+    assert stochastic.ndtri is scipy.special.ndtri
+    assert _same_bits(stochastic.ndtri, u)
+    assert stochastic.ndtri(0.5) == 0.0 and np.all(np.isfinite(stochastic.ndtri(extremes)))
+
+
+def test_ndtri_loader_falls_back_to_the_package_import(monkeypatch):
+    import importlib
+
+    import scipy.special
+
+    tried = []
+
+    def refuse(name, *args):
+        tried.append(name)
+        raise ImportError(f"no narrow import of {name}")
+
+    u = _uniforms(42, 4, 1000).ravel()
+    monkeypatch.setattr(importlib, "import_module", refuse)
+    # scipy.special already loaded: the narrow import is not tried
+    assert stochastic._load_ndtri() is scipy.special.ndtri and tried == []
+    # not loaded, and the narrow import fails: the package is imported, no stand-in is left
+    monkeypatch.delitem(sys.modules, "scipy.special")
+    ndtri = stochastic._load_ndtri()
+    assert tried == ["scipy.special._ufuncs"]
+    assert _same_bits(ndtri, u)
+    assert hasattr(sys.modules["scipy.special"], "erf")
+
+
+def _fresh_import(code: str):
+    """Run code in a fresh interpreter that has this checkout's package on its
+    path; return the one JSON value it prints."""
+    src = str(Path(varexp_cir.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_later_scipy_special_import_is_the_full_package():
+    seen = _fresh_import(
+        "import json, sys\n"
+        "from varexp_cir import stochastic\n"
+        "import scipy.special\n"
+        "print(json.dumps({'same': scipy.special.ndtri is stochastic.ndtri,\n"
+        "                  'erf': hasattr(scipy.special, 'erf'),\n"
+        "                  'ufuncs': hasattr(scipy.special, '_ufuncs')}))\n"
+    )
+    assert seen == {"same": True, "erf": True, "ufuncs": True}
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # the narrow load leans on scipy's private layout (the ndtri ufunc lives in
+    # scipy.special._ufuncs); this pins that it still holds at the version CI installs
+    import scipy
+
+    if scipy.__version__ != "1.17.1":  # the pin in .github/constraints.txt
+        pytest.skip(f"the module layout is pinned for scipy 1.17.1, not {scipy.__version__}")
+    heavy = ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+    loaded = _fresh_import(
+        "import json, sys\n"
+        "import varexp_cir.cli\n"
+        f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))\n"
+    )
+    assert loaded == []
