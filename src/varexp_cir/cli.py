@@ -256,21 +256,6 @@ _CHUNK = 2**23
 _WORKER_INCREMENTS = 2**20
 
 
-#: cgroup v2's CPU limit of this container: "<quota> <period>" in microseconds, or "max <period>".
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-
-
-def _cpu_quota() -> int | None:
-    """The CPUs a cgroup v2 quota allows, rounded up; None if there is no quota,
-    or no cpu.max holding a positive quota and period."""
-    try:
-        with open(_CPU_MAX) as fh:
-            quota, period = map(int, fh.read().split())
-    except (OSError, ValueError):  # absent, unreadable, "max" or not two integers
-        return None
-    return math.ceil(quota / period) if quota > 0 and period > 0 else None
-
-
 def _shared(count: int) -> np.ndarray:
     """count float64 zeros in an anonymous mapping, which forked children share."""
     return np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=np.float64)[:count]
@@ -359,10 +344,9 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump)
     """Walk the paths in chunks of rows, each filled once, hashed in row order
     and driving every model; return the increment checksum and one (spec,
     path batch) per model, holding the checkpoints and T. A chunk is split
-    between this process and forked workers, one per CPU in its affinity set
-    and at most the cgroup's CPU quota, each part of _WORKER_INCREMENTS or
-    more; no output changes. With dump, it is walked here, keeps every node
-    and goes to dump(path batch, first path).
+    between this process and forked workers, one per CPU in its affinity set,
+    each part of _WORKER_INCREMENTS or more; no output changes. With dump, it
+    is walked here, keeps every node and goes to dump(path batch, first path).
     A repeated model, or a run that would hold more than the cap, is refused first."""
     models = [(spec, parse_model(spec, params)) for spec in specs]
     if len({model.model_id for _, model in models}) < len(models):
@@ -373,10 +357,9 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump)
     checkpoints = settings["checkpoints"] or analysis.default_checkpoints(grid)
     nodes = sorted({grid.index_of(t) for t in checkpoints} | {n_steps})
     rows = min(max(1, _CHUNK // n_steps), m_paths)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    cpus = min(cpus, _cpu_quota() or cpus)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     least = max(1, _WORKER_INCREMENTS // n_steps)  # rows in a worker's part
-    workers = 1 if dump or not hasattr(os, "fork") else max(1, min(cpus, rows // least))
+    workers = 1 if dump or not hasattr(os, "fork") else max(1, min(cpus or 1, rows // least))
     k = len(nodes)  # per model: k rows of values, k of compensated, 1 of clamp counts
     kept = m_paths * len(models) * (2 * k + 1)
     held = kept + (2 * rows - rows // workers) * n_steps  # a round's parts and shared buffer

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import importlib.machinery
 import math
 import sys
 import types
@@ -55,21 +56,37 @@ def _load_ndtri():
     holding only the package's path stands in for scipy.special, so its
     __init__ does not run; the stand-in is then dropped, and a later import
     of scipy.special runs the real package, which finds the same _ufuncs.
+    As in a real import of scipy.special, its module lock is held and the
+    stand-in is marked as loading meanwhile: another thread importing
+    scipy.special waits, then gets the package, and a thread left holding
+    the stand-in reads its names from the package.
     If scipy.special is loaded already, or that load fails, import it."""
-    if "scipy.special" not in sys.modules:
-        try:
-            import scipy
+    try:
+        import scipy
 
-            stand_in = types.ModuleType("scipy.special")
-            stand_in.__path__ = [scipy.__path__[0] + "/special"]
-            sys.modules["scipy.special"] = stand_in
-            try:
-                return importlib.import_module("scipy.special._ufuncs").ndtri
-            finally:
-                if sys.modules.get("scipy.special") is stand_in:
-                    del sys.modules["scipy.special"]
-        except Exception:  # scipy's private layout moved: the public import still works
-            pass
+        with importlib._bootstrap._ModuleLockManager("scipy.special"):
+            if "scipy.special" not in sys.modules:
+                stand_in = types.ModuleType("scipy.special")
+                stand_in.__path__ = [scipy.__path__[0] + "/special"]
+                spec = importlib.machinery.ModuleSpec("scipy.special", None, is_package=True)
+                spec._initializing = True  # as the import system marks a module mid-import
+                stand_in.__spec__ = spec
+
+                def forward(name):
+                    package = importlib.import_module("scipy.special")
+                    if package is stand_in:  # this thread, still loading _ufuncs
+                        raise AttributeError(name)
+                    return getattr(package, name)
+
+                stand_in.__getattr__ = forward
+                sys.modules["scipy.special"] = stand_in
+                try:
+                    return importlib.import_module("scipy.special._ufuncs").ndtri
+                finally:
+                    if sys.modules.get("scipy.special") is stand_in:
+                        del sys.modules["scipy.special"]
+    except Exception:  # scipy's or importlib's private layout moved: the public import still works
+        pass
     from scipy.special import ndtri
 
     return ndtri

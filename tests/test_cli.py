@@ -443,7 +443,6 @@ def _workers(monkeypatch, workers):
 
     forks, real_fork = [], os.fork
     monkeypatch.setattr(cli, "_WORKER_INCREMENTS", 1)
-    monkeypatch.setattr(cli, "_CPU_MAX", os.devnull)  # no cgroup quota caps the split
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     return forks
@@ -595,25 +594,6 @@ def test_stderr_before_an_overflow_exit_is_the_same_at_every_worker_count(tmp_pa
         errs.append(proc.stderr)
     assert "RuntimeWarning" not in errs[0]
     assert errs == ["numeric failure: non-finite state produced at path 732, step 11\n"] * 3
-
-
-@pytest.mark.parametrize(
-    "text, cap",
-    [("max 100000\n", None), ("150000 100000\n", 2), ("50000 100000\n", 1), ("no quota", None)],
-)
-def test_a_cgroup_cpu_quota_caps_the_workers(capsys, tmp_path, monkeypatch, text, cap):
-    import varexp_cir.cli as cli
-
-    forks = _workers(monkeypatch, 3)
-    cpu_max = tmp_path / "cpu.max"
-    cpu_max.write_text(text)
-    monkeypatch.setattr(cli, "_CPU_MAX", str(cpu_max))
-    assert cli._cpu_quota() == cap
-    code, _, err = _run(capsys, "compare", "--paths", "30", "--T", "0.1", "--no-svg",
-                        "--out", str(tmp_path / "o"))
-    assert (code, len(forks)) == (0, min(3, cap or 3) - 1), err
-    monkeypatch.setattr(cli, "_CPU_MAX", str(tmp_path / "absent"))
-    assert cli._cpu_quota() is None
 
 
 @pytest.mark.parametrize("failure", ["memory-error", "killed", "parent-fails-first"])

@@ -144,27 +144,14 @@ def test_loaded_ndtri_is_scipys_bit_for_bit():
     assert stochastic.ndtri(0.5) == 0.0 and np.all(np.isfinite(stochastic.ndtri(extremes)))
 
 
-def test_ndtri_loader_falls_back_to_the_package_import(monkeypatch):
+def test_ndtri_loader_takes_the_loaded_package_as_it_is(monkeypatch):
     import importlib
 
     import scipy.special
 
     tried = []
-
-    def refuse(name, *args):
-        tried.append(name)
-        raise ImportError(f"no narrow import of {name}")
-
-    u = _uniforms(42, 4, 1000).ravel()
-    monkeypatch.setattr(importlib, "import_module", refuse)
-    # scipy.special already loaded: the narrow import is not tried
+    monkeypatch.setattr(importlib, "import_module", lambda name, *args: tried.append(name))
     assert stochastic._load_ndtri() is scipy.special.ndtri and tried == []
-    # not loaded, and the narrow import fails: the package is imported, no stand-in is left
-    monkeypatch.delitem(sys.modules, "scipy.special")
-    ndtri = stochastic._load_ndtri()
-    assert tried == ["scipy.special._ufuncs"]
-    assert _same_bits(ndtri, u)
-    assert hasattr(sys.modules["scipy.special"], "erf")
 
 
 def _fresh_import(code: str):
@@ -206,3 +193,60 @@ def test_importing_the_cli_leaves_scipy_special_unloaded():
         f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))\n"
     )
     assert loaded == []
+
+
+def test_ndtri_loader_falls_back_to_the_package_import():
+    # scipy.special not loaded and the narrow import failing: the package is
+    # imported, and no stand-in is left behind
+    seen = _fresh_import(
+        "import importlib, json, sys\n"
+        "import numpy as np\n"
+        "tried, real = [], importlib.import_module\n"
+        "def narrow_fails(name, *args):\n"
+        "    if name == 'scipy.special._ufuncs':\n"
+        "        tried.append(name)\n"
+        "        raise ImportError(name)\n"
+        "    return real(name, *args)\n"
+        "importlib.import_module = narrow_fails\n"
+        "from varexp_cir import stochastic\n"
+        "import scipy.special\n"
+        "u = np.array([2.0**-54, 0.25, 0.5, 1.0 - 2.0**-53])\n"
+        "print(json.dumps({'tried': tried,\n"
+        "                  'same': stochastic.ndtri is scipy.special.ndtri,\n"
+        "                  'bits': stochastic.ndtri(u).view(np.uint64).tolist()\n"
+        "                          == scipy.special.ndtri(u).view(np.uint64).tolist(),\n"
+        "                  'erf': hasattr(sys.modules['scipy.special'], 'erf')}))\n"
+    )
+    assert seen == {"tried": ["scipy.special._ufuncs"], "same": True, "bits": True, "erf": True}
+
+
+def test_a_thread_importing_scipy_special_meanwhile_gets_the_package():
+    # a second thread imports scipy.special while the stand-in is in place: it
+    # waits on scipy.special's module lock and still gets the package's names
+    seen = _fresh_import(
+        "import json, sys, threading, time\n"
+        "seen, started = {}, threading.Event()\n"
+        "def other():\n"
+        "    started.set()\n"
+        "    held = sys.modules.get('scipy.special')\n"
+        "    seen['stand_in'] = held is not None and 'erf' not in vars(held)\n"
+        "    try:\n"
+        "        from scipy.special import erf\n"
+        "        seen['erf'] = erf is sys.modules['scipy.special'].erf\n"
+        "    except ImportError as exc:\n"
+        "        seen['erf'] = repr(exc)\n"
+        "thread = threading.Thread(target=other)\n"
+        "class StartOther:  # starts the thread while scipy.special._ufuncs is found\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy.special._ufuncs' and not started.is_set():\n"
+        "            thread.start()\n"
+        "            started.wait()\n"
+        "            time.sleep(0.5)\n"
+        "sys.meta_path.insert(0, StartOther())\n"
+        "from varexp_cir import stochastic\n"
+        "thread.join()\n"
+        "import scipy.special\n"
+        "seen['same'] = stochastic.ndtri is scipy.special.ndtri\n"
+        "print(json.dumps(seen))\n"
+    )
+    assert seen == {"stand_in": True, "erf": True, "same": True}
