@@ -111,7 +111,8 @@ def json_text(obj, indent: int = 0) -> str:
 
 def atomic_write(path: FsPath, text):
     """Write text, a string or an iterable of string chunks, to a temporary
-    file beside path and move it into place."""
+    file beside path, making its directory if need be, and move it into place."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     try:
         with open(tmp, "w") as fh:
@@ -122,28 +123,12 @@ def atomic_write(path: FsPath, text):
     os.replace(tmp, path)
 
 
-#: Rows formatted per chunk of write_csv; a path CSV chunk is about 50 KB of text.
-_CSV_CHUNK_ROWS = 1024
-
-
-def _csv_chunks(header: list[str], rows):
-    yield ",".join(header) + "\n"
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
-        yield "".join(
-            ",".join(
-                format(v, ".17g") if isinstance(v, (float, np.floating)) else str(v)
-                for v in row
-            )
-            + "\n"
-            for row in chunk
-        )
-
-
 def write_csv(path: FsPath, header: list[str], rows):
-    """Write a CSV atomically, formatting and writing the rows in fixed
-    chunks so the file's text is never held whole."""
-    atomic_write(path, _csv_chunks(header, rows))
+    """Write a CSV atomically, formatting one row at a time through a
+    generator, so the file's text is never held whole."""
+    lines = (",".join(format(v, ".17g") if isinstance(v, (float, np.floating)) else str(v)
+                      for v in row) + "\n" for row in rows)
+    atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +248,7 @@ def _shared(count: int) -> np.ndarray:
 
 def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range):
     """Fill the increments of a range of paths and drive every model on them in
-    spec order into their rows of the kept arrays, path 0 and dump, if given.
+    spec order into their rows of the kept arrays, path 0 and dump (every node).
     Return the increments and the first overflow's (model, step, path) or None."""
     batch = sample_batch(settings["seed"], paths, grid)
     for i, (_, run) in enumerate(runs):
@@ -279,6 +264,7 @@ def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range):
             run.path0[:] = pb.path0
         if dump:
             dump(pb, paths.start)
+        del pb  # a round holds one model's arrays at a time, as the size cap counts
     return batch.increments, None
 
 
@@ -288,6 +274,7 @@ def _round(h, walk, parts: list[range], n_steps: int):
     to h in row order and raise the overflow of least (model index, step, path),
     as a one-process walk does. Kill and reap every child on the way out."""
     children, rest, first = [], [], parts[0].stop
+    carried = (OSError, ValueError, MemoryError)  # a worker's failure keeps the class run() reads
     buffer = _shared((parts[-1].stop - first) * n_steps).reshape(-1, n_steps)
 
     def keep(paths):  # walk a later part into the buffer; return its overflow
@@ -301,8 +288,8 @@ def _round(h, walk, parts: list[range], n_steps: int):
             try:
                 fds = r, w = os.pipe()
                 with warnings.catch_warnings():
-                    # Python 3.12+ warns on fork while numpy's idle BLAS threads exist. The
-                    # child is safe: it runs only ufuncs, Philox and os.write, then os._exit.
+                    # Python 3.12+ warns on fork while numpy's idle BLAS threads exist. The child
+                    # is safe: it runs only ufuncs, Philox and file writes, then os._exit.
                     warnings.filterwarnings("ignore", "This process .* fork", DeprecationWarning)
                     pid = os.fork()
             except OSError:  # no process or descriptor to spare (EAGAIN, ENOMEM, EMFILE)
@@ -314,7 +301,8 @@ def _round(h, walk, parts: list[range], n_steps: int):
                     try:
                         report = keep(paths)
                     except Exception as exc:  # short enough for one atomic pipe write
-                        report = (type(exc).__name__, str(exc)[:300])
+                        kind = next((k for k in carried if isinstance(exc, k)), type(exc))
+                        report = (kind.__name__, str(exc)[:300])
                     os.write(w, json.dumps(report or ()).encode())
                 finally:
                     os._exit(0)
@@ -327,7 +315,7 @@ def _round(h, walk, parts: list[range], n_steps: int):
         for _, r in children:  # a child killed before it could report ran out of memory
             report = json.loads(os.read(r, 4096) or b'["MemoryError"]')
             if report and isinstance(report[0], str):
-                kind = {"MemoryError": MemoryError, "ValueError": ValueError}.get(report[0])
+                kind = {k.__name__: k for k in carried}.get(report[0])
                 raise kind(*report[1:]) if kind else RuntimeError(": ".join(report))
             faults.append(tuple(report))
         if any(faults):
@@ -345,8 +333,8 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump)
     and driving every model; return the increment checksum and one (spec,
     path batch) per model, holding the checkpoints and T. A chunk is split
     between this process and forked workers, one per CPU in its affinity set,
-    each part of _WORKER_INCREMENTS or more; no output changes. With dump, it
-    is walked here, keeps every node and goes to dump(path batch, first path).
+    each part of _WORKER_INCREMENTS or more; no output changes. With dump, a part
+    keeps every node for dump(path batch, first path), in the process walking it.
     A repeated model, or a run that would hold more than the cap, is refused first."""
     models = [(spec, parse_model(spec, params)) for spec in specs]
     if len({model.model_id for _, model in models}) < len(models):
@@ -359,12 +347,14 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump)
     rows = min(max(1, _CHUNK // n_steps), m_paths)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     least = max(1, _WORKER_INCREMENTS // n_steps)  # rows in a worker's part
-    workers = 1 if dump or not hasattr(os, "fork") else max(1, min(cpus or 1, rows // least))
+    workers = 1 if not hasattr(os, "fork") else max(1, min(cpus or 1, rows // least))
     k = len(nodes)  # per model: k rows of values, k of compensated, 1 of clamp counts
     kept = m_paths * len(models) * (2 * k + 1)
-    held = kept + (2 * rows - rows // workers) * n_steps  # a round's parts and shared buffer
+    # a round's increments and, with dump, one model's values and compensated at every node
+    walked = rows * (n_steps + (2 * n_steps + 2 if dump else 0))
+    held = kept + walked + (rows - rows // workers) * n_steps  # and the later parts' buffer
     if held > (cap := stochastic.MAX_STORED_INCREMENTS):  # walked in one process, it may fit
-        workers, held = 1, kept + rows * n_steps
+        workers, held = 1, kept + walked
     if held > cap:
         raise ValueError(f"{m_paths} paths of {n_steps} steps hold {held} values, "
                          f"above the cap of {cap}")
@@ -383,39 +373,34 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump)
     return h.hexdigest(), runs
 
 
-class _PathDump:
-    """--dump-paths: every path at every node, appended a chunk at a time to a
-    temporary file per model, moved into place (or removed) as the with block ends."""
-
-    def __init__(self, out: FsPath, grid):
-        self.out, self.files = out, {}
-        self.times = [format(t, ".17g") for t in grid.times.tolist()]
-
-    def __call__(self, pb, first_path: int):
-        path = self.out / f"{pb.model.model_id}_path.csv"
-        if path not in self.files:
-            self.out.mkdir(parents=True, exist_ok=True)
-            self.files[path] = open(path.with_name(path.name + f".tmp-{os.getpid()}"), "w")
-            self.files[path].write("t,path_id,v\n")
-        for i in range(pb.m_paths):
-            row = zip(self.times, pb.values[i].tolist())
-            self.files[path].write("".join([f"{t},{first_path + i},{v:.17g}\n" for t, v in row]))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *_):
-        for path, fh in self.files.items():
-            fh.close()
-            if exc_type is None:
-                os.replace(fh.name, path)
-            else:
-                os.unlink(fh.name)
+def _path_rows(grid, first_path: int, values):
+    """The path CSV's lines t,path_id,v of each row of values, numbered from
+    first_path, at every node of the grid: one string per path."""
+    template = "".join(f"{t:.17g},%d,%.17g\n" for t in grid.times.tolist())
+    args = [0, 0.0] * (grid.n_steps + 1)
+    for i, row in enumerate(values, first_path):
+        args[::2], args[1::2] = [i] * (grid.n_steps + 1), row.tolist()
+        yield template % tuple(args)
 
 
-def _model_outputs(settings: dict, checksum: str, pb, dump_paths: bool):
-    """Write summary JSON, path CSV (unless dumped) and histogram CSV for the
-    model of one path batch; return the summary, the histogram and the file names."""
+def _dump(out: FsPath, tag: str, pb, first_path: int):
+    """--dump-paths, in the process that walked the part: its paths at every
+    node, to a segment of the model's path CSV whose name order is row order."""
+    segment = out / f"{pb.model.model_id}_path.csv{tag}{first_path:020d}"
+    atomic_write(segment, _path_rows(pb.grid, first_path, pb.values))
+
+
+def _joined(segments):
+    """The segments' text in order, each deleted once it has been read."""
+    for segment in segments:
+        with open(segment) as fh:
+            yield from iter(functools.partial(fh.read, 2**20), "")
+        segment.unlink()
+
+
+def _model_outputs(settings: dict, checksum: str, pb, path_rows):
+    """Write summary JSON, path CSV (path_rows behind the header) and histogram CSV
+    for the model of one path batch; return the summary, histogram and file names."""
     grid, mid = pb.grid, pb.model.model_id
     checkpoints = settings["checkpoints"]
     hist = terminal_histogram(pb, grid.horizon, settings["bins"])
@@ -434,9 +419,7 @@ def _model_outputs(settings: dict, checksum: str, pb, dump_paths: bool):
     files = [f"{mid}_summary.json", f"{mid}_path.csv", f"{mid}_hist.csv"]
     out = settings["out"]
     atomic_write(out / files[0], json_text(summary) + "\n")
-    if not dump_paths:
-        rows = zip(grid.times, itertools.repeat(0), pb.path0)
-        write_csv(out / files[1], ["t", "path_id", "v"], rows)
+    atomic_write(out / files[1], itertools.chain(["t,path_id,v\n"], path_rows))
     hist_rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities)
     write_csv(out / files[2], ["bin_left", "bin_right", "count", "density"], hist_rows)
     return summary, hist, files
@@ -478,14 +461,19 @@ def _write_runs(ns, specs: list[str], figures: bool):
     settings, params, grid = _run_config(ns)
     out = settings["out"]
     dump_paths = getattr(ns, "dump_paths", False)
-    with _PathDump(out, grid) as dump:
-        checksum, runs = _simulate(settings, params, grid, specs, dump if dump_paths else None)
-    out.mkdir(parents=True, exist_ok=True)
+    tag = f".part-{os.getpid()}-"  # a segment is {path CSV}{tag}{first path}
+    dump = functools.partial(_dump, out, tag) if dump_paths else None
     results, outputs = [], []
-    for spec, pb in runs:
-        summary, hist, files = _model_outputs(settings, checksum, pb, dump_paths)
-        results.append((spec, summary, pb.path0, hist))
-        outputs.extend(files)
+    try:
+        checksum, runs = _simulate(settings, params, grid, specs, dump)
+        for spec, pb in runs:
+            rows = (_joined(sorted(out.glob(f"{pb.model.model_id}_path.csv{tag}*"))) if dump
+                    else _path_rows(grid, 0, pb.path0[None]))
+            summary, hist, files = _model_outputs(settings, checksum, pb, rows)
+            results.append((spec, summary, pb.path0, hist))
+            outputs.extend(files)
+    finally:  # every segment of this run, and any temporary file a killed worker left
+        list(map(FsPath.unlink, out.glob(f"*{tag}*")))
     if figures:
         outputs.extend(_figures(out, grid.times, results))
     manifest = {

@@ -50,6 +50,10 @@ MAX_STORED_INCREMENTS = 10**9
 # no path-sized temporary is built.
 _BLOCK = 32
 
+# The largest 53-bit word mapped to a uniform: 2**53 - 1 would give
+# (2**53 - 0.5) * 2**-53, which rounds to 1.0, where ndtri is inf.
+_TOP = np.uint64(2**53 - 2)
+
 
 def _load_ndtri():
     """scipy's ndtri ufunc. While scipy.special._ufuncs loads, a bare module
@@ -140,7 +144,8 @@ def path_increments(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
     """Increments of one path, Normal(0, dt), from substream (seed, path_index).
 
     The raw 64-bit Philox stream keyed by (seed, path_index) is mapped
-    to uniforms u = ((r >> 11) + 0.5) * 2**-53 in (0, 1) and through the
+    to uniforms u = ((r >> 11) + 0.5) * 2**-53 in (0, 1), with r >> 11 capped
+    at 2**53 - 2 so that u < 1 (a 2**-53 chance per draw), and through the
     inverse normal CDF: scipy's ndtri ufunc (Cephes; peak relative error
     about 1e-15 in the central region, so increments are reproducible
     across platforms to that precision at worst), taken from
@@ -151,7 +156,7 @@ def path_increments(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
         raise ValueError("path_index must be nonnegative")
     key = np.array([seed, path_index], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(grid.n_steps)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = (np.minimum(raw >> np.uint64(11), _TOP).astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u) * math.sqrt(grid.dt)
 
 
@@ -218,8 +223,9 @@ def sample_batch(seed: int, m_paths, grid: TimeGrid) -> BrownianBatch:
             key[1] = j
             bitgen.state = state
             r[i] = bitgen.random_raw(n_steps)
-        # ((r >> 11) + 0.5) * 2**-53, then ndtri, then sqrt(dt), as in path_increments
+        # ((r >> 11 capped) + 0.5) * 2**-53, then ndtri, then sqrt(dt), as in path_increments
         np.right_shift(r, np.uint64(11), out=r)
+        np.minimum(r, _TOP, out=r)
         z[...] = r
         z += 0.5
         z *= 2.0**-53

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -27,6 +29,14 @@ def _run(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cli(*argv):
+    """run(argv) with its stdout and stderr caught: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_json_text_formatting():
@@ -401,40 +411,6 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
     assert code == 0
 
 
-def _walk(capsys, tmp_path, monkeypatch, rows):
-    """Outputs of compare --dump-paths, moments and martingale on 200 paths of
-    100 steps, walked in chunks of ``rows`` paths: compare's files and
-    manifest (its output directory left out), then the two stdouts."""
-    import varexp_cir.cli as cli
-
-    monkeypatch.setattr(cli, "_CHUNK", rows * 100)
-    filled = []
-    real_sample_batch = cli.sample_batch
-
-    def counted(seed, paths, grid):
-        filled.append(len(paths))
-        return real_sample_batch(seed, paths, grid)
-
-    monkeypatch.setattr(cli, "sample_batch", counted)
-    run = ["--paths", "200", "--T", "0.1"]
-    out = tmp_path / f"rows{rows}"
-    code, _, err = _run(capsys, "compare", *run, "--dump-paths", "--out", str(out))
-    assert code == 0, err
-    assert filled == [rows] * (200 // rows) + [200 % rows] * (200 % rows > 0)
-    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
-    manifest = json.loads((out / "manifest.json").read_text())
-    del manifest["config"]["out"]
-    stdouts = [_run(capsys, cmd, "--model", "gm:p2", *run)[1] for cmd in ("moments", "martingale")]
-    return files, manifest, stdouts
-
-
-def test_every_chunk_size_gives_the_same_bytes(capsys, tmp_path, monkeypatch):
-    files, manifest, stdouts = _walk(capsys, tmp_path, monkeypatch, 200)  # one chunk
-    assert len(files) == 18 and all(stdouts)
-    for rows in (1, 31, 32, 33, 64):
-        assert _walk(capsys, tmp_path, monkeypatch, rows) == (files, manifest, stdouts), rows
-
-
 def _workers(monkeypatch, workers):
     """Let the walk split a chunk into up to ``workers`` parts of one row or
     more, whatever this machine's CPU count; return the list each fork
@@ -448,37 +424,70 @@ def _workers(monkeypatch, workers):
     return forks
 
 
-def _split_outputs(capsys, out):
+def _split_outputs(out):
     """compare's files, manifest (its output directory left out) and stdout,
-    then the stdouts of moments and martingale, on 200 paths of 100 steps."""
+    without and then with --dump-paths, then the stdouts of moments and
+    martingale, on 200 paths of 100 steps."""
     run = ["--paths", "200", "--T", "0.1"]
-    code, stdout, err = _run(capsys, "compare", *run, "--out", str(out))
-    assert code == 0, err
-    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
-    manifest = json.loads((out / "manifest.json").read_text())
-    del manifest["config"]["out"]
-    stdouts = [stdout.replace(str(out), "<out>")]
+    outputs = []
+    for dump in ([], ["--dump-paths"]):
+        d = out / ("dump" if dump else "kept")
+        code, stdout, err = _cli("compare", *run, *dump, "--out", str(d))
+        assert code == 0, err
+        files = {p.name: p.read_bytes() for p in d.iterdir() if p.name != "manifest.json"}
+        manifest = json.loads((d / "manifest.json").read_text())
+        del manifest["config"]["out"]
+        outputs += [files, manifest, stdout.replace(str(d), "<out>")]
     for cmd in ("moments", "martingale"):
-        stdouts.append(_run(capsys, cmd, "--model", "gm:p2", *run)[1])
-    return files, manifest, stdouts
+        outputs.append(_cli(cmd, "--model", "gm:p2", *run)[1])
+    return outputs
 
 
-def test_every_worker_count_gives_the_same_bytes(capsys, tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def one_process(tmp_path_factory):
+    """_split_outputs of a walk in one chunk and one process: the reference
+    every chunked or split walk is held to, computed once for this module."""
     import varexp_cir.cli as cli
 
-    def outputs(workers, rows):
-        monkeypatch.setattr(cli, "_CHUNK", rows * 100)
-        forks = _workers(monkeypatch, workers)
-        result = _split_outputs(capsys, tmp_path / f"w{workers}r{rows}")
-        rounds = [min(rows, 200 - start) for start in range(0, 200, rows)]
-        assert len(forks) == 3 * sum(min(workers, n) - 1 for n in rounds)
-        return result
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "_CHUNK", 200 * 100)
+        forks = _workers(monkeypatch, 1)
+        outputs = _split_outputs(tmp_path_factory.mktemp("one"))
+    assert not forks
+    assert len(outputs[0]) == len(outputs[3]) == 18 and all(outputs[i] for i in (2, 5, 6, 7))
+    return outputs
 
-    expected = outputs(1, 200)
-    assert len(expected[0]) == 18 and all(expected[2])
+
+def test_every_chunk_size_gives_the_same_bytes(tmp_path, monkeypatch, one_process):
+    import varexp_cir.cli as cli
+
+    filled, real_sample_batch = [], cli.sample_batch
+
+    def counted(seed, paths, grid):
+        filled.append(len(paths))
+        return real_sample_batch(seed, paths, grid)
+
+    monkeypatch.setattr(cli, "sample_batch", counted)
+    for rows in (1, 31, 32, 33, 64):
+        monkeypatch.setattr(cli, "_CHUNK", rows * 100)
+        filled.clear()
+        assert _split_outputs(tmp_path / f"rows{rows}") == one_process, rows
+        # each of the four commands fills every chunk once
+        assert filled == ([rows] * (200 // rows) + [200 % rows] * (200 % rows > 0)) * 4
+
+
+def test_every_worker_count_gives_the_same_bytes(tmp_path, monkeypatch, one_process):
+    import varexp_cir.cli as cli
+
     for workers in (1, 2, 3):
         for rows in (1, 33, 200):
-            assert outputs(workers, rows) == expected, (workers, rows)
+            monkeypatch.setattr(cli, "_CHUNK", rows * 100)
+            forks = _workers(monkeypatch, workers)
+            assert _split_outputs(tmp_path / f"w{workers}r{rows}") == one_process, (workers, rows)
+            # each of the four commands, the dump among them, forks in every split round
+            rounds = [min(rows, 200 - start) for start in range(0, 200, rows)]
+            assert len(forks) == 4 * sum(min(workers, n) - 1 for n in rounds)
+            assert bool(forks) == (workers > 1 and rows > 1)
 
 
 def test_a_split_past_the_cap_is_walked_in_one_process(capsys, tmp_path, monkeypatch):
@@ -498,8 +507,28 @@ def test_a_split_past_the_cap_is_walked_in_one_process(capsys, tmp_path, monkeyp
     assert "above the cap of 6663" in err
 
 
+def test_a_dump_round_counts_every_node_against_the_cap(capsys, tmp_path, monkeypatch):
+    # a dump round's parts also hold one model's values and compensated at all
+    # 101 nodes: 49 paths add 2 x 49 x 101 = 9898 values to the 1764 kept and
+    # the 4900-value chunk, 16562 in one process; split in three, the shared
+    # buffer of the later parts adds 3300, 19862
+    import varexp_cir.stochastic as stochastic
+
+    forks = _workers(monkeypatch, 3)
+    for cap, expected_forks, expected_code in (
+        (19862, 2, 0), (19861, 0, 0), (16562, 0, 0), (16561, 0, 2),
+    ):
+        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", cap)
+        forks.clear()
+        out = tmp_path / str(cap)
+        code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--no-svg",
+                            "--dump-paths", "--out", str(out))
+        assert (code, len(forks)) == (expected_code, expected_forks), err
+    assert "above the cap of 16561" in err and not out.exists()
+
+
 @pytest.mark.parametrize("failing", ["pipe", "fork", "every-second-fork"])
-def test_a_failing_fork_walks_the_rest_here(capsys, tmp_path, monkeypatch, failing):
+def test_a_failing_fork_walks_the_rest_here(tmp_path, monkeypatch, failing, one_process):
     # out of processes (EAGAIN) or memory (ENOMEM) to fork, or of descriptors
     # for the pipe (EMFILE): the parts left are walked in this process, in
     # row order, with the same bytes as a one-process walk and no pipe left open
@@ -507,7 +536,6 @@ def test_a_failing_fork_walks_the_rest_here(capsys, tmp_path, monkeypatch, faili
 
     import varexp_cir.cli as cli
 
-    expected = _split_outputs(capsys, tmp_path / "one")
     monkeypatch.setattr(cli, "_CHUNK", 33 * 100)
     _workers(monkeypatch, 3)
     real_pipe, real_fork, pipes, forks = os.pipe, os.fork, [], []
@@ -526,7 +554,7 @@ def test_a_failing_fork_walks_the_rest_here(capsys, tmp_path, monkeypatch, faili
 
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", fork)
-    assert _split_outputs(capsys, tmp_path / "split") == expected
+    assert _split_outputs(tmp_path / "split") == one_process
     assert len(pipes) == 2 * len(forks) and bool(forks) == (failing != "pipe")
     for fd in pipes:
         with pytest.raises(OSError):
@@ -596,15 +624,23 @@ def test_stderr_before_an_overflow_exit_is_the_same_at_every_worker_count(tmp_pa
     assert errs == ["numeric failure: non-finite state produced at path 732, step 11\n"] * 3
 
 
-@pytest.mark.parametrize("failure", ["memory-error", "killed", "parent-fails-first"])
+@pytest.mark.parametrize(
+    "failure",
+    [
+        "memory-error", "killed", "parent-fails-first",
+        # a worker fails writing its first dump segment, after a path of it
+        "dump-memory-error", "dump-killed", "dump-no-space", "dump-permission",
+    ],
+)
 def test_failing_worker_exits_two_and_leaves_nothing_behind(capsys, tmp_path, monkeypatch, failure):
+    import errno
     import signal
     import time
 
     import varexp_cir.cli as cli
 
     _workers(monkeypatch, 2)
-    real_sample_batch = cli.sample_batch
+    real_sample_batch, real_atomic_write, parent = cli.sample_batch, cli.atomic_write, os.getpid()
 
     def failing(seed, paths, grid):
         in_child = paths.start > 0
@@ -619,18 +655,68 @@ def test_failing_worker_exits_two_and_leaves_nothing_behind(capsys, tmp_path, mo
                 raise MemoryError
         return real_sample_batch(seed, paths, grid)
 
+    def failing_write(path, text):
+        def rows():
+            yield next(iter(text))
+            if failure == "dump-memory-error":
+                raise MemoryError
+            if failure == "dump-killed":
+                os.kill(os.getpid(), signal.SIGKILL)  # its temporary file is left
+            if failure == "dump-permission":  # a subclass of OSError
+                raise PermissionError(errno.EACCES, "Permission denied")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_atomic_write(path, text if os.getpid() == parent else rows())
+
     monkeypatch.setattr(cli, "sample_batch", failing)
+    monkeypatch.setattr(cli, "atomic_write", failing_write)
+    dump = failure.startswith("dump")
     out = tmp_path / "oom"
     started = time.monotonic()
     code, stdout, err = _run(capsys, "compare", "--paths", "200", "--T", "0.1", "--no-svg",
-                             "--out", str(out))
+                             *["--dump-paths"] * dump, "--out", str(out))
     assert time.monotonic() - started < 30
     assert code == 2
-    assert err.startswith("error: not enough memory")
+    if failure == "dump-no-space":  # as a walk in one process reports it
+        assert err == "error: [Errno 28] No space left on device\n"
+    elif failure == "dump-permission":
+        assert err == "error: [Errno 13] Permission denied\n"
+    else:
+        assert err.startswith("error: not enough memory")
     assert "Traceback" not in err and stdout == ""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every worker was reaped
-    assert not out.exists() and not list(tmp_path.rglob("*.tmp-*"))
+    # no output, segment or temporary file; a dump made the directory
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()] and (dump or not out.exists())
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "seed, config, rows, message",
+    [
+        # in one chunk, three parts: the first dumps its rows, the others overflow
+        (7, {"xi": 100, "v0": 100}, 1000, "path 732, step 11"),
+        # six chunks of 100 paths are dumped before path 602's overflows
+        (10, {"xi": 30, "v0": 30}, 100, "path 602, step 13"),
+    ],
+)
+def test_an_overflowing_dump_exits_three_and_leaves_nothing_behind(
+    capsys, tmp_path, monkeypatch, workers, seed, config, rows, message
+):
+    import varexp_cir.cli as cli
+
+    monkeypatch.setattr(cli, "_CHUNK", rows * 100)
+    _workers(monkeypatch, workers)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, stdout, err = _run(
+        capsys, "simulate", "--model", "pkm:a=0,b=1.5", "--paths", "1000", "--T", "1",
+        "--dt", "0.01", "--seed", str(seed), "--config", str(cfg), "--out", str(tmp_path / "o"),
+        "--dump-paths",
+    )
+    assert (code, stdout) == (3, "")
+    assert err == f"numeric failure: non-finite state produced at {message}\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
 
 def test_cli_walk_equals_the_library_on_a_full_batch(capsys, tmp_path):
@@ -750,7 +836,7 @@ def test_write_csv_streams_rows(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]  # no temporary left
 
     def failing_rows():
-        yield from [(0.0, 0, 0.05)] * 3000  # past the first chunk
+        yield from [(0.0, 0, 0.05)] * 3000  # some rows reach the file first
         raise RuntimeError("row source failed")
 
     with pytest.raises(RuntimeError):

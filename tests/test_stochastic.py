@@ -85,6 +85,24 @@ def test_increments_are_read_only(small_batch):
         small_batch.increments[0, 0] = 1.0
 
 
+def test_the_largest_raw_words_map_below_one(monkeypatch):
+    # both words shift to 2**53 - 1, and (2**53 - 1 + 0.5) * 2**-53 rounds to
+    # 1.0, where ndtri is inf: a bogus overflow once in 2**53 draws
+    class AllOnes(np.random.Philox):
+        def random_raw(self, size=None, output=True):
+            return np.resize(np.array([2**64 - 1, 2**64 - 2**11], dtype=np.uint64), size)
+
+    seen, real_ndtri = [], stochastic.ndtri
+    monkeypatch.setattr(np.random, "Philox", AllOnes)
+    monkeypatch.setattr(stochastic, "ndtri", lambda u, **kw: seen.append(u.copy()) or real_ndtri(u, **kw))
+    grid = make_grid(1.0, 0.01)
+    rows = [sample_batch(42, 33, grid).increments, path_increments(42, 5, grid)]
+    assert len(seen) == 3  # two blocks of the batch, then the one path
+    assert all(np.all(u == 1.0 - 2.0**-52) for u in seen)
+    assert all(np.all(np.isfinite(r)) for r in rows)
+    assert np.array_equal(rows[0][5], rows[1])
+
+
 @pytest.mark.parametrize("m_paths", [1, 31, 32, 33, 97])
 def test_batch_rows_equal_path_increments_across_block_edges(m_paths):
     grid = make_grid(1.0, 0.01)
