@@ -571,7 +571,10 @@ def cmd_picard_verify(ns):
     row = path_increments(settings["seed"], 0, grid)
     report = picard_solve(tp, model, grid, row, tol=ns.tol, k_max=ns.kmax)
     if not report.converged:
-        return report.to_dict(), None, f"picard-verify: no convergence within {ns.kmax} iterations"
+        overflowed = report.sup_diffs[-1] == math.inf
+        failure = (f"iterate {report.iterations_used} overflowed" if overflowed
+                   else f"no convergence within {ns.kmax} iterations")
+        return report.to_dict(), None, f"picard-verify: {failure}"
     euler = euler_maruyama_truncated(tp, model, grid, row[None])[0]
     sup_diff = float(np.max(np.abs(report.fixed_point - euler)))
     ok = sup_diff <= ns.tol
@@ -666,7 +669,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         result = ns.func(ns)
-    except PathOverflowError as exc:
+    except ArithmeticError as exc:  # a path's overflow, or a parameter's square past a double
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

@@ -245,20 +245,22 @@ def picard_solve(
     v = np.full(grid.n_steps + 1, v0)
     sup_diffs = []
     converged = False
-    for _ in range(k_max):
-        left = v[:-1]
-        steps = f_n(left) * dt + g_n(left) * row
-        v_next = np.concatenate(([v0], v0 + np.cumsum(steps)))
-        if not np.all(np.isfinite(v_next)):
-            # blown-up iterate: report the partial history, do not crash
-            sup_diffs.append(math.inf)
-            break
-        d = float(np.max(np.abs(v_next - v)))
-        sup_diffs.append(d)
-        v = v_next
-        if d <= tol:
-            converged = True
-            break
+    # The isfinite check reports a blown-up iterate, so numpy's warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k_max):
+            left = v[:-1]
+            steps = f_n(left) * dt + g_n(left) * row
+            v_next = np.concatenate(([v0], v0 + np.cumsum(steps)))
+            if not np.all(np.isfinite(v_next)):
+                # blown-up iterate: report the partial history, do not crash
+                sup_diffs.append(math.inf)
+                break
+            d = float(np.max(np.abs(v_next - v)))
+            sup_diffs.append(d)
+            v = v_next
+            if d <= tol:
+                converged = True
+                break
 
     diffs = np.asarray(sup_diffs)
     return PicardReport(

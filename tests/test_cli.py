@@ -267,9 +267,9 @@ def test_config_file_with_flag_override(capsys, tmp_path):
 
 
 HUGE_N = "1" + "0" * 200  # a 201-digit band index
+SQUARE_OVERFLOW = "numeric failure: (34, 'Numerical result out of range')\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, config, expected",
     [
@@ -288,6 +288,27 @@ HUGE_N = "1" + "0" * 200  # a 201-digit band index
         pytest.param(
             ["simulate", "--model", "cir", "--paths", "8", "--T", "0.01"], {"xi": 1e300}, 3,
             id="huge-xi-overflow",
+        ),
+        # a parameter whose square overflows a double
+        pytest.param(["feller"], {"xi": 1.4e154}, (3, SQUARE_OVERFLOW), id="feller-xi-squared"),
+        pytest.param(
+            ["lipschitz", "--model", "cir"], {"xi": 1.4e154}, (3, SQUARE_OVERFLOW),
+            id="lipschitz-xi-squared",
+        ),
+        pytest.param(
+            ["lipschitz"], {"kappa": 1e200}, (3, SQUARE_OVERFLOW), id="lipschitz-kappa-squared",
+        ),
+        pytest.param(
+            ["moments", "--paths", "2", "--T", "0.001", "--model", "cir"], {"xi": 1.4e154},
+            (3, SQUARE_OVERFLOW), id="moments-xi-squared",
+        ),
+        pytest.param(
+            ["simulate", "--paths", "2", "--T", "0.001", "--model", "cir"], {"xi": 1.4e154},
+            (3, SQUARE_OVERFLOW), id="simulate-xi-squared",
+        ),
+        pytest.param(
+            ["picard-verify", "--T", "0.01"], {"xi": 1e308},
+            (3, "picard-verify: iterate 2 overflowed\n"), id="picard-iterate-overflow",
         ),
         pytest.param(["simulate", "--seed", "-1", "--paths", "4"], None, 2, id="negative-seed"),
         pytest.param(["simulate", "--seed", str(2**64), "--paths", "4"], None, 2, id="seed-64-bit"),
@@ -324,8 +345,11 @@ def test_hostile_input_exit_codes(capsys, tmp_path, argv, config, expected):
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
     code, _, err = _run(capsys, *argv)
+    expected, expected_err = expected if isinstance(expected, tuple) else (expected, None)
     assert code == expected
     assert "Traceback" not in err
+    if expected_err is not None:  # the one line, with no numpy warning before it
+        assert err == expected_err
     if config is not None and expected == 2:
         assert f"config key {next(iter(config))!r}" in err  # the refusal names its source
 
@@ -458,36 +482,74 @@ def one_process(tmp_path_factory):
     return outputs
 
 
-def test_every_chunk_size_gives_the_same_bytes(tmp_path, monkeypatch, one_process):
+#: (workers, rows per chunk, failing call): each split configuration walked once
+SPLITS = [
+    *(pytest.param(1, rows, None, id=f"1-worker-{rows}-rows") for rows in (31, 32, 33, 64)),
+    # a 1-row chunk cannot be split, so no fork may happen
+    pytest.param(3, 1, None, id="3-workers-1-row"),
+    *(
+        pytest.param(workers, rows, None, id=f"{workers}-workers-{rows}-rows")
+        for workers in (2, 3) for rows in (33, 200)
+    ),
+    # out of descriptors for the pipe (EMFILE) or of processes (EAGAIN) or
+    # memory (ENOMEM) to fork: the parts left are walked in this process
+    *(
+        pytest.param(3, 33, failing, id=f"failing-{failing}")
+        for failing in ("pipe", "fork", "every-second-fork")
+    ),
+]
+
+
+@pytest.mark.parametrize("workers, rows, failing", SPLITS)
+def test_every_split_gives_the_same_bytes(
+    tmp_path, monkeypatch, one_process, workers, rows, failing
+):
+    # chunks of `rows` rows, each split between up to `workers` processes in
+    # row order, give the bytes of a one-process walk and leave no pipe open
+    import errno
+
     import varexp_cir.cli as cli
 
-    filled, real_sample_batch = [], cli.sample_batch
+    monkeypatch.setattr(cli, "_CHUNK", rows * 100)
+    _workers(monkeypatch, workers)
+    filled, pipes, forks = [], [], []
+    real_sample_batch, real_pipe, real_fork = cli.sample_batch, os.pipe, os.fork
 
     def counted(seed, paths, grid):
         filled.append(len(paths))
         return real_sample_batch(seed, paths, grid)
 
+    def pipe():
+        if failing == "pipe":
+            raise OSError(errno.EMFILE, "Too many open files")
+        pipes.extend(real_pipe())
+        return tuple(pipes[-2:])
+
+    def fork():
+        forks.append(1)
+        if failing == "fork" or (failing == "every-second-fork" and len(forks) % 2 == 0):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
     monkeypatch.setattr(cli, "sample_batch", counted)
-    for rows in (1, 31, 32, 33, 64):
-        monkeypatch.setattr(cli, "_CHUNK", rows * 100)
-        filled.clear()
-        assert _split_outputs(tmp_path / f"rows{rows}") == one_process, rows
-        # each of the four commands fills every chunk once
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    assert _split_outputs(tmp_path) == one_process
+    # each of the four commands, the dump among them, fills every chunk once, all
+    # in this process when a chunk cannot be split or no part can be handed out
+    if workers == 1 or rows == 1:
         assert filled == ([rows] * (200 // rows) + [200 % rows] * (200 % rows > 0)) * 4
-
-
-def test_every_worker_count_gives_the_same_bytes(tmp_path, monkeypatch, one_process):
-    import varexp_cir.cli as cli
-
-    for workers in (1, 2, 3):
-        for rows in (1, 33, 200):
-            monkeypatch.setattr(cli, "_CHUNK", rows * 100)
-            forks = _workers(monkeypatch, workers)
-            assert _split_outputs(tmp_path / f"w{workers}r{rows}") == one_process, (workers, rows)
-            # each of the four commands, the dump among them, forks in every split round
-            rounds = [min(rows, 200 - start) for start in range(0, 200, rows)]
-            assert len(forks) == 4 * sum(min(workers, n) - 1 for n in rounds)
-            assert bool(forks) == (workers > 1 and rows > 1)
+    if failing in ("pipe", "fork"):
+        assert sum(filled) == 4 * 200
+    # and forks in every split round
+    assert bool(forks) == (workers > 1 and rows > 1 and failing != "pipe")
+    if failing is None:
+        rounds = [min(rows, 200 - start) for start in range(0, 200, rows)]
+        assert len(forks) == 4 * sum(min(workers, n) - 1 for n in rounds)
+    assert len(pipes) == 2 * len(forks)
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_a_split_past_the_cap_is_walked_in_one_process(capsys, tmp_path, monkeypatch):
@@ -527,40 +589,6 @@ def test_a_dump_round_counts_every_node_against_the_cap(capsys, tmp_path, monkey
     assert "above the cap of 16561" in err and not out.exists()
 
 
-@pytest.mark.parametrize("failing", ["pipe", "fork", "every-second-fork"])
-def test_a_failing_fork_walks_the_rest_here(tmp_path, monkeypatch, failing, one_process):
-    # out of processes (EAGAIN) or memory (ENOMEM) to fork, or of descriptors
-    # for the pipe (EMFILE): the parts left are walked in this process, in
-    # row order, with the same bytes as a one-process walk and no pipe left open
-    import errno
-
-    import varexp_cir.cli as cli
-
-    monkeypatch.setattr(cli, "_CHUNK", 33 * 100)
-    _workers(monkeypatch, 3)
-    real_pipe, real_fork, pipes, forks = os.pipe, os.fork, [], []
-
-    def pipe():
-        if failing == "pipe":
-            raise OSError(errno.EMFILE, "Too many open files")
-        pipes.extend(real_pipe())
-        return tuple(pipes[-2:])
-
-    def fork():
-        forks.append(1)
-        if failing == "fork" or len(forks) % 2 == 0:
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        return real_fork()
-
-    monkeypatch.setattr(os, "pipe", pipe)
-    monkeypatch.setattr(os, "fork", fork)
-    assert _split_outputs(tmp_path / "split") == one_process
-    assert len(pipes) == 2 * len(forks) and bool(forks) == (failing != "pipe")
-    for fd in pipes:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
     "seed, config, rows, message",
@@ -595,10 +623,12 @@ def test_overflow_names_the_run_path_at_every_split(
 
 def test_stderr_before_an_overflow_exit_is_the_same_at_every_worker_count(tmp_path):
     # numpy's overflow warning was printed once by every process whose rows
-    # overflowed; the kernel's own finiteness check is the one report
+    # overflowed; the kernel's own finiteness check is the one report. 1,000
+    # paths are one chunk, and split in two or three parts they put the
+    # overflowing paths 495 and 732 in two different processes
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"xi": 100, "v0": 100}))
-    argv = ["simulate", "--model", "pkm:a=0,b=1.5", "--paths", "40000", "--T", "1",
+    argv = ["simulate", "--model", "pkm:a=0,b=1.5", "--paths", "1000", "--T", "1",
             "--dt", "0.01", "--seed", "7", "--config", str(cfg), "--out", str(tmp_path / "o")]
     script = (  # a fresh process prints warnings as a user sees them, its workers' too
         "import sys, pytest\n"
@@ -820,7 +850,7 @@ def test_dump_paths_bytes_equal_the_one_string_formula(capsys, tmp_path):
 
 def test_write_csv_streams_rows(tmp_path):
     def rows():
-        for i in range(200_000):
+        for i in range(30_000):  # 1.1 MB of text
             yield (i * 1e-3, i % 7, 0.05 + i * 1e-9)
 
     path = tmp_path / "big.csv"
