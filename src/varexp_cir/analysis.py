@@ -192,11 +192,7 @@ class Histogram:
     densities: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "bin_edges": self.bin_edges.tolist(),
-            "counts": self.counts.tolist(),
-            "densities": self.densities.tolist(),
-        }
+        return asdict(self)
 
 
 def terminal_histogram(batch: PathBatch, t: float, n_bins: int) -> Histogram:

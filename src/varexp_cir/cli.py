@@ -123,11 +123,9 @@ def atomic_write(path: FsPath, text):
     os.replace(tmp, path)
 
 
-def write_csv(path: FsPath, header: list[str], rows):
-    """Write a CSV atomically, formatting one row at a time through a
-    generator, so the file's text is never held whole."""
-    lines = (",".join(format(v, ".17g") if isinstance(v, (float, np.floating)) else str(v)
-                      for v in row) + "\n" for row in rows)
+def write_csv(path: FsPath, header: list[str], lines):
+    """Write a CSV atomically: the header, then lines, formatted rows drawn one
+    at a time from an iterable, so the file's text is never held whole."""
     atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
@@ -160,8 +158,16 @@ def _policy(value) -> str:
     return POLICY_NAMES[value]
 
 
+def _param(value) -> float:
+    """A model parameter. The models square kappa and xi as Python floats, so a
+    value whose square is past the largest double is refused here, by name."""
+    value = float(value)
+    _ = value**2  # OverflowError from about 1.34e154 on
+    return value
+
+
 #: setting -> (default, cast). Defaults reproduce the reference experiment.
-PARAMS = {"kappa": (2.0, float), "theta": (0.05, float), "xi": (0.3, float), "v0": (0.05, float)}
+PARAMS = {k: (v, _param) for k, v in {"kappa": 2.0, "theta": 0.05, "xi": 0.3, "v0": 0.05}.items()}
 SETTINGS = {
     "T": (1.0, float),
     "dt": (0.001, float),
@@ -209,15 +215,15 @@ def _setting(ns, cfg: dict, key: str):
         raise ValueError(f"{source} has a malformed value {value!r}") from None
 
 
-def _params(ns, cfg: dict) -> ModelParams:
-    return ModelParams(*(_setting(ns, cfg, key) for key in PARAMS))
-
-
 def _run_config(ns):
-    """(settings, model parameters, grid) of a simulating subcommand."""
+    """(settings, model parameters, grid) of a subcommand that reads --config;
+    the checkpoints default to the grid's quarter-horizon nodes."""
     cfg = _load_config_file(ns.config)
     settings = {key: _setting(ns, cfg, key) for key in SETTINGS}
-    return settings, _params(ns, cfg), make_grid(settings["T"], settings["dt"])
+    params = ModelParams(*(_setting(ns, cfg, key) for key in PARAMS))
+    grid = make_grid(settings["T"], settings["dt"])
+    settings["checkpoints"] = settings["checkpoints"] or analysis.default_checkpoints(grid)
+    return settings, params, grid
 
 
 def _versions() -> dict:
@@ -342,26 +348,24 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump)
     m_paths, n_steps = settings["paths"], grid.n_steps
     if m_paths < 1:
         raise ValueError("paths must be at least 1")
-    checkpoints = settings["checkpoints"] or analysis.default_checkpoints(grid)
-    nodes = sorted({grid.index_of(t) for t in checkpoints} | {n_steps})
+    nodes = sorted({grid.index_of(t) for t in settings["checkpoints"]} | {n_steps})
     rows = min(max(1, _CHUNK // n_steps), m_paths)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     least = max(1, _WORKER_INCREMENTS // n_steps)  # rows in a worker's part
     workers = 1 if not hasattr(os, "fork") else max(1, min(cpus or 1, rows // least))
     k = len(nodes)  # per model: k rows of values, k of compensated, 1 of clamp counts
     kept = m_paths * len(models) * (2 * k + 1)
-    # a round's increments and, with dump, one model's values and compensated at every node
-    walked = rows * (n_steps + (2 * n_steps + 2 if dump else 0))
-    held = kept + walked + (rows - rows // workers) * n_steps  # and the later parts' buffer
-    if held > (cap := stochastic.MAX_STORED_INCREMENTS):  # walked in one process, it may fit
-        workers, held = 1, kept + walked
-    if held > cap:
+    # a round's increments twice, filled and as the shared copy of its later parts, at any
+    # split, so a refusal does not depend on the CPU count; with dump, one model's values
+    # and compensated at every node
+    held = kept + rows * (2 * n_steps + (2 * n_steps + 2 if dump else 0))
+    if held > (cap := stochastic.MAX_STORED_INCREMENTS):
         raise ValueError(f"{m_paths} paths of {n_steps} steps hold {held} values, "
                          f"above the cap of {cap}")
     blocks = _shared(kept).reshape(len(models), 2 * k + 1, m_paths)
     runs = [(spec, solver.PathBatch(
         model, grid, np.array(nodes), block[:k].T, block[k:-1].T, block[-1].view(np.int64),
-        np.empty(n_steps + 1), settings["policy"],
+        np.empty(n_steps + 1),
     )) for (spec, model), block in zip(models, blocks)]
     walk = functools.partial(_walk_rows, settings, grid, runs, nodes, dump)
     h = stochastic.checksum_start(m_paths, n_steps)
@@ -407,7 +411,7 @@ def _model_outputs(settings: dict, checksum: str, pb, path_rows):
     summary = {
         "model": mid,
         "seed": settings["seed"],
-        "policy": pb.policy,
+        "policy": settings["policy"],
         "grid": {"T": grid.horizon, "dt": grid.dt, "n_steps": grid.n_steps},
         "m_paths": pb.m_paths,
         "increment_checksum": checksum,
@@ -419,9 +423,10 @@ def _model_outputs(settings: dict, checksum: str, pb, path_rows):
     files = [f"{mid}_summary.json", f"{mid}_path.csv", f"{mid}_hist.csv"]
     out = settings["out"]
     atomic_write(out / files[0], json_text(summary) + "\n")
-    atomic_write(out / files[1], itertools.chain(["t,path_id,v\n"], path_rows))
+    write_csv(out / files[1], ["t", "path_id", "v"], path_rows)
     hist_rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities)
-    write_csv(out / files[2], ["bin_left", "bin_right", "count", "density"], hist_rows)
+    write_csv(out / files[2], ["bin_left", "bin_right", "count", "density"],
+              ("%.17g,%.17g,%d,%.17g\n" % row for row in hist_rows))
     return summary, hist, files
 
 
@@ -484,7 +489,6 @@ def _write_runs(ns, specs: list[str], figures: bool):
             "dump_paths": dump_paths,
             "no_svg": getattr(ns, "no_svg", False),
             "models": specs,
-            "out": str(out),
         },
         "increment_checksum": checksum,
         "clamp_stats": {summary["model"]: summary["clamp"] for _, summary, _, _ in results},
@@ -533,14 +537,14 @@ def cmd_validate_exponent(ns):
 
 
 def cmd_feller(ns):
-    model = parse_model(ns.model, _params(ns, _load_config_file(ns.config)))
+    model = parse_model(ns.model, _run_config(ns)[1])
     report = feller_check(model)
     payload = {"model": model.model_id, **report.to_dict()}
     return payload, report.verdict == "non-attainable", f"feller {model.model_id}: {report.verdict}"
 
 
 def cmd_lipschitz(ns):
-    model = parse_model(ns.model, _params(ns, _load_config_file(ns.config)))
+    model = parse_model(ns.model, _run_config(ns)[1])
     report = lipschitz_constants(TruncationParams(n=ns.n), model)
     ok = report.empirical_sup_quotient <= report.Lg_n * (1.0 + 1e-12)
     return report.to_dict(), ok, f"lipschitz n={ns.n}: {'ok' if ok else 'violated'}"

@@ -11,7 +11,7 @@ A user-supplied exponent is an ``ExponentFunction`` of kind ``"custom"``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -157,8 +157,6 @@ def make_builtin(name: str) -> ExponentFunction:
             c = float(name[len("const:"):])
         except ValueError:
             raise ValueError(f"malformed constant exponent spec: {name!r}") from None
-        if not math.isfinite(c):
-            raise ValueError("constant exponent must be finite")
         if not (0.5 <= c <= 1.0):
             raise HypothesisViolationError(
                 f"constant exponent {c} outside the admissible range [1/2, 1]"
@@ -190,15 +188,8 @@ class HypothesisReport:
         return "pass" if self.passed else f"fail({self.failing_clause})"
 
     def to_dict(self) -> dict:
-        return {
-            "observed_inf": self.observed_inf,
-            "observed_sup": self.observed_sup,
-            "observed_dsup_near_zero": self.observed_dsup_near_zero,
-            "p_at_zero_plus": self.p_at_zero_plus,
-            "grid_used": self.grid_used,
-            "verdict": self.verdict,
-            "tol": RANGE_TOL,
-        }
+        fields = {k: v for k, v in asdict(self).items() if k not in ("passed", "failing_clause")}
+        return {**fields, "verdict": self.verdict, "tol": RANGE_TOL}
 
 
 def validate_hypotheses(fn: ExponentFunction) -> HypothesisReport:

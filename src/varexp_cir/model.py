@@ -274,18 +274,14 @@ def feller_check(model: Model) -> FellerReport:
     p_zero = float(exp_fn.func(1e-12))
     drift_limit = float(coefficients(model)[0](0.0))
 
-    constant_half = (
-        model.a == 0 and exp_fn.constant is not None and abs(p_zero - 0.5) <= P_HALF_TOL
-    )
-    if constant_half:
-        criterion = "constant_half"
+    half = abs(p_zero - 0.5) <= P_HALF_TOL
+    constant_half = half and model.a == 0 and exp_fn.constant is not None
+    if half:
+        criterion = "constant_half" if constant_half else "p0_equal_half"
         analytic_limit = drift_limit - xi**2 / 2.0
     elif p_zero > 0.5 + P_HALF_TOL:
         criterion = "p0_above_half"
         analytic_limit = drift_limit
-    elif abs(p_zero - 0.5) <= P_HALF_TOL:
-        criterion = "p0_equal_half"
-        analytic_limit = drift_limit - xi**2 / 2.0
     else:
         # below 1/2 the diffusion term diverges; the limit is -inf
         criterion = "p0_below_half"

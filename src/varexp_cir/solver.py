@@ -67,7 +67,6 @@ class PathBatch:
     compensated: np.ndarray
     clamp_counts: np.ndarray
     path0: np.ndarray
-    policy: str
 
     @property
     def m_paths(self) -> int:
@@ -155,7 +154,7 @@ def simulate_batch(
     )
     for a in (nodes, values, compensated, path0):
         a.setflags(write=False)
-    return PathBatch(model, batch.grid, nodes, values, compensated, clamps, path0, policy)
+    return PathBatch(model, batch.grid, nodes, values, compensated, clamps, path0)
 
 
 def euler_maruyama_truncated(

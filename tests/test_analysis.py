@@ -28,7 +28,6 @@ def _constant_batch(model, grid, value, m_paths=8):
         compensated=values,
         clamp_counts=np.zeros(m_paths, dtype=np.int64),
         path0=values[0],
-        policy="full-truncation",
     )
 
 
@@ -236,7 +235,6 @@ def test_martingale_report_holds_no_path_matrix(params):
         compensated=values,
         clamp_counts=np.zeros(2000, dtype=np.int64),
         path0=values[0],
-        policy="full-truncation",
     )
     tracemalloc.start()
     try:

@@ -249,6 +249,9 @@ def test_reflection_policy_and_config_roundtrip(capsys, tmp_path):
     assert code == 0
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m2["increment_checksum"] == manifest["increment_checksum"]
+    # the checkpoints used are echoed, and the output directory is not
+    assert manifest["config"]["checkpoints"] == [0.002, 0.005, 0.007, 0.01]
+    assert m2["config"] == manifest["config"]
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):
@@ -267,7 +270,7 @@ def test_config_file_with_flag_override(capsys, tmp_path):
 
 
 HUGE_N = "1" + "0" * 200  # a 201-digit band index
-SQUARE_OVERFLOW = "numeric failure: (34, 'Numerical result out of range')\n"
+XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
 
 
 @pytest.mark.parametrize(
@@ -285,30 +288,34 @@ SQUARE_OVERFLOW = "numeric failure: (34, 'Numerical result out of range')\n"
         pytest.param(["simulate"], {"paths": None}, 2, id="config-paths-null"),
         pytest.param(["simulate"], {"kappa": [1]}, 2, id="config-kappa-list"),
         pytest.param(["feller"], {"kappa": [1]}, 2, id="feller-config-kappa-list"),
+        pytest.param(["feller"], {"paths": 10.9}, 2, id="feller-config-paths-fractional"),
+        pytest.param(["lipschitz"], {"dt": "x"}, 2, id="lipschitz-config-dt-malformed"),
+        # a parameter whose square overflows a double is refused by name
         pytest.param(
-            ["simulate", "--model", "cir", "--paths", "8", "--T", "0.01"], {"xi": 1e300}, 3,
+            ["simulate", "--model", "cir", "--paths", "8", "--T", "0.01"], {"xi": 1e300}, 2,
             id="huge-xi-overflow",
         ),
-        # a parameter whose square overflows a double
-        pytest.param(["feller"], {"xi": 1.4e154}, (3, SQUARE_OVERFLOW), id="feller-xi-squared"),
+        pytest.param(["feller"], {"xi": 1.4e154}, (2, XI_SQUARED), id="feller-xi-squared"),
         pytest.param(
-            ["lipschitz", "--model", "cir"], {"xi": 1.4e154}, (3, SQUARE_OVERFLOW),
+            ["lipschitz", "--model", "cir"], {"xi": 1.4e154}, (2, XI_SQUARED),
             id="lipschitz-xi-squared",
         ),
         pytest.param(
-            ["lipschitz"], {"kappa": 1e200}, (3, SQUARE_OVERFLOW), id="lipschitz-kappa-squared",
+            ["lipschitz"], {"kappa": 1e200},
+            (2, "error: config key 'kappa' has a malformed value 1e+200\n"),
+            id="lipschitz-kappa-squared",
         ),
         pytest.param(
             ["moments", "--paths", "2", "--T", "0.001", "--model", "cir"], {"xi": 1.4e154},
-            (3, SQUARE_OVERFLOW), id="moments-xi-squared",
+            (2, XI_SQUARED), id="moments-xi-squared",
         ),
         pytest.param(
             ["simulate", "--paths", "2", "--T", "0.001", "--model", "cir"], {"xi": 1.4e154},
-            (3, SQUARE_OVERFLOW), id="simulate-xi-squared",
+            (2, XI_SQUARED), id="simulate-xi-squared",
         ),
         pytest.param(
-            ["picard-verify", "--T", "0.01"], {"xi": 1e308},
-            (3, "picard-verify: iterate 2 overflowed\n"), id="picard-iterate-overflow",
+            ["picard-verify", "--T", "2", "--dt", "1"], {"kappa": 1.3e154, "theta": 1.3e154},
+            (3, "picard-verify: iterate 1 overflowed\n"), id="picard-iterate-overflow",
         ),
         pytest.param(["simulate", "--seed", "-1", "--paths", "4"], None, 2, id="negative-seed"),
         pytest.param(["simulate", "--seed", str(2**64), "--paths", "4"], None, 2, id="seed-64-bit"),
@@ -415,24 +422,26 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
 
     # compare holds, per path, 4 models x (4 kept nodes + 4 compensated
     # values + 1 clamp count), plus one chunk of increments (here every
-    # path, 100 steps each): 100 paths hold 3600 + 10^4 values, past the
-    # cap, while 49 paths hold 1764 + 4900 = 6664
-    monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 10_000)
+    # path, 100 steps each) twice, filled and as the shared copy of the
+    # later parts, at any split: 49 paths hold 1764 + 2 x 4900 = 11564
     real_sample_batch = cli.sample_batch
 
     def refuse(*args, **kwargs):
         raise AssertionError("sample_batch called for an oversized run")
 
-    monkeypatch.setattr(cli, "sample_batch", refuse)
-    out = tmp_path / "big"
-    code, _, err = _run(capsys, "compare", "--paths", "100", "--T", "0.1", "--out", str(out))
-    assert code == 2
-    assert "cap" in err
-    assert not out.exists()
+    for workers in (1, 3):
+        forks = _workers(monkeypatch, workers)
+        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 11_563)
+        monkeypatch.setattr(cli, "sample_batch", refuse)
+        out = tmp_path / f"big-{workers}"
+        code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert err == "error: 49 paths of 100 steps hold 11564 values, above the cap of 11563\n"
 
-    monkeypatch.setattr(cli, "sample_batch", real_sample_batch)
-    code, _, _ = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
-    assert code == 0
+        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 11_564)
+        monkeypatch.setattr(cli, "sample_batch", real_sample_batch)
+        code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
+        assert (code, len(forks)) == (0, workers - 1), err
 
 
 def _workers(monkeypatch, workers):
@@ -449,9 +458,9 @@ def _workers(monkeypatch, workers):
 
 
 def _split_outputs(out):
-    """compare's files, manifest (its output directory left out) and stdout,
-    without and then with --dump-paths, then the stdouts of moments and
-    martingale, on 200 paths of 100 steps."""
+    """compare's files, manifest and stdout, without and then with
+    --dump-paths, then the stdouts of moments and martingale, on 200 paths
+    of 100 steps."""
     run = ["--paths", "200", "--T", "0.1"]
     outputs = []
     for dump in ([], ["--dump-paths"]):
@@ -459,8 +468,7 @@ def _split_outputs(out):
         code, stdout, err = _cli("compare", *run, *dump, "--out", str(d))
         assert code == 0, err
         files = {p.name: p.read_bytes() for p in d.iterdir() if p.name != "manifest.json"}
-        manifest = json.loads((d / "manifest.json").read_text())
-        del manifest["config"]["out"]
+        manifest = json.loads((d / "manifest.json").read_text())  # holds no output directory
         outputs += [files, manifest, stdout.replace(str(d), "<out>")]
     for cmd in ("moments", "martingale"):
         outputs.append(_cli(cmd, "--model", "gm:p2", *run)[1])
@@ -552,73 +560,65 @@ def test_every_split_gives_the_same_bytes(
             os.fstat(fd)
 
 
-def test_a_split_past_the_cap_is_walked_in_one_process(capsys, tmp_path, monkeypatch):
-    # 49 paths of 100 steps hold 1764 kept values and a 4900-value chunk; split
-    # in three, a round also holds its later parts in a shared buffer, 3300
-    # values more. Past the cap, that run is walked in one process, so
-    # whether a run is refused does not depend on the CPU count
-    import varexp_cir.stochastic as stochastic
-
-    forks = _workers(monkeypatch, 3)
-    for cap, expected_forks, expected_code in ((9964, 2, 0), (9963, 0, 0), (6663, 0, 2)):
-        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", cap)
-        forks.clear()
-        code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--no-svg",
-                            "--out", str(tmp_path / str(cap)))
-        assert (code, len(forks)) == (expected_code, expected_forks), err
-    assert "above the cap of 6663" in err
-
-
 def test_a_dump_round_counts_every_node_against_the_cap(capsys, tmp_path, monkeypatch):
     # a dump round's parts also hold one model's values and compensated at all
-    # 101 nodes: 49 paths add 2 x 49 x 101 = 9898 values to the 1764 kept and
-    # the 4900-value chunk, 16562 in one process; split in three, the shared
-    # buffer of the later parts adds 3300, 19862
+    # 101 nodes: 49 paths add 2 x 49 x 101 = 9898 values to the 11564 of a
+    # run without a dump, 21462 at any split
     import varexp_cir.stochastic as stochastic
 
-    forks = _workers(monkeypatch, 3)
-    for cap, expected_forks, expected_code in (
-        (19862, 2, 0), (19861, 0, 0), (16562, 0, 0), (16561, 0, 2),
-    ):
-        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", cap)
-        forks.clear()
-        out = tmp_path / str(cap)
-        code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--no-svg",
-                            "--dump-paths", "--out", str(out))
-        assert (code, len(forks)) == (expected_code, expected_forks), err
-    assert "above the cap of 16561" in err and not out.exists()
+    for workers in (1, 3):
+        forks = _workers(monkeypatch, workers)
+        for cap, expected_code in ((21462, 0), (21461, 2)):
+            monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", cap)
+            forks.clear()
+            out = tmp_path / f"{workers}-{cap}"
+            code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--no-svg",
+                                "--dump-paths", "--out", str(out))
+            assert (code, len(forks)) == (expected_code, (workers - 1) * (expected_code == 0)), err
+        assert "hold 21462 values, above the cap of 21461" in err and not out.exists()
+
+
+#: (seed, config, chunk rows, overflow named, --dump-paths); a case without a dump keeps its id
+OVERFLOWS = [
+    # path 495 overflows at step 12 and path 732 at step 11: a chunk raises the least
+    # (step, path) among its own rows; a dump in one chunk of three parts writes the
+    # first part's rows, and the other parts overflow
+    pytest.param(7, {"xi": 100, "v0": 100}, 1000, "path 732, step 11", False,
+                 id="7-config0-1000-path 732, step 11"),
+    pytest.param(7, {"xi": 100, "v0": 100}, 1000, "path 732, step 11", True,
+                 id="dump-7-1000-path 732, step 11"),
+    # only path 602 overflows; a chunk must name it by its run index, and a dump
+    # writes six chunks of 100 paths before path 602's chunk overflows
+    *(pytest.param(10, {"xi": 30, "v0": 30}, rows, "path 602, step 13", False,
+                   id=f"10-config{i}-{rows}-path 602, step 13")
+      for i, rows in enumerate((100, 300, 1000), 1)),
+    pytest.param(10, {"xi": 30, "v0": 30}, 100, "path 602, step 13", True,
+                 id="dump-10-100-path 602, step 13"),
+]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize(
-    "seed, config, rows, message",
-    [
-        # path 495 overflows at step 12 and path 732 at step 11: a chunk
-        # raises the least (step, path) among its own rows
-        (7, {"xi": 100, "v0": 100}, 1000, "path 732, step 11"),
-        # only path 602 overflows; a chunk must name it by its run index
-        (10, {"xi": 30, "v0": 30}, 100, "path 602, step 13"),
-        (10, {"xi": 30, "v0": 30}, 300, "path 602, step 13"),
-        (10, {"xi": 30, "v0": 30}, 1000, "path 602, step 13"),
-    ],
-)
+@pytest.mark.parametrize("seed, config, rows, message, dump", OVERFLOWS)
 def test_overflow_names_the_run_path_at_every_split(
-    capsys, tmp_path, monkeypatch, workers, seed, config, rows, message
+    capsys, tmp_path, monkeypatch, workers, seed, config, rows, message, dump
 ):
-    # a walk of each chunk in one process raises this (path, step); the
-    # split into worker parts must neither hide it nor name another
+    # a walk of each chunk in one process raises this (path, step); the split
+    # into worker parts must neither hide it nor name another, and a dump
+    # leaves no segment or temporary file behind
     import varexp_cir.cli as cli
 
     monkeypatch.setattr(cli, "_CHUNK", rows * 100)
     _workers(monkeypatch, workers)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code, _, err = _run(
+    code, stdout, err = _run(
         capsys, "simulate", "--model", "pkm:a=0,b=1.5", "--paths", "1000", "--T", "1",
         "--dt", "0.01", "--seed", str(seed), "--config", str(cfg), "--out", str(tmp_path / "o"),
+        *["--dump-paths"] * dump,
     )
-    assert code == 3
+    assert (code, stdout) == (3, "")
     assert err == f"numeric failure: non-finite state produced at {message}\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
 
 def test_stderr_before_an_overflow_exit_is_the_same_at_every_worker_count(tmp_path):
@@ -718,35 +718,6 @@ def test_failing_worker_exits_two_and_leaves_nothing_behind(capsys, tmp_path, mo
         os.waitpid(-1, os.WNOHANG)  # every worker was reaped
     # no output, segment or temporary file; a dump made the directory
     assert not [p for p in tmp_path.rglob("*") if p.is_file()] and (dump or not out.exists())
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize(
-    "seed, config, rows, message",
-    [
-        # in one chunk, three parts: the first dumps its rows, the others overflow
-        (7, {"xi": 100, "v0": 100}, 1000, "path 732, step 11"),
-        # six chunks of 100 paths are dumped before path 602's overflows
-        (10, {"xi": 30, "v0": 30}, 100, "path 602, step 13"),
-    ],
-)
-def test_an_overflowing_dump_exits_three_and_leaves_nothing_behind(
-    capsys, tmp_path, monkeypatch, workers, seed, config, rows, message
-):
-    import varexp_cir.cli as cli
-
-    monkeypatch.setattr(cli, "_CHUNK", rows * 100)
-    _workers(monkeypatch, workers)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    code, stdout, err = _run(
-        capsys, "simulate", "--model", "pkm:a=0,b=1.5", "--paths", "1000", "--T", "1",
-        "--dt", "0.01", "--seed", str(seed), "--config", str(cfg), "--out", str(tmp_path / "o"),
-        "--dump-paths",
-    )
-    assert (code, stdout) == (3, "")
-    assert err == f"numeric failure: non-finite state produced at {message}\n"
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
 
 def test_cli_walk_equals_the_library_on_a_full_batch(capsys, tmp_path):
@@ -856,7 +827,7 @@ def test_write_csv_streams_rows(tmp_path):
     path = tmp_path / "big.csv"
     tracemalloc.start()
     try:
-        write_csv(path, ["t", "path_id", "v"], rows())
+        write_csv(path, ["t", "path_id", "v"], ("%.17g,%d,%.17g\n" % row for row in rows()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -866,7 +837,7 @@ def test_write_csv_streams_rows(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]  # no temporary left
 
     def failing_rows():
-        yield from [(0.0, 0, 0.05)] * 3000  # some rows reach the file first
+        yield from ["0,0,0.05\n"] * 3000  # some rows reach the file first
         raise RuntimeError("row source failed")
 
     with pytest.raises(RuntimeError):
