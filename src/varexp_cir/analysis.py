@@ -41,10 +41,17 @@ def default_checkpoints(grid: TimeGrid) -> tuple[float, ...]:
     return tuple(float(j * grid.dt) for j in indices)
 
 
-def _mean_stderr(col: np.ndarray) -> tuple[float, float]:
-    """Sample mean of one column over paths and its standard error."""
-    stderr = float(col.std(ddof=1) / math.sqrt(col.size)) if col.size > 1 else 0.0
-    return float(col.mean()), stderr
+def _mean_stderr(batch: PathBatch, values: np.ndarray, t: float, what: str, m: int = 1):
+    """Sample mean over paths of values**m at time t and its standard error; an
+    ArithmeticError names the model and the statistic if either is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = values[:, batch.column(t)] ** m
+        mean = float(col.mean())
+        stderr = float(col.std(ddof=1) / math.sqrt(col.size)) if col.size > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ArithmeticError(f"{batch.model.model_id}'s {what} at t={t:g} is not finite "
+                              f"(mean {mean:g}, standard error {stderr:g})")
+    return mean, stderr
 
 
 def empirical_moment(batch: PathBatch, t: float, m: int) -> tuple[float, float]:
@@ -53,7 +60,7 @@ def empirical_moment(batch: PathBatch, t: float, m: int) -> tuple[float, float]:
         raise ValueError("moment order must be >= 1")
     if batch.m_paths < 1:
         raise ValueError("empty batch")
-    return _mean_stderr(batch.values[:, batch.column(t)] ** m)
+    return _mean_stderr(batch, batch.values, t, f"order-{m} moment", m)
 
 
 def moment_bound(params: ModelParams, m: int, t: float) -> tuple[float, float]:
@@ -61,8 +68,9 @@ def moment_bound(params: ModelParams, m: int, t: float) -> tuple[float, float]:
 
     C_m = m*kappa*(theta+1) + (xi^2/2)*m*(m-1), and the ceiling is
     2**(m-1) * (1 + v0**m) * exp(C_m * t). Only orders m >= 2 are
-    covered by the estimate. A ceiling beyond the largest double is
-    returned as inf, which is still a true bound.
+    covered by the estimate. A C_m or ceiling beyond the largest double
+    is returned as inf, which is still a true bound; at t = 0 the
+    exponential is 1 whatever C_m is.
     """
     if not isinstance(m, (int, np.integer)) or m < 2:
         raise ValueError(f"moment order must be an integer >= 2, got {m}")
@@ -71,7 +79,7 @@ def moment_bound(params: ModelParams, m: int, t: float) -> tuple[float, float]:
     kappa, theta, xi, v0 = params.kappa, params.theta, params.xi, params.v0
     C_m = m * kappa * (theta + 1.0) + (xi**2 / 2.0) * m * (m - 1)
     try:
-        bound = 2.0 ** (m - 1) * (1.0 + v0**m) * math.exp(C_m * t)
+        bound = 2.0 ** (m - 1) * (1.0 + v0**m) * (math.exp(C_m * t) if t > 0.0 else 1.0)
     except OverflowError:
         bound = math.inf
     return C_m, bound
@@ -164,11 +172,13 @@ def martingale_report(batch: PathBatch, checkpoints=None) -> MartingaleReport:
         checkpoints = default_checkpoints(batch.grid)
     if len(checkpoints) == 0:
         raise ValueError("at least one checkpoint is required")
-    columns = [batch.column(t) for t in checkpoints]
-    means, stderrs = zip(*(_mean_stderr(batch.compensated[:, k]) for k in columns))
+    means, stderrs = zip(*(_mean_stderr(batch, batch.compensated, t, "martingale statistic")
+                           for t in checkpoints))
     params = batch.model.params
     v0 = params.v0
     allowance = params.kappa * (params.theta + v0) * batch.grid.dt
+    if not math.isfinite(allowance):
+        raise ArithmeticError(f"{batch.model.model_id}'s martingale allowance is not finite")
     deviations = [abs(mu - v0) for mu in means]
     satisfied = all(
         dev <= SIGMA_FACTOR * se + allowance for dev, se in zip(deviations, stderrs)

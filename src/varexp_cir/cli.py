@@ -44,12 +44,7 @@ import scipy
 
 from . import __version__, analysis, solver, stochastic
 from .analysis import check_moment_bounds, martingale_report, terminal_histogram
-from .exponent import (
-    HypothesisViolationError,
-    constant_exponent,
-    make_builtin,
-    validate_hypotheses,
-)
+from .exponent import make_builtin, validate_hypotheses
 from .figures import svg_histogram, svg_line_plot
 from .model import ModelParams, feller_check, parse_model
 from .solver import PathOverflowError, euler_maruyama_truncated, picard_solve, simulate_batch
@@ -63,13 +58,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-POLICY_NAMES = {
-    "full-trunc": "full-truncation",
-    "reflect": "reflection",
-    # canonical names accepted too, so a manifest's config echo round-trips
-    "full-truncation": "full-truncation",
-    "reflection": "reflection",
-}
+POLICY_NAMES = {"full-trunc": "full-truncation", "reflect": "reflection"}
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +119,7 @@ def write_csv(path: FsPath, header: list[str], lines):
 
 
 # ---------------------------------------------------------------------------
-# settings: flag, then config file, then VAREXP_SEED (seed only), then default
+# settings: flag, then config file, then VAREXP_SEED (seed only), then default; one cast each
 
 def _items(value) -> list:
     """A list setting: a JSON list, or one comma-separated string."""
@@ -153,9 +142,8 @@ def _checkpoints(value) -> tuple | None:
 
 
 def _policy(value) -> str:
-    if value not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {value!r}; expected full-trunc or reflect")
-    return POLICY_NAMES[value]
+    """A short policy name, or the solver's own, as a manifest's config echoes it."""
+    return value if value in solver.POLICIES else POLICY_NAMES[value]
 
 
 def _param(value) -> float:
@@ -211,7 +199,7 @@ def _setting(ns, cfg: dict, key: str):
         if not items or any(isinstance(v, bool) for v in items):
             raise TypeError("a boolean or an empty list is not a setting value")
         return cast(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, LookupError, OverflowError):
         raise ValueError(f"{source} has a malformed value {value!r}") from None
 
 
@@ -257,7 +245,7 @@ def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range):
     spec order into their rows of the kept arrays, path 0 and dump (every node).
     Return the increments and the first overflow's (model, step, path) or None."""
     batch = sample_batch(settings["seed"], paths, grid)
-    for i, (_, run) in enumerate(runs):
+    for i, run in enumerate(runs):
         try:
             pb = simulate_batch(run.model, batch, settings["policy"], None if dump else nodes)
         except PathOverflowError as exc:
@@ -334,16 +322,17 @@ def _round(h, walk, parts: list[range], n_steps: int):
             os.waitpid(pid, 0)
 
 
-def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump):
+def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=None, bins=0):
     """Walk the paths in chunks of rows, each filled once, hashed in row order
-    and driving every model; return the increment checksum and one (spec,
-    path batch) per model, holding the checkpoints and T. A chunk is split
-    between this process and forked workers, one per CPU in its affinity set,
-    each part of _WORKER_INCREMENTS or more; no output changes. With dump, a part
-    keeps every node for dump(path batch, first path), in the process walking it.
-    A repeated model, or a run that would hold more than the cap, is refused first."""
-    models = [(spec, parse_model(spec, params)) for spec in specs]
-    if len({model.model_id for _, model in models}) < len(models):
+    and driving every model; return the increment checksum and one path batch
+    per model, holding the checkpoints and T. A chunk is split between this
+    process and forked workers, one per CPU in its affinity set, each part of
+    _WORKER_INCREMENTS or more; no output changes. With dump, a part keeps
+    every node for dump(path batch, first path), in the process walking it.
+    A repeated model, or a run that would hold more than the cap with each
+    model's histogram of bins bins, is refused first."""
+    models = [parse_model(spec, params) for spec in specs]
+    if len({model.model_id for model in models}) < len(models):
         raise ValueError(f"the models {', '.join(specs)} name one model more than once")
     m_paths, n_steps = settings["paths"], grid.n_steps
     if m_paths < 1:
@@ -357,16 +346,17 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump)
     kept = m_paths * len(models) * (2 * k + 1)
     # a round's increments twice, filled and as the shared copy of its later parts, at any
     # split, so a refusal does not depend on the CPU count; with dump, one model's values
-    # and compensated at every node
+    # and compensated at every node; every histogram's counts, densities and bins + 1 edges
     held = kept + rows * (2 * n_steps + (2 * n_steps + 2 if dump else 0))
+    held += len(models) * (3 * bins + 1) * (bins > 0)
     if held > (cap := stochastic.MAX_STORED_INCREMENTS):
         raise ValueError(f"{m_paths} paths of {n_steps} steps hold {held} values, "
                          f"above the cap of {cap}")
     blocks = _shared(kept).reshape(len(models), 2 * k + 1, m_paths)
-    runs = [(spec, solver.PathBatch(
+    runs = [solver.PathBatch(
         model, grid, np.array(nodes), block[:k].T, block[k:-1].T, block[-1].view(np.int64),
         np.empty(n_steps + 1),
-    )) for (spec, model), block in zip(models, blocks)]
+    ) for model, block in zip(models, blocks)]
     walk = functools.partial(_walk_rows, settings, grid, runs, nodes, dump)
     h = stochastic.checksum_start(m_paths, n_steps)
     for start in range(0, m_paths, rows):
@@ -402,14 +392,12 @@ def _joined(segments):
         segment.unlink()
 
 
-def _model_outputs(settings: dict, checksum: str, pb, path_rows):
-    """Write summary JSON, path CSV (path_rows behind the header) and histogram CSV
-    for the model of one path batch; return the summary, histogram and file names."""
-    grid, mid = pb.grid, pb.model.model_id
-    checkpoints = settings["checkpoints"]
+def _summary(settings: dict, checksum: str, pb):
+    """The summary and terminal histogram of one path batch's model."""
+    grid, checkpoints = pb.grid, settings["checkpoints"]
     hist = terminal_histogram(pb, grid.horizon, settings["bins"])
     summary = {
-        "model": mid,
+        "model": pb.model.model_id,
         "seed": settings["seed"],
         "policy": settings["policy"],
         "grid": {"T": grid.horizon, "dt": grid.dt, "n_steps": grid.n_steps},
@@ -420,29 +408,35 @@ def _model_outputs(settings: dict, checksum: str, pb, path_rows):
         "martingale": martingale_report(pb, checkpoints).to_dict(),
         "terminal_histogram": hist.to_dict(),
     }
+    return summary, hist
+
+
+def _model_outputs(out: FsPath, summary: dict, hist, path_rows) -> list[str]:
+    """Write one model's summary JSON, path CSV (path_rows behind the header) and
+    histogram CSV; return the file names."""
+    mid = summary["model"]
     files = [f"{mid}_summary.json", f"{mid}_path.csv", f"{mid}_hist.csv"]
-    out = settings["out"]
     atomic_write(out / files[0], json_text(summary) + "\n")
     write_csv(out / files[1], ["t", "path_id", "v"], path_rows)
     hist_rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities)
     write_csv(out / files[2], ["bin_left", "bin_right", "count", "density"],
               ("%.17g,%.17g,%d,%.17g\n" % row for row in hist_rows))
-    return summary, hist, files
+    return files
 
 
 def _figures(out: FsPath, times, runs) -> list[str]:
-    """Figure pair per exponent: sample path overlay and terminal
-    histogram overlay of the CIR baseline (the first run) vs the
+    """Figure pair per exponent, named by its kind: sample path overlay and
+    terminal histogram overlay of the CIR baseline (the first run) vs the
     variable-exponent run, both driven by common increments. Path index
     0 is shown so outputs are reproducible."""
     files = []
-    _, _, cir_path, cir_hist = runs[0]
-    for spec, _, path0, hist in runs[1:]:
-        exponent_name = spec[len("gm:"):]
+    cir, _, cir_hist = runs[0]
+    for pb, _, hist in runs[1:]:
+        exponent_name = pb.model.exponent.kind
         slug = exponent_name.replace(":", "_")
         path_name, hist_name = f"fig_{slug}_path.svg", f"fig_{slug}_hist.svg"
         path_svg = svg_line_plot(
-            [("cir", times, cir_path), (f"gm {exponent_name}", times, path0)],
+            [("cir", times, cir.path0), (f"gm {exponent_name}", times, pb.path0)],
             title=f"Sample path (path 0): cir vs gm {exponent_name}",
         )
         hist_svg = svg_histogram(
@@ -460,23 +454,23 @@ def _figures(out: FsPath, times, runs) -> list[str]:
 
 def _write_runs(ns, specs: list[str], figures: bool):
     """The simulate/compare pipeline: one walk over the paths, per-model
-    outputs, optional figures, then the manifest. Returns the settings, the
-    increment checksum and one (spec, summary, path 0, histogram) per model.
+    outputs, optional figures, then the manifest. Every model's statistics are
+    computed before the first output is written. Returns the settings, the
+    increment checksum and one (path batch, summary, histogram) per model.
     """
     settings, params, grid = _run_config(ns)
     out = settings["out"]
     dump_paths = getattr(ns, "dump_paths", False)
     tag = f".part-{os.getpid()}-"  # a segment is {path CSV}{tag}{first path}
     dump = functools.partial(_dump, out, tag) if dump_paths else None
-    results, outputs = [], []
+    outputs = []
     try:
-        checksum, runs = _simulate(settings, params, grid, specs, dump)
-        for spec, pb in runs:
+        checksum, runs = _simulate(settings, params, grid, specs, dump, settings["bins"])
+        results = [(pb, *_summary(settings, checksum, pb)) for pb in runs]
+        for pb, summary, hist in results:
             rows = (_joined(sorted(out.glob(f"{pb.model.model_id}_path.csv{tag}*"))) if dump
                     else _path_rows(grid, 0, pb.path0[None]))
-            summary, hist, files = _model_outputs(settings, checksum, pb, rows)
-            results.append((spec, summary, pb.path0, hist))
-            outputs.extend(files)
+            outputs.extend(_model_outputs(out, summary, hist, rows))
     finally:  # every segment of this run, and any temporary file a killed worker left
         list(map(FsPath.unlink, out.glob(f"*{tag}*")))
     if figures:
@@ -491,7 +485,7 @@ def _write_runs(ns, specs: list[str], figures: bool):
             "models": specs,
         },
         "increment_checksum": checksum,
-        "clamp_stats": {summary["model"]: summary["clamp"] for _, summary, _, _ in results},
+        "clamp_stats": {summary["model"]: summary["clamp"] for _, summary, _ in results},
         "versions": _versions(),
         "outputs": sorted(outputs + ["manifest.json"]),
     }
@@ -526,12 +520,7 @@ def cmd_compare(ns):
 
 
 def cmd_validate_exponent(ns):
-    try:
-        fn = make_builtin(ns.exponent)
-    except HypothesisViolationError:
-        # out-of-range constant: diagnose it instead of refusing
-        fn = constant_exponent(float(ns.exponent.split(":", 1)[1]))
-    report = validate_hypotheses(fn)
+    report = validate_hypotheses(make_builtin(ns.exponent))
     payload = {"exponent": ns.exponent, **report.to_dict()}
     return payload, report.passed, f"validate-exponent {ns.exponent}: {report.verdict}"
 
@@ -552,7 +541,7 @@ def cmd_lipschitz(ns):
 
 def cmd_moments(ns):
     settings, params, grid = _run_config(ns)
-    _, [(_, pb)] = _simulate(settings, params, grid, [ns.model], None)
+    _, [pb] = _simulate(settings, params, grid, [ns.model])
     reports = check_moment_bounds(pb, settings["orders"], settings["checkpoints"])
     ok = all(r.satisfied for r in reports)
     payload = {"model": pb.model.model_id, "reports": [r.to_dict() for r in reports]}
@@ -561,7 +550,7 @@ def cmd_moments(ns):
 
 def cmd_martingale(ns):
     settings, params, grid = _run_config(ns)
-    _, [(_, pb)] = _simulate(settings, params, grid, [ns.model], None)
+    _, [pb] = _simulate(settings, params, grid, [ns.model])
     report = martingale_report(pb, settings["checkpoints"])
     payload = {"model": pb.model.model_id, **report.to_dict()}
     verdict = "ok" if report.satisfied else "violated"
@@ -599,12 +588,12 @@ FLAGS = {
     "exponents": dict(default="p1,p2,p3", help="comma-separated exponent specs"),
     "model": dict(default="gm:p1", help="cir | gm:<exp> | pkm:a=..,b=.."),
     "config": dict(help="JSON config file (keys kappa, theta, xi, v0, ...)"),
-    "seed": dict(type=int, help="64-bit seed (default 42; env VAREXP_SEED)"),
-    "paths": dict(type=int, help="number of Monte Carlo paths"),
-    "dt": dict(type=float, help="time step"),
-    "T": dict(type=float, help="horizon"),
-    "policy": dict(choices=sorted(POLICY_NAMES), help="positivity policy"),
-    "bins": dict(type=int, help="histogram bin count"),
+    "seed": dict(help="64-bit seed (default 42; env VAREXP_SEED)"),
+    "paths": dict(help="number of Monte Carlo paths"),
+    "dt": dict(help="time step"),
+    "T": dict(help="horizon"),
+    "policy": dict(help=f"positivity policy: {' or '.join(POLICY_NAMES)} (default full-trunc)"),
+    "bins": dict(help="histogram bin count"),
     "orders": dict(help="comma-separated moment orders"),
     "checkpoints": dict(help="comma-separated checkpoint times"),
     "out": dict(help="output directory"),

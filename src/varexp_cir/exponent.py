@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "ExponentFunction",
     "HypothesisReport",
-    "HypothesisViolationError",
     "constant_exponent",
     "eval_dp",
     "eval_p",
@@ -38,10 +37,6 @@ NEAR_ZERO_RADIUS = 1.0
 #: and the size of the near-zero derivative sample.
 GRID_MIN, GRID_MAX, GRID_POINTS = 1e-12, 1e12, 10_000
 NEAR_ZERO_POINTS = 2_000
-
-
-class HypothesisViolationError(ValueError):
-    """An exponent function violates the admissibility bounds."""
 
 
 @dataclass(frozen=True)
@@ -124,11 +119,11 @@ _BUILTINS = {
 
 
 def constant_exponent(c: float) -> ExponentFunction:
-    """Constant exponent p(x) = c, without the admissibility gate.
+    """Constant exponent p(x) = c for any finite c.
 
-    Deliberately unchecked so that :func:`validate_hypotheses` can
-    diagnose out-of-range constants; use :func:`make_builtin` with
-    ``"const:<c>"`` for the gated constructor.
+    Unchecked against [1/2, 1], so that :func:`validate_hypotheses` can
+    diagnose an out-of-range constant; :func:`model.parse_model` refuses
+    one for a ``gm`` model.
     """
     c = float(c)
     if not math.isfinite(c):
@@ -146,9 +141,9 @@ def constant_exponent(c: float) -> ExponentFunction:
 def make_builtin(name: str) -> ExponentFunction:
     """Build an exponent from its selection string.
 
-    Grammar: ``"p1" | "p2" | "p3" | "const:<float>"``. Constant
-    exponents are gated to [1/2, 1]; ``const:0.5`` reproduces the
-    classical square-root diffusion exponent.
+    Grammar: ``"p1" | "p2" | "p3" | "const:<float>"``, any finite
+    constant; ``const:0.5`` reproduces the classical square-root
+    diffusion exponent.
     """
     if name in _BUILTINS:
         return ExponentFunction(name, *_BUILTINS[name])
@@ -157,10 +152,6 @@ def make_builtin(name: str) -> ExponentFunction:
             c = float(name[len("const:"):])
         except ValueError:
             raise ValueError(f"malformed constant exponent spec: {name!r}") from None
-        if not (0.5 <= c <= 1.0):
-            raise HypothesisViolationError(
-                f"constant exponent {c} outside the admissible range [1/2, 1]"
-            )
         return constant_exponent(c)
     raise ValueError(f"unknown exponent function {name!r}")
 

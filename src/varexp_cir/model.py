@@ -132,12 +132,16 @@ def parse_model(spec: str, params: ModelParams) -> Model:
     """Build a model from its selection string.
 
     Grammar: ``"gm:<exponent-spec>" | "cir" | "pkm:a=<0|1>,b=<0.5|1|1.5>"``
-    where ``<exponent-spec>`` follows the exponent selection grammar.
+    where ``<exponent-spec>`` follows the exponent selection grammar. A
+    ``gm`` model's constant exponent must be admissible, inside [1/2, 1].
     """
     if spec == "cir":
         return cir_model(params)
     if spec.startswith("gm:"):
-        return gm_model(params, make_builtin(spec[len("gm:"):]))
+        p = make_builtin(spec[len("gm:"):])
+        if (c := p.constant) is not None and not 0.5 <= c <= 1.0:
+            raise ValueError(f"constant exponent {c} outside the admissible range [1/2, 1]")
+        return gm_model(params, p)
     if spec.startswith("pkm:"):
         fields = {}
         for piece in spec[len("pkm:"):].split(","):
@@ -265,7 +269,8 @@ def feller_check(model: Model) -> FellerReport:
     the limit is the drift limit; at exactly 1/2 (within tolerance) the
     term x**(2p-1) * p contributes 1/2, so the limit picks up -xi^2/2.
     The verdict is non-attainable iff the limit is nonnegative and the
-    numeric profile shows no contradicting sign below x = 1e-6.
+    numeric profile shows no contradicting sign below x = 1e-6. A profile
+    that is not finite raises ArithmeticError.
     """
     params = model.params
     kappa, theta, xi = params.kappa, params.theta, params.xi
@@ -287,17 +292,17 @@ def feller_check(model: Model) -> FellerReport:
         criterion = "p0_below_half"
         analytic_limit = -math.inf
 
+    xs = np.geomspace(1e-10, NEAR_ZERO_RADIUS, 200)
     try:
-        xs = np.geomspace(1e-10, NEAR_ZERO_RADIUS, 200)
-        ts = np.asarray(feller_function(model, xs), dtype=float)
-        profile_ok = bool(np.all(np.isfinite(ts)))
-    except (ValueError, FloatingPointError, ZeroDivisionError):
-        xs = np.array([])
-        ts = np.array([])
-        profile_ok = False
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ts = np.asarray(feller_function(model, xs), dtype=float)
+    except (ValueError, ZeroDivisionError):  # a custom exponent that cannot be evaluated
+        xs = ts = np.array([])
+    if not np.all(np.isfinite(ts)):
+        raise ArithmeticError(f"{model.model_id}'s boundary test function is not finite near 0")
     profile = tuple(zip(xs.tolist(), ts.tolist()))
 
-    if not profile_ok:
+    if not profile:
         verdict = "inconclusive"
     elif analytic_limit >= 0.0:
         near = xs < 1e-6

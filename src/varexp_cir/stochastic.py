@@ -113,7 +113,8 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid index of a checkpoint time; errors if t is off-grid."""
-        j = round(t / self.dt)
+        ratio = t / self.dt
+        j = round(ratio) if -1 < ratio < self.n_steps + 1 else -1  # nan and far times too
         if not (0 <= j <= self.n_steps) or abs(j * self.dt - t) > self.dt * 1e-9:
             raise ValueError(f"time {t} is not a node of the grid (dt={self.dt})")
         return j

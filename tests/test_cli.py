@@ -166,6 +166,19 @@ def test_compare_outputs_and_determinism(capsys, tmp_path):
     assert len({s["increment_checksum"] for s in sums}) == 1
 
 
+def test_figures_are_named_by_the_model_ids(capsys, tmp_path):
+    out = tmp_path / "const"
+    code, _, err = _run(
+        capsys, "compare", "--exponents", "const:0.50", "--paths", "4", "--T", "0.01",
+        "--out", str(out),
+    )
+    assert code == 0, err
+    assert sorted(p.name for p in out.glob("*const*")) == [
+        "fig_const_0.5_hist.svg", "fig_const_0.5_path.svg",
+        "gm_const_0.5_hist.csv", "gm_const_0.5_path.csv", "gm_const_0.5_summary.json",
+    ]
+
+
 def test_compare_no_svg(capsys, tmp_path):
     out = tmp_path / "nosvg"
     code, _, _ = _run(
@@ -321,6 +334,16 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         pytest.param(["simulate", "--seed", str(2**64), "--paths", "4"], None, 2, id="seed-64-bit"),
         pytest.param(["simulate", "--dt", "0.0003", "--paths", "4"], None, 2, id="off-grid-dt"),
         pytest.param(["simulate", "--model", "heston"], None, 2, id="unknown-model"),
+        # a gm model's constant exponent is refused where its spec is parsed
+        *(pytest.param(
+            ["simulate", "--model", f"gm:const:{c}"], None,
+            (2, f"error: constant exponent {c} outside the admissible range [1/2, 1]\n"),
+            id=f"gm-const-{c}",
+        ) for c in ("1.5", "0.4")),
+        pytest.param(
+            ["compare", "--exponents", "p1,const:inf"], None,
+            (2, "error: constant exponent must be finite\n"), id="gm-const-inf",
+        ),
         pytest.param(["compare", "--paths", "0"], None, 2, id="zero-paths"),
         pytest.param(
             ["compare", "--exponents", "p1,p1", "--paths", "4"], None, 2, id="repeated-model",
@@ -341,6 +364,51 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             ["moments", "--paths", "8", "--T", "0.01"], {"checkpoints": []}, 2,
             id="config-checkpoints-empty",
         ),
+        # a checkpoint far off the grid, or nan, is off the grid like any other time
+        pytest.param(
+            ["simulate", "--paths", "4", "--T", "0.01", "--checkpoints", "1e308"], None,
+            (2, "error: time 1e+308 is not a node of the grid (dt=0.001)\n"), id="checkpoint-1e308",
+        ),
+        pytest.param(
+            ["simulate", "--paths", "4", "--T", "0.01"], {"checkpoints": [-1e308]},
+            (2, "error: time -1e+308 is not a node of the grid (dt=0.001)\n"),
+            id="config-checkpoint-minus-1e308",
+        ),
+        pytest.param(
+            ["simulate", "--paths", "4", "--T", "0.01"], {"checkpoints": [math.nan]},
+            (2, "error: time nan is not a node of the grid (dt=0.001)\n"),
+            id="config-checkpoint-nan",
+        ),
+        # the histograms count against the size cap, before any sampling
+        *(pytest.param(
+            ["simulate", "--paths", "20", "--T", "0.05", "--dt", "0.01", "--bins", str(bins)], None,
+            (2, f"error: 20 paths of 5 steps hold {held} values, above the cap of 1000000000\n"),
+            id=f"bins-{bins}",
+        ) for bins, held in ((2**63, 27670116110564327805), (10**11, 300000000381))),
+        # a statistic that is not finite is a numeric failure, not a verdict
+        pytest.param(
+            ["compare", "--no-svg"], {"theta": 1e154, "paths": 20, "T": 0.05, "dt": 0.01},
+            (3, "numeric failure: cir's order-2 moment at t=0.01 is not finite "
+                "(mean 4e+304, standard error inf)\n"),
+            id="compare-moment-not-finite",
+        ),
+        pytest.param(
+            ["martingale", "--model", "gm:p3", "--paths", "20", "--T", "0.05", "--dt", "0.01"],
+            {"v0": 1e9, "theta": 1e-8, "kappa": 1e100},
+            (3, "numeric failure: gm_p3's martingale statistic at t=0.03 is not finite "
+                "(mean 1e+188, standard error inf)\n"),
+            id="martingale-statistic-not-finite",
+        ),
+        pytest.param(
+            ["feller", "--model", "pkm:a=1,b=1.5"], {"xi": 1.3e154},
+            (3, "numeric failure: pkm_a1_b1.5's boundary test function is not finite near 0\n"),
+            id="feller-profile-not-finite",
+        ),
+        # C_m overflows, and exp(C_m t) at t = 0 is 1, not exp(nan)
+        pytest.param(
+            ["moments", "--checkpoints", "0", "--paths", "4", "--T", "0.02", "--dt", "0.01"],
+            {"xi": 1.3e154}, (0, "moments gm_p1: ok\n"), id="moment-ceiling-at-zero-with-huge-c",
+        ),
     ],
 )
 def test_hostile_input_exit_codes(capsys, tmp_path, argv, config, expected):
@@ -357,8 +425,27 @@ def test_hostile_input_exit_codes(capsys, tmp_path, argv, config, expected):
     assert "Traceback" not in err
     if expected_err is not None:  # the one line, with no numpy warning before it
         assert err == expected_err
-    if config is not None and expected == 2:
+    elif config is not None and expected == 2:
         assert f"config key {next(iter(config))!r}" in err  # the refusal names its source
+    if expected in (2, 3):  # no output is left behind
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"] * bool(config)
+
+
+@pytest.mark.parametrize(
+    "source, value",
+    [("--seed", "x"), ("--paths", "x"), ("--dt", "1/2"), ("--T", "one"), ("--policy", "clamp"),
+     ("--bins", "2.5"), ("VAREXP_SEED", "0x2a")],
+)
+def test_a_malformed_setting_is_refused_in_one_line(capsys, tmp_path, monkeypatch, source, value):
+    # a setting flag's string is read by the cast a config value gets, not by the parser
+    flags = {"--paths": "4", "--T": "0.01", "--out": str(tmp_path / "o")}
+    if source.startswith("--"):
+        flags[source] = value
+    else:
+        monkeypatch.setenv(source, value)
+    code, out, err = _run(capsys, "simulate", *(a for item in flags.items() for a in item))
+    assert (code, out, err) == (2, "", f"error: {source} has a malformed value {value!r}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_repeated_model_is_refused_before_sampling(capsys, tmp_path, monkeypatch):
@@ -423,7 +510,9 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
     # compare holds, per path, 4 models x (4 kept nodes + 4 compensated
     # values + 1 clamp count), plus one chunk of increments (here every
     # path, 100 steps each) twice, filled and as the shared copy of the
-    # later parts, at any split: 49 paths hold 1764 + 2 x 4900 = 11564
+    # later parts, at any split, plus 4 histograms of 50 bins x (count,
+    # density, left edge) and a right edge: 49 paths hold 1764 + 2 x 4900
+    # + 4 x 151 = 12168
     real_sample_batch = cli.sample_batch
 
     def refuse(*args, **kwargs):
@@ -431,14 +520,14 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
 
     for workers in (1, 3):
         forks = _workers(monkeypatch, workers)
-        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 11_563)
+        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 12_167)
         monkeypatch.setattr(cli, "sample_batch", refuse)
         out = tmp_path / f"big-{workers}"
         code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
         assert code == 2 and not out.exists()
-        assert err == "error: 49 paths of 100 steps hold 11564 values, above the cap of 11563\n"
+        assert err == "error: 49 paths of 100 steps hold 12168 values, above the cap of 12167\n"
 
-        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 11_564)
+        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 12_168)
         monkeypatch.setattr(cli, "sample_batch", real_sample_batch)
         code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
         assert (code, len(forks)) == (0, workers - 1), err
@@ -562,20 +651,20 @@ def test_every_split_gives_the_same_bytes(
 
 def test_a_dump_round_counts_every_node_against_the_cap(capsys, tmp_path, monkeypatch):
     # a dump round's parts also hold one model's values and compensated at all
-    # 101 nodes: 49 paths add 2 x 49 x 101 = 9898 values to the 11564 of a
-    # run without a dump, 21462 at any split
+    # 101 nodes: 49 paths add 2 x 49 x 101 = 9898 values to the 12168 of a
+    # run without a dump, 22066 at any split
     import varexp_cir.stochastic as stochastic
 
     for workers in (1, 3):
         forks = _workers(monkeypatch, workers)
-        for cap, expected_code in ((21462, 0), (21461, 2)):
+        for cap, expected_code in ((22066, 0), (22065, 2)):
             monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", cap)
             forks.clear()
             out = tmp_path / f"{workers}-{cap}"
             code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--no-svg",
                                 "--dump-paths", "--out", str(out))
             assert (code, len(forks)) == (expected_code, (workers - 1) * (expected_code == 0)), err
-        assert "hold 21462 values, above the cap of 21461" in err and not out.exists()
+        assert "hold 22066 values, above the cap of 22065" in err and not out.exists()
 
 
 #: (seed, config, chunk rows, overflow named, --dump-paths); a case without a dump keeps its id

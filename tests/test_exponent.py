@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varexp_cir import ModelParams, parse_model
 from varexp_cir.exponent import (
     ExponentFunction,
-    HypothesisViolationError,
     constant_exponent,
     eval_dp,
     eval_p,
@@ -84,10 +84,14 @@ def test_eval_p_rejects_bad_states():
 
 
 def test_make_builtin_gates_constants():
-    with pytest.raises(HypothesisViolationError):
-        make_builtin("const:1.2")
-    with pytest.raises(HypothesisViolationError):
-        make_builtin("const:0.4")
+    # make_builtin only parses; a gm model's spec is refused outside [1/2, 1]
+    assert make_builtin("const:1.2").constant == 1.2
+    params = ModelParams(2.0, 0.05, 0.3, 0.05)
+    for c in ("1.2", "0.4"):
+        with pytest.raises(ValueError, match=f"^constant exponent {c} outside the admissible"):
+            parse_model(f"gm:const:{c}", params)
+    with pytest.raises(ValueError, match="^constant exponent must be finite$"):
+        make_builtin("const:inf")
     with pytest.raises(ValueError):
         make_builtin("const:abc")
     with pytest.raises(ValueError):
