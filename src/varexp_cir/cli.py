@@ -322,21 +322,24 @@ def _round(h, walk, parts: list[range], n_steps: int):
             os.waitpid(pid, 0)
 
 
-def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=None, bins=0):
+def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=None, bins=None):
     """Walk the paths in chunks of rows, each filled once, hashed in row order
     and driving every model; return the increment checksum and one path batch
     per model, holding the checkpoints and T. A chunk is split between this
     process and forked workers, one per CPU in its affinity set, each part of
     _WORKER_INCREMENTS or more; no output changes. With dump, a part keeps
     every node for dump(path batch, first path), in the process walking it.
-    A repeated model, or a run that would hold more than the cap with each
-    model's histogram of bins bins, is refused first."""
+    A repeated model, a histogram of fewer than one bin, or a run that would
+    hold more than the cap with each model's histogram of bins bins (None: no
+    histogram), is refused first."""
     models = [parse_model(spec, params) for spec in specs]
     if len({model.model_id for model in models}) < len(models):
         raise ValueError(f"the models {', '.join(specs)} name one model more than once")
     m_paths, n_steps = settings["paths"], grid.n_steps
     if m_paths < 1:
         raise ValueError("paths must be at least 1")
+    if bins is not None and bins < 1:
+        raise ValueError("n_bins must be >= 1")
     nodes = sorted({grid.index_of(t) for t in settings["checkpoints"]} | {n_steps})
     rows = min(max(1, _CHUNK // n_steps), m_paths)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -348,7 +351,7 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
     # split, so a refusal does not depend on the CPU count; with dump, one model's values
     # and compensated at every node; every histogram's counts, densities and bins + 1 edges
     held = kept + rows * (2 * n_steps + (2 * n_steps + 2 if dump else 0))
-    held += len(models) * (3 * bins + 1) * (bins > 0)
+    held += len(models) * (3 * bins + 1) if bins else 0
     if held > (cap := stochastic.MAX_STORED_INCREMENTS):
         raise ValueError(f"{m_paths} paths of {n_steps} steps hold {held} values, "
                          f"above the cap of {cap}")
@@ -561,6 +564,11 @@ def cmd_picard_verify(ns):
     settings, params, grid = _run_config(ns)
     model = parse_model(ns.model, params)
     tp = TruncationParams(n=ns.n)
+    # the row, Picard's two iterates, and the oracle's values, compensated values and path 0
+    held = grid.n_steps + 5 * (grid.n_steps + 1)
+    if held > (cap := stochastic.MAX_STORED_INCREMENTS):
+        raise ValueError(f"1 path of {grid.n_steps} steps holds {held} values, "
+                         f"above the cap of {cap}")
     row = path_increments(settings["seed"], 0, grid)
     report = picard_solve(tp, model, grid, row, tol=ns.tol, k_max=ns.kmax)
     if not report.converged:
@@ -638,6 +646,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; each run parses into a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varexp-cir",

@@ -111,7 +111,7 @@ def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy, node
             if j:
                 fd = f(v) * dt
                 raw = v + fd + g(v) * increments[:, j - 1]
-                if not np.all(np.isfinite(raw)):
+                if not np.isfinite(raw).all():
                     path_idx = int(np.flatnonzero(~np.isfinite(raw))[0])
                     raise PathOverflowError(step_index=j, path_index=path_idx)
                 if policy is None:

@@ -385,6 +385,13 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             (2, f"error: 20 paths of 5 steps hold {held} values, above the cap of 1000000000\n"),
             id=f"bins-{bins}",
         ) for bins, held in ((2**63, 27670116110564327805), (10**11, 300000000381))),
+        # picard-verify holds the row, two iterates and the oracle's three arrays of N + 1
+        pytest.param(
+            ["picard-verify", "--T", "1000", "--dt", "1e-6"], None,
+            (2, "error: 1 path of 1000000000 steps holds 6000000005 values, "
+                "above the cap of 1000000000\n"),
+            id="picard-size-cap",
+        ),
         # a statistic that is not finite is a numeric failure, not a verdict
         pytest.param(
             ["compare", "--no-svg"], {"theta": 1e154, "paths": 20, "T": 0.05, "dt": 0.01},
@@ -411,7 +418,16 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         ),
     ],
 )
-def test_hostile_input_exit_codes(capsys, tmp_path, argv, config, expected):
+def test_hostile_input_exit_codes(capsys, tmp_path, monkeypatch, argv, config, expected):
+    import varexp_cir.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("increments drawn for a run above the size cap")
+
+    expected, expected_err = expected if isinstance(expected, tuple) else (expected, None)
+    if "above the cap" in (expected_err or ""):  # refused before a row is drawn
+        monkeypatch.setattr(cli, "sample_batch", refuse)
+        monkeypatch.setattr(cli, "path_increments", refuse)
     argv = list(argv)
     if argv[0] in ("simulate", "compare"):
         argv += ["--out", str(tmp_path / "out")]
@@ -420,7 +436,6 @@ def test_hostile_input_exit_codes(capsys, tmp_path, argv, config, expected):
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
     code, _, err = _run(capsys, *argv)
-    expected, expected_err = expected if isinstance(expected, tuple) else (expected, None)
     assert code == expected
     assert "Traceback" not in err
     if expected_err is not None:  # the one line, with no numpy warning before it
@@ -460,6 +475,20 @@ def test_repeated_model_is_refused_before_sampling(capsys, tmp_path, monkeypatch
     assert code == 2
     assert "more than once" in err
     assert not out.exists()
+
+
+def test_a_histogram_of_no_bins_is_refused_before_sampling(capsys, tmp_path, monkeypatch):
+    import varexp_cir.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_batch called for a histogram of no bins")
+
+    monkeypatch.setattr(cli, "sample_batch", refuse)
+    for bins in ("0", "-3"):
+        out = tmp_path / f"bins{bins}"
+        code, _, err = _run(capsys, "simulate", "--bins", bins, "--out", str(out))
+        assert (code, err) == (2, "error: n_bins must be >= 1\n")
+        assert not out.exists()
 
 
 def test_integer_config_values_are_checked_not_truncated(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -334,3 +335,39 @@ def test_euler_kernel_overflows_where_the_previous_step_did():
     with pytest.raises(PathOverflowError) as got:
         simulate_batch(model, batch, "full-truncation", [100])
     assert (got.value.path_index, got.value.step_index) == (want.value.path_index, 13) == (602, 13)
+
+
+#: SHA-256 of the truncated Euler oracle's bytes and of Picard's fixed point at
+#: n = 25 on the reference grid, seed 42, path 0. Each path enters the lower gap
+#: (1/25, 1/25 + 1/1250), so theta_n's bridge is pinned, not only its flats.
+BRIDGE_PINS = {
+    "cir": (
+        "2a3c24a2a3ab8fcc78e9cd0b2b9671a3e318015fa374c7619c26b76d31535705",
+        "db2c72e993523f534e0ae462f56b8a55f0c011777a092d8f06423090edfd1385",
+    ),
+    "gm:p1": (
+        "a5f8c9fe2b10bdcf4b6dd6f207ee7718f701c6614c3bad4668502f4612c95bfe",
+        "afdafdc5897c37dc33acb7569dbfd0f00486d9ad8537b7f9e17ffc7ef4a252f5",
+    ),
+    "gm:p2": (
+        "d21e63ab23f5fc48bfce0dcd1fafbc3f65d3e146daecf7d2a6ed89004af6c0b0",
+        "36e1fc634a334e7c190442139e1d2ccc3f83f88a59454035ff262fd54a1009c8",
+    ),
+    "gm:p3": (
+        "552238ed62de9dc4727a09cbb87caf6f42cc017d52428704f115da17f76ae92f",
+        "9c1df2702c8bf64e50a2138cfacae449af2e2a9813442bf4de6a8f9a5003b26a",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BRIDGE_PINS))
+def test_oracle_and_picard_through_the_lower_gap_are_pinned(params, grid, spec):
+    tp = TruncationParams(25)
+    model = parse_model(spec, params)
+    row = path_increments(42, 0, grid)
+    euler = euler_maruyama_truncated(tp, model, grid, row[None])[0]
+    assert np.any((euler > tp.lower) & (euler < tp.lower + tp.epsilon))
+    report = picard_solve(tp, model, grid, row)
+    assert report.converged
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (euler, report.fixed_point))
+    assert digests == BRIDGE_PINS[spec]

@@ -103,11 +103,15 @@ def test_theta_n_equals_the_five_piece_formula_bit_for_bit(n):
             np.linspace(n - 2.0 * eps, n + eps, 257),
         ]
     )
-    value, slope = _theta_five_pieces(tp, r)
-    got_value = np.asarray(theta_n(tp, r))
-    got_slope = np.asarray(theta_n_deriv(tp, r))
-    assert np.array_equal(got_value.view(np.uint64), value.view(np.uint64))
-    assert np.array_equal(got_slope.view(np.uint64), slope.view(np.uint64))
+    # theta_n clamps an array that misses both open gaps and takes the pieces
+    # otherwise: the mixed array, each state alone, and arrays wholly on one piece
+    pieces = [r <= lo, (r >= lo + eps) & (r <= n - eps), r >= n]
+    for states in [r, *np.split(r, len(r)), *(r[piece] for piece in pieces)]:
+        value, slope = _theta_five_pieces(tp, states)
+        got_value = np.asarray(theta_n(tp, states))
+        got_slope = np.asarray(theta_n_deriv(tp, states))
+        assert np.array_equal(got_value.view(np.uint64), value.view(np.uint64))
+        assert np.array_equal(got_slope.view(np.uint64), slope.view(np.uint64))
 
 
 def test_rho_n_basics():
