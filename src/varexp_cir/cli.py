@@ -160,7 +160,7 @@ SETTINGS = {
     "T": (1.0, float),
     "dt": (0.001, float),
     "paths": (5000, _int),
-    "seed": (42, _int),
+    "seed": (42, lambda value: stochastic._check_seed(_int(value))),  # refused before a draw
     "policy": ("full-trunc", _policy),
     "bins": (50, _int),
     "orders": ("2,3,4", _ints),
@@ -240,11 +240,11 @@ def _shared(count: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=np.float64)[:count]
 
 
-def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range):
-    """Fill the increments of a range of paths and drive every model on them in
-    spec order into their rows of the kept arrays, path 0 and dump (every node).
-    Return the increments and the first overflow's (model, step, path) or None."""
-    batch = sample_batch(settings["seed"], paths, grid)
+def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range, out=None):
+    """Fill the increments of a range of paths (into out if given), drive every model
+    on them in spec order into their rows of the kept arrays, path 0 and dump (every
+    node); return the increments and the first overflow's (model, step, path) or None."""
+    batch = sample_batch(settings["seed"], paths, grid, out=out)
     for i, run in enumerate(runs):
         try:
             pb = simulate_batch(run.model, batch, settings["policy"], None if dump else nodes)
@@ -263,18 +263,16 @@ def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range):
 
 
 def _round(h, walk, parts: list[range], n_steps: int):
-    """Walk the first part of a chunk's rows here and every other part in a
-    forked child at once, or here once a pipe or fork fails; feed the increments
-    to h in row order and raise the overflow of least (model index, step, path),
-    as a one-process walk does. Kill and reap every child on the way out."""
+    """Walk the first part of a chunk's rows here and fill every other part's rows of a
+    time-major shared buffer in a forked child at once, or here once a pipe or fork fails;
+    feed the increments to h in row order and raise the overflow of least (model index,
+    step, path), as a one-process walk does. Kill and reap every child on the way out."""
     children, rest, first = [], [], parts[0].stop
     carried = (OSError, ValueError, MemoryError)  # a worker's failure keeps the class run() reads
-    buffer = _shared((parts[-1].stop - first) * n_steps).reshape(-1, n_steps)
+    buffer = _shared((parts[-1].stop - first) * n_steps).reshape(n_steps, -1).T
 
-    def keep(paths):  # walk a later part into the buffer; return its overflow
-        increments, fault = walk(paths)
-        buffer[paths.start - first : paths.stop - first] = increments
-        return fault
+    def keep(paths):  # walk a later part into its rows of the buffer; return its overflow
+        return walk(paths, buffer[paths.start - first : paths.stop - first])[1]
 
     try:
         for n, paths in enumerate(parts[1:], 1):
@@ -347,10 +345,10 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
     workers = 1 if not hasattr(os, "fork") else max(1, min(cpus or 1, rows // least))
     k = len(nodes)  # per model: k rows of values, k of compensated, 1 of clamp counts
     kept = m_paths * len(models) * (2 * k + 1)
-    # a round's increments twice, filled and as the shared copy of its later parts, at any
-    # split, so a refusal does not depend on the CPU count; with dump, one model's values
-    # and compensated at every node; every histogram's counts, densities and bins + 1 edges
-    held = kept + rows * (2 * n_steps + (2 * n_steps + 2 if dump else 0))
+    # a round's increments, held once at any split (its later parts fill their rows of the
+    # shared buffer), so a refusal does not depend on the CPU count; with dump, one model's
+    # values and compensated at every node; every histogram's counts, densities, bins + 1 edges
+    held = kept + rows * (n_steps + (2 * n_steps + 2 if dump else 0))
     held += len(models) * (3 * bins + 1) if bins else 0
     if held > (cap := stochastic.MAX_STORED_INCREMENTS):
         raise ValueError(f"{m_paths} paths of {n_steps} steps hold {held} values, "
@@ -564,6 +562,7 @@ def cmd_picard_verify(ns):
     settings, params, grid = _run_config(ns)
     model = parse_model(ns.model, params)
     tp = TruncationParams(n=ns.n)
+    solver.check_picard_settings(ns.tol, ns.kmax)  # before the row is drawn
     # the row, Picard's two iterates, and the oracle's values, compensated values and path 0
     held = grid.n_steps + 5 * (grid.n_steps + 1)
     if held > (cap := stochastic.MAX_STORED_INCREMENTS):
@@ -646,9 +645,14 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # run() prints it as its one "error:" line, not under usage
+        raise ValueError(message)
+
+
 @functools.cache  # built once per process; each run parses into a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="varexp-cir",
         description="Simulation and verification toolkit for mean-reverting "
         "diffusions with variable-exponent volatility.",
@@ -664,13 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        ns = build_parser().parse_args(argv)
         result = ns.func(ns)
+    except SystemExit as exc:  # --help or --version, printed
+        return int(exc.code or 0)
     except ArithmeticError as exc:  # a path's overflow, or a parameter's square past a double
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -209,6 +209,14 @@ def _fit_rate_envelope(sup_diffs: np.ndarray, horizon: float) -> float:
     return math.exp(c) / horizon
 
 
+def check_picard_settings(tol: float, k_max: int) -> None:
+    """Refuse a tolerance that is not positive and finite, or fewer than one sweep."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+
+
 def picard_solve(
     tp: TruncationParams,
     model: Model,
@@ -229,10 +237,7 @@ def picard_solve(
     converge within k_max returns a partial report (converged=False)
     rather than raising.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    check_picard_settings(tol, k_max)
     row = np.asarray(increments_row, dtype=float)
     if row.ndim != 1 or row.shape[0] != grid.n_steps:
         raise ValueError("increments_row must be one-dimensional and match the grid")

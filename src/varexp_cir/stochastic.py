@@ -198,10 +198,10 @@ class BrownianBatch:
         return hash_rows(checksum_start(*self.increments.shape), self.increments).hexdigest()
 
 
-def sample_batch(seed: int, m_paths, grid: TimeGrid) -> BrownianBatch:
-    """Increments of paths 0..m_paths-1, or of a range of path indices (a
-    chunk of a larger run), time-major, a block of paths at a time; the row
-    of path j equals path_increments(seed, j, grid) bit for bit."""
+def sample_batch(seed: int, m_paths, grid: TimeGrid, out=None) -> BrownianBatch:
+    """Increments of paths 0..m_paths-1, or of a range of path indices (a chunk of a
+    larger run), time-major, a block of paths at a time, into out (float64, a row per
+    path) if given; the row of path j equals path_increments(seed, j, grid) bit for bit."""
     seed = _check_seed(seed)
     paths = range(m_paths) if isinstance(m_paths, (int, np.integer)) else m_paths
     if not isinstance(paths, range) or len(paths) < 1 or paths.start < 0 or paths.step != 1:
@@ -209,7 +209,9 @@ def sample_batch(seed: int, m_paths, grid: TimeGrid) -> BrownianBatch:
     n_steps = grid.n_steps
     if len(paths) * n_steps > MAX_STORED_INCREMENTS:
         raise ValueError("batch too large to store; walk the paths in chunks of rows")
-    increments = np.empty((len(paths), n_steps), order="F")
+    increments = np.empty((len(paths), n_steps), order="F") if out is None else out[...]
+    if increments.shape != (len(paths), n_steps) or increments.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {(len(paths), n_steps)}")
     # One generator, re-keyed per path to the state Philox(key=(seed, j)) starts in.
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     state = bitgen.state
@@ -233,5 +235,5 @@ def sample_batch(seed: int, m_paths, grid: TimeGrid) -> BrownianBatch:
         ndtri(z, out=z)
         z *= scale
         increments[start:stop] = z
-    increments.setflags(write=False)
+    increments.setflags(write=False)  # a view's flag: the caller's out stays writable
     return BrownianBatch(seed=seed, grid=grid, increments=increments)

@@ -297,6 +297,10 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         pytest.param(["picard-verify", "--n", "185364"], None, 2, id="picard-n-past-max-band"),
         pytest.param(["picard-verify", "--tol", "inf"], None, 2, id="picard-tol-inf"),
         pytest.param(["picard-verify", "--tol", "nan"], None, 2, id="picard-tol-nan"),
+        pytest.param(
+            ["picard-verify", "--kmax", "0"], None, (2, "error: k_max must be at least 1\n"),
+            id="picard-kmax-0",
+        ),
         pytest.param(["simulate", "--T", "1e300", "--dt", "1e-300"], None, 2, id="grid-inf-steps"),
         pytest.param(["simulate"], {"paths": None}, 2, id="config-paths-null"),
         pytest.param(["simulate"], {"kappa": [1]}, 2, id="config-kappa-list"),
@@ -332,6 +336,9 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         ),
         pytest.param(["simulate", "--seed", "-1", "--paths", "4"], None, 2, id="negative-seed"),
         pytest.param(["simulate", "--seed", str(2**64), "--paths", "4"], None, 2, id="seed-64-bit"),
+        # a seed is checked as a setting, so commands that draw nothing refuse it too
+        pytest.param(["feller"], {"seed": -1}, 2, id="feller-config-seed-negative"),
+        pytest.param(["lipschitz"], {"seed": 2**64}, 2, id="lipschitz-config-seed-64-bit"),
         pytest.param(["simulate", "--dt", "0.0003", "--paths", "4"], None, 2, id="off-grid-dt"),
         pytest.param(["simulate", "--model", "heston"], None, 2, id="unknown-model"),
         # a gm model's constant exponent is refused where its spec is parsed
@@ -384,7 +391,7 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             ["simulate", "--paths", "20", "--T", "0.05", "--dt", "0.01", "--bins", str(bins)], None,
             (2, f"error: 20 paths of 5 steps hold {held} values, above the cap of 1000000000\n"),
             id=f"bins-{bins}",
-        ) for bins, held in ((2**63, 27670116110564327805), (10**11, 300000000381))),
+        ) for bins, held in ((2**63, 27670116110564327705), (10**11, 300000000281))),
         # picard-verify holds the row, two iterates and the oracle's three arrays of N + 1
         pytest.param(
             ["picard-verify", "--T", "1000", "--dt", "1e-6"], None,
@@ -421,11 +428,11 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
 def test_hostile_input_exit_codes(capsys, tmp_path, monkeypatch, argv, config, expected):
     import varexp_cir.cli as cli
 
-    def refuse(*args):
-        raise AssertionError("increments drawn for a run above the size cap")
+    def refuse(*args, **kwargs):
+        raise AssertionError("increments drawn for a refused run")
 
     expected, expected_err = expected if isinstance(expected, tuple) else (expected, None)
-    if "above the cap" in (expected_err or ""):  # refused before a row is drawn
+    if expected == 2:  # every refusal comes before a row is drawn
         monkeypatch.setattr(cli, "sample_batch", refuse)
         monkeypatch.setattr(cli, "path_increments", refuse)
     argv = list(argv)
@@ -449,7 +456,7 @@ def test_hostile_input_exit_codes(capsys, tmp_path, monkeypatch, argv, config, e
 @pytest.mark.parametrize(
     "source, value",
     [("--seed", "x"), ("--paths", "x"), ("--dt", "1/2"), ("--T", "one"), ("--policy", "clamp"),
-     ("--bins", "2.5"), ("VAREXP_SEED", "0x2a")],
+     ("--bins", "2.5"), ("VAREXP_SEED", "0x2a"), ("--seed", "-1"), ("VAREXP_SEED", str(2**64))],
 )
 def test_a_malformed_setting_is_refused_in_one_line(capsys, tmp_path, monkeypatch, source, value):
     # a setting flag's string is read by the cast a config value gets, not by the parser
@@ -461,6 +468,27 @@ def test_a_malformed_setting_is_refused_in_one_line(capsys, tmp_path, monkeypatc
     code, out, err = _run(capsys, "simulate", *(a for item in flags.items() for a in item))
     assert (code, out, err) == (2, "", f"error: {source} has a malformed value {value!r}\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lipschitz", "--n", "x"], ["picard-verify", "--tol", "x"],
+        ["picard-verify", "--kmax", "1e3"], ["compare", "--bogus", "1"], ["lipschitz", "--n"], [],
+    ],
+    ids=["n-not-int", "tol-not-float", "kmax-not-int", "unknown-flag", "missing-value",
+         "missing-subcommand"],
+)
+def test_a_parser_error_is_one_line(capsys, argv):
+    # the parser's error, not its usage block, as every other refusal prints it
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_and_version_still_print_and_exit_zero(capsys):
+    assert _run(capsys, "--version")[:2] == (0, f"{varexp_cir.__version__}\n")
+    code, out, _ = _run(capsys, "picard-verify", "--help")
+    assert code == 0 and out.startswith("usage: varexp-cir picard-verify") and "--kmax" in out
 
 
 def test_repeated_model_is_refused_before_sampling(capsys, tmp_path, monkeypatch):
@@ -538,10 +566,10 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
 
     # compare holds, per path, 4 models x (4 kept nodes + 4 compensated
     # values + 1 clamp count), plus one chunk of increments (here every
-    # path, 100 steps each) twice, filled and as the shared copy of the
-    # later parts, at any split, plus 4 histograms of 50 bins x (count,
-    # density, left edge) and a right edge: 49 paths hold 1764 + 2 x 4900
-    # + 4 x 151 = 12168
+    # path, 100 steps each) once at any split, the later parts filling
+    # their rows of the shared buffer, plus 4 histograms of 50 bins x
+    # (count, density, left edge) and a right edge: 49 paths hold 1764
+    # + 4900 + 4 x 151 = 7268
     real_sample_batch = cli.sample_batch
 
     def refuse(*args, **kwargs):
@@ -549,14 +577,14 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
 
     for workers in (1, 3):
         forks = _workers(monkeypatch, workers)
-        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 12_167)
+        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 7_267)
         monkeypatch.setattr(cli, "sample_batch", refuse)
         out = tmp_path / f"big-{workers}"
         code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
         assert code == 2 and not out.exists()
-        assert err == "error: 49 paths of 100 steps hold 12168 values, above the cap of 12167\n"
+        assert err == "error: 49 paths of 100 steps hold 7268 values, above the cap of 7267\n"
 
-        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 12_168)
+        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 7_268)
         monkeypatch.setattr(cli, "sample_batch", real_sample_batch)
         code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
         assert (code, len(forks)) == (0, workers - 1), err
@@ -638,12 +666,13 @@ def test_every_split_gives_the_same_bytes(
 
     monkeypatch.setattr(cli, "_CHUNK", rows * 100)
     _workers(monkeypatch, workers)
-    filled, pipes, forks = [], [], []
+    pipes, forks, log = [], [], tmp_path / "filled.log"
     real_sample_batch, real_pipe, real_fork = cli.sample_batch, os.pipe, os.fork
 
-    def counted(seed, paths, grid):
-        filled.append(len(paths))
-        return real_sample_batch(seed, paths, grid)
+    def counted(seed, paths, grid, out=None):
+        with open(log, "a") as fh:  # one line a fill, from this process or a worker
+            fh.write(f"{os.getpid()} {paths.start} {len(paths)} {int(out is not None)}\n")
+        return real_sample_batch(seed, paths, grid, out=out)
 
     def pipe():
         if failing == "pipe":
@@ -661,6 +690,12 @@ def test_every_split_gives_the_same_bytes(
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", fork)
     assert _split_outputs(tmp_path) == one_process
+    fills = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    filled = [n for pid, _, n, _ in fills if pid == os.getpid()]
+    # every row is filled once, and exactly the parts after each round's first (rounds
+    # start at multiples of rows) fill their rows of the shared buffer in place
+    assert sum(n for _, _, n, _ in fills) == 4 * 200
+    assert all(into_buffer == (start % rows > 0) for _, start, _, into_buffer in fills)
     # each of the four commands, the dump among them, fills every chunk once, all
     # in this process when a chunk cannot be split or no part can be handed out
     if workers == 1 or rows == 1:
@@ -680,20 +715,20 @@ def test_every_split_gives_the_same_bytes(
 
 def test_a_dump_round_counts_every_node_against_the_cap(capsys, tmp_path, monkeypatch):
     # a dump round's parts also hold one model's values and compensated at all
-    # 101 nodes: 49 paths add 2 x 49 x 101 = 9898 values to the 12168 of a
-    # run without a dump, 22066 at any split
+    # 101 nodes: 49 paths add 2 x 49 x 101 = 9898 values to the 7268 of a
+    # run without a dump, 17166 at any split
     import varexp_cir.stochastic as stochastic
 
     for workers in (1, 3):
         forks = _workers(monkeypatch, workers)
-        for cap, expected_code in ((22066, 0), (22065, 2)):
+        for cap, expected_code in ((17166, 0), (17165, 2)):
             monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", cap)
             forks.clear()
             out = tmp_path / f"{workers}-{cap}"
             code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--no-svg",
                                 "--dump-paths", "--out", str(out))
             assert (code, len(forks)) == (expected_code, (workers - 1) * (expected_code == 0)), err
-        assert "hold 22066 values, above the cap of 22065" in err and not out.exists()
+        assert "hold 17166 values, above the cap of 17165" in err and not out.exists()
 
 
 #: (seed, config, chunk rows, overflow named, --dump-paths); a case without a dump keeps its id
@@ -790,7 +825,7 @@ def test_failing_worker_exits_two_and_leaves_nothing_behind(capsys, tmp_path, mo
     _workers(monkeypatch, 2)
     real_sample_batch, real_atomic_write, parent = cli.sample_batch, cli.atomic_write, os.getpid()
 
-    def failing(seed, paths, grid):
+    def failing(seed, paths, grid, out=None):
         in_child = paths.start > 0
         if failure == "memory-error" and in_child:
             raise MemoryError
@@ -801,7 +836,7 @@ def test_failing_worker_exits_two_and_leaves_nothing_behind(capsys, tmp_path, mo
                 time.sleep(60)  # still walking when the parent leaves
             else:
                 raise MemoryError
-        return real_sample_batch(seed, paths, grid)
+        return real_sample_batch(seed, paths, grid, out=out)
 
     def failing_write(path, text):
         def rows():

@@ -5,11 +5,12 @@ flags (``FLAGS``), every key of ``PARAMS`` and ``SETTINGS`` in its config
 file, and ``VAREXP_SEED``. One or two slots get an extreme value (0,
 negatives, +-inf, nan, 5e-324, 1e100, 1.3e154, 1e308, 2**63, 2**64,
 strings, lists, booleans and null), the rest a valid value or none. A
-flag and a config key are read by one cast, so one value list serves
-both; the truncation level, tolerance and iteration cap are typed by the
-parser and get numbers of their type. Runs stay small because the
-defaults of paths, horizon and step and the size cap are lowered, not by
-leaving hostile values out. A new flag or setting is drawn without a case
+flag and a config key are read by one cast, and a flag typed by the
+parser refuses a value of another type in one line too, so one value
+list serves every slot; the truncation level, tolerance and iteration
+cap add extremes of their own. Runs stay small because the defaults of
+paths, horizon and step and the size cap are lowered, not by leaving
+hostile values out. A new flag or setting is drawn without a case
 written for it. Each class this search has found is kept as a fixed row
 of ``test_hostile_input_exit_codes``. 400 examples at a fixed seed take
 about 5 s on 2 vCPUs.
@@ -44,10 +45,13 @@ VALID = {
     "n": [1, 10], "kmax": [1, 200], "tol": [1e-9, 1.0], "dump-paths": [True], "no-svg": [True],
 }
 SMALL_DEFAULTS = {"T": 0.02, "dt": 0.01, "paths": 4}
-#: the extremes of a flag that takes a spec, or a number typed by the parser
-HOSTILE = {
+#: the extremes of a flag that takes a spec, drawn instead of the shared ones
+SPECS = {
     "model": ["gm:const:1.5", "gm:const:nan", "gm:const:x", "pkm:a=2,b=1", "heston", ""],
     "exponent": ["const:0.4", "const:inf", "gm:p1", ""], "exponents": ["p1,p1", ",", "p9"],
+}
+#: the extremes of a number typed by the parser, drawn beside the shared ones
+OWN = {
     "n": [0, -1, 185364, 2**63, 10**200], "kmax": [0, -1, 2**63],
     "tol": [0.0, -1.0, math.inf, math.nan, 5e-324, 1e308],
 }
@@ -80,7 +84,8 @@ def invocations(draw):
     for slot in slots:
         name = "seed" if slot == "VAREXP_SEED" else slot.removeprefix("--")
         if slot in hostile:
-            value = draw(st.sampled_from(HOSTILE.get(name, NUMBERS * 2 + OTHERS)))
+            extremes = SPECS.get(name) or OWN.get(name, []) + NUMBERS * 2 + OTHERS
+            value = draw(st.sampled_from(extremes))
         else:  # --exponent is required
             value = draw(st.sampled_from([ABSENT] * (name != "exponent") + VALID[name]))
         if value is ABSENT:

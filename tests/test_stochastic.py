@@ -112,6 +112,20 @@ def test_batch_rows_equal_path_increments_across_block_edges(m_paths):
     assert batch.increments.flags.f_contiguous
 
 
+def test_a_batch_fills_the_rows_it_is_given_bit_for_bit():
+    # a chunk's later parts fill their rows of one time-major buffer in place
+    grid = make_grid(1.0, 0.01)
+    buffer = np.full((grid.n_steps, 80), np.nan).T
+    batch = sample_batch(42, range(40, 75), grid, out=buffer[5:40])
+    assert np.shares_memory(batch.increments, buffer) and not batch.increments.flags.writeable
+    assert np.array_equal(buffer[5:40], sample_batch(42, range(40, 75), grid).increments)
+    assert np.isnan(buffer[:5]).all() and np.isnan(buffer[40:]).all()
+    buffer[5, 0] = 1.0  # the caller's array stays writable
+    for wrong in (buffer[5:39], buffer[5:40, :-1], np.zeros((35, 100), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+            sample_batch(42, range(40, 75), grid, out=wrong)
+
+
 def test_checksum_is_the_one_shot_formula_in_any_layout():
     grid = make_grid(1.0, 0.01)
     batch = sample_batch(3, 70, grid)
