@@ -47,7 +47,8 @@ from .analysis import check_moment_bounds, martingale_report, terminal_histogram
 from .exponent import make_builtin, validate_hypotheses
 from .figures import svg_histogram, svg_line_plot
 from .model import ModelParams, feller_check, parse_model
-from .solver import PathOverflowError, euler_maruyama_truncated, picard_solve, simulate_batch
+from .solver import PathOverflowError, euler_maruyama_truncated, picard_solve, simulate_models
+from .solver import simulate_batch  # noqa: F401  not called here: bench/tracer.py wraps it
 from .stochastic import make_grid, path_increments, sample_batch
 from .truncation import TruncationParams, lipschitz_constants
 
@@ -241,24 +242,27 @@ def _shared(count: int) -> np.ndarray:
 
 
 def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range, out=None):
-    """Fill the increments of a range of paths (into out if given), drive every model
-    on them in spec order into their rows of the kept arrays, path 0 and dump (every
-    node); return the increments and the first overflow's (model, step, path) or None."""
+    """Fill the increments of a range of paths (into out if given), step every model on them in
+    one stack into its rows of the kept arrays and path 0 (with dump, one model at a time at every
+    node, as the size cap counts); return the increments and the least overflow or None."""
     batch = sample_batch(settings["seed"], paths, grid, out=out)
-    for i, run in enumerate(runs):
+    size, kept, columns = (1, None, nodes) if dump else (len(runs), nodes, slice(None))
+    for first in range(0, len(runs), size):
+        stack = runs[first : first + size]
         try:
-            pb = simulate_batch(run.model, batch, settings["policy"], None if dump else nodes)
+            pbs = simulate_models([run.model for run in stack], batch, settings["policy"], kept)
         except PathOverflowError as exc:
-            return batch.increments, (i, exc.step_index, paths.start + exc.path_index)
-        columns = nodes if dump else slice(None)
-        run.values[paths.start : paths.stop] = pb.values[:, columns]
-        run.compensated[paths.start : paths.stop] = pb.compensated[:, columns]
-        run.clamp_counts[paths.start : paths.stop] = pb.clamp_counts
-        if paths.start == 0:
-            run.path0[:] = pb.path0
-        if dump:
-            dump(pb, paths.start)
-        del pb  # a round holds one model's arrays at a time, as the size cap counts
+            return batch.increments, (first + exc.model_index, exc.step_index,
+                                      paths.start + exc.path_index)
+        for run, pb in zip(stack, pbs):
+            run.values[paths.start : paths.stop] = pb.values[:, columns]
+            run.compensated[paths.start : paths.stop] = pb.compensated[:, columns]
+            run.clamp_counts[paths.start : paths.stop] = pb.clamp_counts
+            if paths.start == 0:
+                run.path0[:] = pb.path0
+            if dump:
+                dump(pb, paths.start)
+        del pbs, pb  # before the next model's arrays are made
     return batch.increments, None
 
 
@@ -311,7 +315,8 @@ def _round(h, walk, parts: list[range], n_steps: int):
                 raise kind(*report[1:]) if kind else RuntimeError(": ".join(report))
             faults.append(tuple(report))
         if any(faults):
-            raise PathOverflowError(*min(f for f in faults if f)[1:])
+            model, step, path = min(f for f in faults if f)
+            raise PathOverflowError(step, path, model)
         stochastic.hash_rows(h, buffer)
     finally:  # each child has reported, or this process leaves on an exception
         for pid, r in children:

@@ -33,17 +33,19 @@ __all__ = [
     "euler_maruyama_truncated",
     "picard_solve",
     "simulate_batch",
+    "simulate_models",
 ]
 
 POLICIES = ("full-truncation", "reflection")
+#: Values (models x rows) that one kernel step works on, so a tile stays in cache (BENCH_19.json).
+_TILE = 2**15
 
 
 class PathOverflowError(ArithmeticError):
-    """A non-finite state was produced; carries the path and step index."""
+    """A non-finite state was produced; carries the step, path and model index."""
 
-    def __init__(self, step_index: int, path_index: int):
-        self.step_index = step_index
-        self.path_index = path_index
+    def __init__(self, step_index: int, path_index: int, model_index: int = 0):
+        self.step_index, self.path_index, self.model_index = step_index, path_index, model_index
         super().__init__(f"non-finite state produced at path {path_index}, step {step_index}")
 
 
@@ -84,77 +86,90 @@ class PathBatch:
         return int(np.searchsorted(self.nodes, j))
 
 
-def _euler(f, g, v0: float, grid: TimeGrid, increments: np.ndarray, policy, nodes):
-    """The Euler kernel; increments has shape (m_paths, n_steps).
+def _euler(fs, gs, v0s, grid, increments: np.ndarray, policy, nodes):
+    """The Euler kernel on a stack of models; increments has shape (m_paths, n_steps).
 
-    v[j+1] = v[j] + f(v[j]) dt + g(v[j]) dW[j]. A positivity policy clamps
-    (full truncation) or reflects the stored value, so the coefficients see
-    max(v, 0) = v (v0 > 0, the clamp is idempotent); ``policy=None``
-    applies none. Every path advances in the same elementwise arithmetic
-    (numpy ufuncs are lane-consistent), so a row's values do not depend on
-    the other rows of its batch. Each step's f(v) dt is also summed, in
-    step order, into the martingale compensator. Returns, time-major at
-    the grid indices in nodes (increasing), the state and the state minus
-    the compensator, then the clamp counts and row 0 at every node.
-    """
+    v[j+1] = v[j] + f(v[j]) dt + g(v[j]) dW[j], each f(v) dt summed in step order into the
+    compensator; the policy clamps or reflects the stored state (None: neither), so f and g
+    see max(v, 0) = v. Model i starts at v0s[i] with diffusion gs[i] and drift fs[i], or fs[0]
+    on the whole stack if fs holds one. Tiles of the (models, rows) state step in lane-consistent
+    ufuncs: a row depends on no other row or model. Returns the state and the state minus the
+    compensator at nodes, as (models, nodes, m_paths), the clamp counts and row 0 at every
+    node; raises PathOverflowError at the least (model, step, path) whose state is not finite."""
     if increments.ndim != 2 or increments.shape[1] != grid.n_steps or not len(increments):
         raise ValueError("increments must have shape (m_paths, grid.n_steps), m_paths >= 1")
-    dt = grid.dt
-    m_paths, n_steps = increments.shape
-    values, compensated = (np.empty((m_paths, len(nodes)), order="F") for _ in range(2))
-    path0, clamps = np.empty(n_steps + 1), np.zeros(m_paths, dtype=np.int64)
-    v, compensator, k = np.full(m_paths, v0), 0.0, 0
-    # The isfinite check reports an overflow, so numpy's warning is silenced: printed
-    # once per process, it would make stderr depend on how many workers walked the run.
+    dt, (m_paths, n_steps), n_models = grid.dt, increments.shape, len(gs)
+    values, compensated = (np.empty((n_models, len(nodes), m_paths)) for _ in range(2))
+    path0, clamps = np.empty((n_models, n_steps + 1)), np.zeros((n_models, m_paths), np.int64)
+    rows, fault, full = _TILE // (n_models or 1) or 1, (n_models,), policy == "full-truncation"
+    # Overflow is reported below; numpy's warning, once per process, would vary with the workers
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps + 1):
-            if j:
-                fd = f(v) * dt
-                raw = v + fd + g(v) * increments[:, j - 1]
-                if not np.isfinite(raw).all():
-                    path_idx = int(np.flatnonzero(~np.isfinite(raw))[0])
-                    raise PathOverflowError(step_index=j, path_index=path_idx)
-                if policy is None:
-                    v = raw
+        for start in range(0, m_paths, rows):
+            tile, n = slice(start, min(start + rows, m_paths)), min(fault[0] + 1, n_models)
+            while n:  # walked again without a failing model: the models before it may fail later
+                v, k = np.repeat(np.reshape(v0s[:n], (-1, 1)), tile.stop - start, axis=1), 0
+                fd, gdw, comp, below = np.empty_like(v), np.empty_like(v), -0.0 * v, v < 0
+                # in place (out= an input) but on one value, where numpy's overlap check costs more
+                raw, comp2 = (v, comp) if v.size > 1 else (np.empty_like(v), np.empty_like(v))
+                drifts = list(zip(fs, v, fd)) if len(fs) != 1 else [(fs[0], v.ravel(), fd.ravel())]
+                diffusions, dws, p0 = list(zip(gs, v, gdw)), increments[tile].T, path0[:n].T
+                vals, comps = (a[:n, :, tile].swapaxes(0, 1) for a in (values, compensated))
+                for j in range(n_steps + 1):
+                    if j:
+                        for f, x, out in drifts:
+                            np.multiply(f(x), dt, out=out)
+                        for g, x, out in diffusions:
+                            np.multiply(g(x), dws[j - 1], out=out)
+                        np.add(np.add(v, fd, out=raw), gdw, out=v)  # (v + f dt) + g dW
+                        comp, comp2 = np.add(comp, fd, out=comp2), comp  # -0.0 + f dt is f dt
+                        if not np.logical_and.reduce(np.isfinite(v, out=below), None):
+                            n = int(below.all(axis=1).argmin())
+                            fault = min(fault, (n, j, start + int(below[n].argmin())))
+                            break
+                        # with no state below zero, the clamp would change no bit
+                        if policy and np.logical_or.reduce(np.less(v, 0.0, out=below), None):
+                            clamps[:n, tile] += below
+                            np.maximum(v, 0.0, out=v) if full else np.abs(v, out=v)
+                    if start == 0:
+                        p0[j] = v[:, 0]
+                    if k < len(nodes) and nodes[k] == j:
+                        vals[k], comps[k] = v, v - comp
+                        k += 1
                 else:
-                    clamps += raw < 0.0
-                    v = np.maximum(raw, 0.0) if policy == "full-truncation" else np.abs(raw)
-                compensator = compensator + fd if j > 1 else fd
-            path0[j] = v[0]
-            if k < len(nodes) and nodes[k] == j:
-                values[:, k], compensated[:, k] = v, v - compensator
-                k += 1
+                    break
+    if fault[0] < n_models:
+        raise PathOverflowError(*fault[1:], model_index=fault[0])
     return values, compensated, clamps, path0
+
+
+def simulate_models(models, batch: BrownianBatch, policy="full-truncation", nodes=None) -> list:
+    """One PathBatch per model, of every path of the batch at the grid indices in nodes (every
+    node by default). Full truncation: v[j+1] = v[j] + f(v[j]+) dt + g(v[j]+) dW[j], clamped
+    at zero; reflection stores |v[j+1]|. The models step as one stack, sharing a drift of equal
+    parameters and power. Rows are independent, so chunks of rows give one batch's rows."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown positivity policy {policy!r}; expected one of {POLICIES}")
+    n_steps = batch.grid.n_steps
+    items = list(np.asarray(range(n_steps + 1) if nodes is None else nodes, dtype=object).flat)
+    integral = [isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in items]
+    if not (items and all(integral) and 0 <= min(items) <= max(items) <= n_steps):
+        raise ValueError(f"nodes must be a nonempty set of integer grid indices in [0, {n_steps}]")
+    nodes = np.array(sorted(set(items)), dtype=int)  # not np.unique, which loads numpy.ma
+    fs, gs = zip(*map(coefficients, models)) if models else ((), ())
+    fs = fs[:1] if len({(m.a, m.params) for m in models}) == 1 else fs  # a shared drift
+    values, compensated, clamps, path0 = _euler(
+        fs, gs, [model.params.v0 for model in models], batch.grid, batch.increments, policy, nodes)
+    for a in (nodes, values, compensated, path0):
+        a.setflags(write=False)
+    return [PathBatch(model, batch.grid, nodes, values[i].T, compensated[i].T, clamps[i], path0[i])
+            for i, model in enumerate(models)]
 
 
 def simulate_batch(
     model: Model, batch: BrownianBatch, policy: str = "full-truncation", nodes=None
 ) -> PathBatch:
-    """Simulate every path of the batch, keeping the grid indices in nodes
-    (every node by default).
-
-    Full truncation: v[j+1] = v[j] + f(v[j]+) dt + g(v[j]+) dW[j],
-    stored clamped at zero; reflection stores |v[j+1]| instead. Each
-    row's result is independent of how paths are grouped or ordered,
-    so a run walked in chunks of rows gives the rows of one batch.
-    Raises PathOverflowError (with the path and step index) if a state
-    leaves the representable range.
-    """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown positivity policy {policy!r}; expected one of {POLICIES}")
-    n_steps = batch.grid.n_steps
-    # sorted(set()), not np.unique, which loads numpy.ma on its first call
-    nodes = np.arange(n_steps + 1) if nodes is None else np.array(
-        sorted(set(np.asarray(nodes, dtype=int).flat)), dtype=int
-    )
-    if nodes.size == 0 or nodes[0] < 0 or nodes[-1] > n_steps:
-        raise ValueError(f"nodes must be a nonempty set of grid indices in [0, {n_steps}]")
-    values, compensated, clamps, path0 = _euler(
-        *coefficients(model), model.params.v0, batch.grid, batch.increments, policy, nodes
-    )
-    for a in (nodes, values, compensated, path0):
-        a.setflags(write=False)
-    return PathBatch(model, batch.grid, nodes, values, compensated, clamps, path0)
+    """simulate_models for one model: its PathBatch."""
+    return simulate_models([model], batch, policy, nodes)[0]
 
 
 def euler_maruyama_truncated(
@@ -172,8 +187,8 @@ def euler_maruyama_truncated(
     and is exactly the fixed point of the discrete Picard map.
     """
     f_n, g_n = truncated_coefficients(tp, model)
-    increments = np.asarray(increments, dtype=float)
-    return _euler(f_n, g_n, model.params.v0, grid, increments, None, range(grid.n_steps + 1))[0]
+    return _euler([f_n], [g_n], [model.params.v0], grid, np.asarray(increments, dtype=float),
+                  None, range(grid.n_steps + 1))[0][0].T
 
 
 @dataclass(frozen=True)

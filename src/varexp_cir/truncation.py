@@ -84,7 +84,7 @@ def _theta(tp: TruncationParams, ra: np.ndarray) -> np.ndarray:
     # Outside the two open gaps the pieces are the clamp onto [1/n, n], bit for bit: the
     # lower bridge at t1 = 0 is 1/n, the band is the identity, the default is n. A state
     # in a gap, or a nan, takes the pieces.
-    if ((ra <= lo) | ((ra >= lo + eps) & (ra <= n - eps)) | (ra >= n)).all():
+    if np.logical_and.reduce((ra <= lo) | ((ra >= lo + eps) & (ra <= n - eps)) | (ra >= n), None):
         return np.minimum(np.maximum(ra, lo), float(n))
     pieces, t1, t2 = _pieces(tp, ra)
     bridge_lo = lo + eps * t1**2 * (2.0 - t1)

@@ -1041,7 +1041,7 @@ def test_reader_closing_stdout_early_is_not_an_error():
 
 
 @pytest.mark.parametrize("command", ["compare", "moments"])
-@pytest.mark.parametrize("stage", ["sample_batch", "simulate_batch"])
+@pytest.mark.parametrize("stage", ["sample_batch", "simulate_models"])  # the names the walk calls
 def test_out_of_memory_exits_two_without_traceback(capsys, tmp_path, monkeypatch, command, stage):
     import varexp_cir.cli as cli
 

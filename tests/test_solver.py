@@ -6,12 +6,14 @@ import pytest
 
 from varexp_cir.exponent import make_builtin
 from varexp_cir.model import ModelParams, cir_model, gm_model, parse_model
+from varexp_cir import solver
 from varexp_cir.solver import (
     PathOverflowError,
     band_exit_index,
     euler_maruyama_truncated,
     picard_solve,
     simulate_batch,
+    simulate_models,
 )
 from varexp_cir.stochastic import BrownianBatch, make_grid, path_increments, sample_batch
 from varexp_cir.truncation import TruncationParams, truncated_diffusion, truncated_drift
@@ -335,6 +337,100 @@ def test_euler_kernel_overflows_where_the_previous_step_did():
     with pytest.raises(PathOverflowError) as got:
         simulate_batch(model, batch, "full-truncation", [100])
     assert (got.value.path_index, got.value.step_index) == (want.value.path_index, 13) == (602, 13)
+
+
+@pytest.mark.parametrize("nodes", [[2.7], [True], ["3"], [1, True], [np.True_], [2.0]])
+def test_nodes_that_are_not_integers_are_refused(gm_p1, nodes):
+    # np.asarray(nodes, dtype=int) kept node 2 for 2.7, node 1 for True and node 3 for "3"
+    batch = sample_batch(1, 4, make_grid(0.01, 0.001))
+    with pytest.raises(ValueError, match="integer grid indices"):
+        simulate_batch(gm_p1, batch, nodes=nodes)
+
+
+def _counting_coefficients(monkeypatch):
+    """Make the solver's coefficients count the calls of every drift; return the count."""
+    calls = [0]
+    real = solver.coefficients
+
+    def counted(model):
+        f, g = real(model)
+        return (lambda x: (calls.__setitem__(0, calls[0] + 1), f(x))[1]), g
+
+    monkeypatch.setattr(solver, "coefficients", counted)
+    return calls
+
+
+@pytest.mark.parametrize("nodes", [[0, 10, 33, 49, 50], None], ids=["subset", "every-node"])
+@pytest.mark.parametrize("policy", ["full-truncation", "reflection"])
+@pytest.mark.parametrize(
+    "specs",
+    [("cir", "gm:p1", "gm:p3"), ("cir", "gm:p1", "gm:p3", "pkm:a=1,b=1")],
+    ids=["shared-drift", "mixed"],
+)
+def test_each_model_of_a_stack_equals_the_previous_step_bit_for_bit(
+    monkeypatch, specs, policy, nodes
+):
+    # 11,000 rows are two row tiles of the stack at 3 models and at 4; one pkm model with
+    # a = 1 makes every model evaluate its own drift
+    from varexp_cir.model import coefficients
+
+    grid = make_grid(0.05, 0.001)
+    batch = sample_batch(3, 11000, grid)
+    params = ModelParams(2.0, 0.05, 1.0, 0.01)
+    models = [parse_model(spec, params) for spec in specs]
+    tiles = -(-11000 // (solver._TILE // len(models)))
+    assert tiles == 2
+    drift_calls = _counting_coefficients(monkeypatch)
+    pbs = simulate_models(models, batch, policy, nodes)
+    shared = len(specs) == 3
+    assert drift_calls[0] == tiles * grid.n_steps * (1 if shared else len(models))
+    every = range(grid.n_steps + 1)
+    clamped = 0
+    for model, pb in zip(models, pbs):
+        expected = _euler_oracle(*coefficients(model), params.v0, grid, batch.increments, policy,
+                                 every if nodes is None else nodes)
+        clamped += expected[2].sum()
+        for got, want in zip((pb.values, pb.compensated, pb.clamp_counts, pb.path0), expected):
+            assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+    assert clamped > 100  # a clamp-heavy configuration
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "poisoned, expected",
+    [
+        # only the later model, pkm's b = 3/2, overflows (path 602 at step 13, in tile 2)
+        ([], (1, 13, 602)),
+        # cir fails too, later and in tile 0, and wins as the earlier model
+        ([(37, 40)], (0, 40, 37)),
+        # in the tile where pkm fails first: cir walks that tile again without it
+        ([(600, 40)], (0, 40, 600)),
+        # cir fails in two tiles; the least step wins, whichever tile holds it
+        ([(37, 40), (700, 20)], (0, 20, 700)),
+        ([(37, 20), (700, 40)], (0, 20, 37)),
+    ],
+)
+def test_a_stack_raises_the_overflow_of_least_model_step_and_path(monkeypatch, poisoned, expected):
+    from varexp_cir.model import coefficients
+
+    monkeypatch.setattr(solver, "_TILE", 512)  # 256 rows of 2 models per tile
+    grid = make_grid(1.0, 0.01)
+    increments = np.array(sample_batch(10, 1000, grid).increments, order="F")
+    for path, step in poisoned:
+        increments[path, step - 1] = np.inf
+    params = ModelParams(2.0, 0.05, 30.0, 30.0)
+    models = [parse_model(spec, params) for spec in ("cir", "pkm:a=0,b=1.5")]
+    faults = []
+    for i, model in enumerate(models):  # each model alone, by the previous step
+        try:
+            _euler_oracle(*coefficients(model), 30.0, grid, increments, "full-truncation", [100])
+        except PathOverflowError as exc:
+            faults.append((i, exc.step_index, exc.path_index))
+    assert min(faults) == expected
+    with pytest.raises(PathOverflowError) as got:
+        simulate_models(models, BrownianBatch(10, grid, increments), "full-truncation", [100])
+    assert (got.value.model_index, got.value.step_index, got.value.path_index) == expected
+    assert str(got.value) == f"non-finite state produced at path {expected[2]}, step {expected[1]}"
 
 
 #: SHA-256 of the truncated Euler oracle's bytes and of Picard's fixed point at
