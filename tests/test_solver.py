@@ -348,13 +348,18 @@ def test_nodes_that_are_not_integers_are_refused(gm_p1, nodes):
 
 
 def _counting_coefficients(monkeypatch):
-    """Make the solver's coefficients count the calls of every drift; return the count."""
-    calls = [0]
+    """Make the solver's coefficients log each call of a drift; return the log."""
+    calls = []
     real = solver.coefficients
 
     def counted(model):
         f, g = real(model)
-        return (lambda x: (calls.__setitem__(0, calls[0] + 1), f(x))[1]), g
+
+        def drift(x):
+            calls.append(x.shape)
+            return f(x)
+
+        return drift, g
 
     monkeypatch.setattr(solver, "coefficients", counted)
     return calls
@@ -383,7 +388,7 @@ def test_each_model_of_a_stack_equals_the_previous_step_bit_for_bit(
     drift_calls = _counting_coefficients(monkeypatch)
     pbs = simulate_models(models, batch, policy, nodes)
     shared = len(specs) == 3
-    assert drift_calls[0] == tiles * grid.n_steps * (1 if shared else len(models))
+    assert len(drift_calls) == tiles * grid.n_steps * (1 if shared else len(models))
     every = range(grid.n_steps + 1)
     clamped = 0
     for model, pb in zip(models, pbs):
