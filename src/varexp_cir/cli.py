@@ -241,26 +241,28 @@ def _shared(count: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=np.float64)[:count]
 
 
-def _walk_rows(settings: dict, grid, runs, nodes, dump, paths: range, out=None):
-    """Fill the increments of a range of paths (into out if given), step every model on them in
-    one stack into its rows of the kept arrays and path 0 (with dump, one model at a time at every
-    node, as the size cap counts); return the increments and the least overflow or None."""
+def _walk_rows(settings: dict, grid, runs, arrays, nodes, dump, paths: range, out=None):
+    """Fill the increments of paths (into out if given), step every model on them in one stack
+    into its rows of the kept arrays (with dump: one at a time at every node, as the size cap
+    counts, copying the kept ones), copy path 0; return the increments, least overflow or None."""
     batch = sample_batch(settings["seed"], paths, grid, out=out)
-    size, kept, columns = (1, None, nodes) if dump else (len(runs), nodes, slice(None))
+    size = 1 if dump else len(runs)
     for first in range(0, len(runs), size):
         stack = runs[first : first + size]
+        into = None if dump else tuple(a[..., paths.start : paths.stop] for a in arrays)
         try:
-            pbs = simulate_models([run.model for run in stack], batch, settings["policy"], kept)
+            pbs = simulate_models([run.model for run in stack], batch, settings["policy"],
+                                  None if dump else nodes, into)
         except PathOverflowError as exc:
             return batch.increments, (first + exc.model_index, exc.step_index,
                                       paths.start + exc.path_index)
         for run, pb in zip(stack, pbs):
-            run.values[paths.start : paths.stop] = pb.values[:, columns]
-            run.compensated[paths.start : paths.stop] = pb.compensated[:, columns]
-            run.clamp_counts[paths.start : paths.stop] = pb.clamp_counts
             if paths.start == 0:
                 run.path0[:] = pb.path0
             if dump:
+                run.values[paths.start : paths.stop] = pb.values[:, nodes]
+                run.compensated[paths.start : paths.stop] = pb.compensated[:, nodes]
+                run.clamp_counts[paths.start : paths.stop] = pb.clamp_counts
                 dump(pb, paths.start)
         del pbs, pb  # before the next model's arrays are made
     return batch.increments, None
@@ -359,11 +361,10 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
         raise ValueError(f"{m_paths} paths of {n_steps} steps hold {held} values, "
                          f"above the cap of {cap}")
     blocks = _shared(kept).reshape(len(models), 2 * k + 1, m_paths)
-    runs = [solver.PathBatch(
-        model, grid, np.array(nodes), block[:k].T, block[k:-1].T, block[-1].view(np.int64),
-        np.empty(n_steps + 1),
-    ) for model, block in zip(models, blocks)]
-    walk = functools.partial(_walk_rows, settings, grid, runs, nodes, dump)
+    arrays = blocks[:, :k], blocks[:, k:-1], blocks[:, -1].view(np.int64)  # as the kernel writes
+    runs = [solver.PathBatch(model, grid, np.array(nodes), v.T, c.T, counts, np.empty(n_steps + 1))
+            for model, v, c, counts in zip(models, *arrays)]
+    walk = functools.partial(_walk_rows, settings, grid, runs, arrays, nodes, dump)
     h = stochastic.checksum_start(m_paths, n_steps)
     for start in range(0, m_paths, rows):
         stop = min(start + rows, m_paths)

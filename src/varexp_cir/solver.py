@@ -86,7 +86,7 @@ class PathBatch:
         return int(np.searchsorted(self.nodes, j))
 
 
-def _euler(fs, gs, v0s, grid, increments: np.ndarray, policy, nodes):
+def _euler(fs, gs, v0s, grid, increments: np.ndarray, policy, nodes, out=None):
     """The Euler kernel on a stack of models; increments has shape (m_paths, n_steps).
 
     v[j+1] = v[j] + f(v[j]) dt + g(v[j]) dW[j], each f(v) dt summed in step order into the
@@ -95,12 +95,14 @@ def _euler(fs, gs, v0s, grid, increments: np.ndarray, policy, nodes):
     on the whole stack if fs holds one. Tiles of the (models, rows) state step in lane-consistent
     ufuncs: a row depends on no other row or model. Returns the state and the state minus the
     compensator at nodes, as (models, nodes, m_paths), the clamp counts and row 0 at every
-    node; raises PathOverflowError at the least (model, step, path) whose state is not finite."""
+    node; raises PathOverflowError at the least (model, step, path) whose state is not finite.
+    out, if given, holds the first three arrays to write, views of the caller's."""
     if increments.ndim != 2 or increments.shape[1] != grid.n_steps or not len(increments):
         raise ValueError("increments must have shape (m_paths, grid.n_steps), m_paths >= 1")
     dt, (m_paths, n_steps), n_models = grid.dt, increments.shape, len(gs)
-    values, compensated = (np.empty((n_models, len(nodes), m_paths)) for _ in range(2))
-    path0, clamps = np.empty((n_models, n_steps + 1)), np.zeros((n_models, m_paths), np.int64)
+    values, compensated, clamps = out or (*np.empty((2, n_models, len(nodes), m_paths)),
+                                          np.empty((n_models, m_paths), np.int64))
+    path0, clamps[...] = np.empty((n_models, n_steps + 1)), 0  # the clamps add up from 0
     rows, fault, full = _TILE // (n_models or 1) or 1, (n_models,), policy == "full-truncation"
     # Overflow is reported below; numpy's warning, once per process, would vary with the workers
     with np.errstate(over="ignore", invalid="ignore"):
@@ -109,8 +111,6 @@ def _euler(fs, gs, v0s, grid, increments: np.ndarray, policy, nodes):
             while n:  # walked again without a failing model: the models before it may fail later
                 v, k = np.repeat(np.reshape(v0s[:n], (-1, 1)), tile.stop - start, axis=1), 0
                 fd, gdw, comp, below = np.empty_like(v), np.empty_like(v), -0.0 * v, v < 0
-                # in place (out= an input) but on one value, where numpy's overlap check costs more
-                raw, comp2 = (v, comp) if v.size > 1 else (np.empty_like(v), np.empty_like(v))
                 drifts = list(zip(fs, v, fd)) if len(fs) != 1 else [(fs[0], v.ravel(), fd.ravel())]
                 diffusions, dws, p0 = list(zip(gs, v, gdw)), increments[tile].T, path0[:n].T
                 vals, comps = (a[:n, :, tile].swapaxes(0, 1) for a in (values, compensated))
@@ -120,8 +120,8 @@ def _euler(fs, gs, v0s, grid, increments: np.ndarray, policy, nodes):
                             np.multiply(f(x), dt, out=out)
                         for g, x, out in diffusions:
                             np.multiply(g(x), dws[j - 1], out=out)
-                        np.add(np.add(v, fd, out=raw), gdw, out=v)  # (v + f dt) + g dW
-                        comp, comp2 = np.add(comp, fd, out=comp2), comp  # -0.0 + f dt is f dt
+                        np.add(np.add(v, fd, out=v), gdw, out=v)  # (v + f dt) + g dW
+                        np.add(comp, fd, out=comp)  # -0.0 + f dt is f dt
                         if not np.logical_and.reduce(np.isfinite(v, out=below), None):
                             n = int(below.all(axis=1).argmin())
                             fault = min(fault, (n, j, start + int(below[n].argmin())))
@@ -142,11 +142,12 @@ def _euler(fs, gs, v0s, grid, increments: np.ndarray, policy, nodes):
     return values, compensated, clamps, path0
 
 
-def simulate_models(models, batch: BrownianBatch, policy="full-truncation", nodes=None) -> list:
+def simulate_models(models, batch: BrownianBatch, policy="full-truncation", nodes=None, out=None):
     """One PathBatch per model, of every path of the batch at the grid indices in nodes (every
     node by default). Full truncation: v[j+1] = v[j] + f(v[j]+) dt + g(v[j]+) dW[j], clamped
     at zero; reflection stores |v[j+1]|. The models step as one stack, sharing a drift of equal
-    parameters and power. Rows are independent, so chunks of rows give one batch's rows."""
+    parameters and power. Rows are independent, so chunks of rows give one batch's rows. out,
+    if given, holds the arrays for _euler to write in place, which the batches then view."""
     if policy not in POLICIES:
         raise ValueError(f"unknown positivity policy {policy!r}; expected one of {POLICIES}")
     n_steps = batch.grid.n_steps
@@ -157,8 +158,8 @@ def simulate_models(models, batch: BrownianBatch, policy="full-truncation", node
     nodes = np.array(sorted(set(items)), dtype=int)  # not np.unique, which loads numpy.ma
     fs, gs = zip(*map(coefficients, models)) if models else ((), ())
     fs = fs[:1] if len({(m.a, m.params) for m in models}) == 1 else fs  # a shared drift
-    values, compensated, clamps, path0 = _euler(
-        fs, gs, [model.params.v0 for model in models], batch.grid, batch.increments, policy, nodes)
+    values, compensated, clamps, path0 = _euler(fs, gs, [m.params.v0 for m in models],
+                                                batch.grid, batch.increments, policy, nodes, out)
     for a in (nodes, values, compensated, path0):
         a.setflags(write=False)
     return [PathBatch(model, batch.grid, nodes, values[i].T, compensated[i].T, clamps[i], path0[i])
@@ -186,9 +187,19 @@ def euler_maruyama_truncated(
     globally Lipschitz, so the recursion is well defined for any state
     and is exactly the fixed point of the discrete Picard map.
     """
-    f_n, g_n = truncated_coefficients(tp, model)
-    return _euler([f_n], [g_n], [model.params.v0], grid, np.asarray(increments, dtype=float),
-                  None, range(grid.n_steps + 1))[0][0].T
+    increments = np.asarray(increments, dtype=float)
+    one_row = increments.shape == (1, grid.n_steps)  # stepped on Python floats, as _euler would
+    f_n, g_n = truncated_coefficients(tp, model, one_float=one_row)
+    if not one_row:
+        return _euler([f_n], [g_n], [model.params.v0], grid, increments, None,
+                      range(grid.n_steps + 1))[0][0].T
+    path, v, dt = [], float(model.params.v0), grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is raised below
+        for j, dw in enumerate(increments[0].tolist(), 1):
+            path.append(v)
+            if not math.isfinite(v := float((v + f_n(v) * dt) + g_n(v) * dw)):
+                raise PathOverflowError(j, 0)
+    return np.array([path + [v]])
 
 
 @dataclass(frozen=True)

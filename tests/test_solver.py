@@ -1,4 +1,8 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
+import json
 import math
 
 import numpy as np
@@ -16,7 +20,13 @@ from varexp_cir.solver import (
     simulate_models,
 )
 from varexp_cir.stochastic import BrownianBatch, make_grid, path_increments, sample_batch
-from varexp_cir.truncation import TruncationParams, truncated_diffusion, truncated_drift
+from varexp_cir.truncation import (
+    MAX_BAND,
+    TruncationParams,
+    truncated_coefficients,
+    truncated_diffusion,
+    truncated_drift,
+)
 
 
 def one_path(model, grid, row, policy="full-truncation"):
@@ -472,3 +482,105 @@ def test_oracle_and_picard_through_the_lower_gap_are_pinned(params, grid, spec):
     assert report.converged
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (euler, report.fixed_point))
     assert digests == BRIDGE_PINS[spec]
+
+
+def _through_zero(tp, spec, params, grid):
+    """A model started a few ulps above params.v0 and an increment row whose first step lands
+    on 0.0 exactly, where g dW cancels v0 + f dt; then the reference noise."""
+    v0 = params.v0
+    for _ in range(64):  # g dW hits every float near -(v0 + f dt) at about half the starts
+        model = parse_model(spec, dataclasses.replace(params, v0=v0))
+        f_n, g_n = truncated_coefficients(tp, model)
+        a, g = v0 + f_n(np.array([v0])) * grid.dt, g_n(np.array([v0]))
+        for dw in (np.nextafter(-a / g, -np.inf), -a / g, np.nextafter(-a / g, np.inf)):
+            if (a + g * dw)[0] == 0.0:
+                return model, np.concatenate([dw, path_increments(42, 0, grid)[1:]])
+        v0 = float(np.nextafter(v0, 1.0))
+    raise AssertionError(f"no step to 0.0 exactly near v0 = {params.v0}")
+
+
+@pytest.mark.parametrize("n", [2, 3, 25, 1000, MAX_BAND])
+@pytest.mark.parametrize("spec", ["cir", "gm:p1", "gm:p2", "gm:p3", "gm:const:0.75"])
+def test_one_row_oracle_equals_its_row_of_the_kernel_bit_for_bit(params, spec, n):
+    # each row alone (Python floats) against its row of one multi-row call (the kernel): from
+    # the reference start, from inside each gap, with xi = 0.9, and through 0.0, where rho_n
+    # takes sign(0.0) = 0.0; a first increment of -1 sends a low start below zero
+    grid, tp = make_grid(0.1, 0.001), TruncationParams(n)
+    lo, eps, noise = tp.lower, tp.epsilon, sample_batch(7, 3, grid).increments
+    kicked = np.concatenate([[-1.0], noise[0, 1:]])
+    starts = [(params.v0, params.xi), (lo + eps / 2, params.xi), (n - eps / 2, params.xi),
+              (params.v0, 0.9)]
+    assert n == MAX_BAND or (lo < starts[1][0] < lo + eps and n - eps < starts[2][0] < n)
+    cases = [(parse_model(spec, dataclasses.replace(params, v0=v0, xi=xi)), [])
+             for v0, xi in starts]
+    model, row = _through_zero(tp, spec, params, grid)
+    cases.append((model, [row]))
+    negative = False
+    for model, extra in cases:
+        increments = np.vstack([noise, np.zeros(grid.n_steps), kicked, *extra])
+        rows = euler_maruyama_truncated(tp, model, grid, increments)
+        assert rows.shape == (len(increments), grid.n_steps + 1)
+        for i, row in enumerate(increments):
+            alone = euler_maruyama_truncated(tp, model, grid, row[None])
+            assert alone.shape == (1, grid.n_steps + 1)
+            assert alone.tobytes() == np.ascontiguousarray(rows[i : i + 1]).tobytes()
+        negative |= bool((rows < 0).any())
+    assert negative and rows[-1, 1] == 0.0
+
+
+def test_one_row_oracle_overflows_at_the_kernels_step_and_path(params):
+    # at n = 2, g_n is xi * 2**p(2) ~ 8.5e307 on states above 2 and xi * 0.5**p(0.5) ~ 3.3e307
+    # on negative ones: steady increments of 0.25, -0.5 and 0.5 overflow at steps 10, 12 and 5
+    grid, tp = make_grid(0.1, 0.001), TruncationParams(2)
+    model = parse_model("gm:p1", dataclasses.replace(params, xi=5e307))
+    steady = np.ones(grid.n_steps)
+    increments = np.vstack([path_increments(42, 0, grid) * 1e-10, 0.25 * steady, -0.5 * steady,
+                            0.5 * steady])
+    f_n, g_n = truncated_coefficients(tp, model)
+    with pytest.raises(PathOverflowError) as batch:
+        euler_maruyama_truncated(tp, model, grid, increments)
+    assert (batch.value.step_index, batch.value.path_index) == (5, 3)
+    for i, row in enumerate(increments):
+        kernel = lambda: solver._euler([f_n], [g_n], [model.params.v0], grid, row[None], None,
+                                       range(grid.n_steps + 1))[0][0].T
+        if i == 0:  # finite all the way
+            assert euler_maruyama_truncated(tp, model, grid, row[None]).tobytes() == (
+                np.ascontiguousarray(kernel()).tobytes())
+            continue
+        with pytest.raises(PathOverflowError) as alone:
+            euler_maruyama_truncated(tp, model, grid, row[None])
+        with pytest.raises(PathOverflowError) as walked:
+            kernel()
+        assert (alone.value.step_index, alone.value.path_index) == (
+            walked.value.step_index, walked.value.path_index)
+        assert (alone.value.step_index, alone.value.path_index) == ([10, 12, 5][i - 1], 0)
+
+
+def test_the_one_row_oracle_and_picard_verify_never_walk_the_kernel(monkeypatch, params, grid):
+    from varexp_cir.cli import run
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the one-row oracle walked the stacked kernel")
+
+    monkeypatch.setattr(solver, "_euler", refused)
+    model = parse_model("gm:p1", params)
+    row = path_increments(42, 0, grid)[None]
+    assert euler_maruyama_truncated(TruncationParams(10), model, grid, row).shape == (1, 1001)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["picard-verify", "--model", "gm:p1", "--n", "10", "--T", "0.2"]) == 0
+    assert json.loads(out.getvalue())["sup_diff_vs_euler"] <= 1e-9
+
+
+def test_a_stack_written_into_given_arrays_equals_a_fresh_one(params, small_batch):
+    # the walk hands the kernel views of its kept arrays; whatever they held is overwritten
+    models = [parse_model(spec, params) for spec in ("cir", "gm:p1", "gm:p3")]
+    nodes, m_paths = [250, 500, 1000], small_batch.increments.shape[0]
+    fresh = simulate_models(models, small_batch, "full-truncation", nodes)
+    shape = (len(models), len(nodes), m_paths)
+    out = np.full(shape, np.nan), np.full(shape, np.nan), np.full((len(models), m_paths), -7)
+    given = simulate_models(models, small_batch, "full-truncation", nodes, out)
+    for i, (a, b) in enumerate(zip(fresh, given)):
+        for field in ("values", "compensated", "clamp_counts", "path0"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert np.shares_memory(b.values, out[0][i]) and np.shares_memory(b.clamp_counts, out[2])

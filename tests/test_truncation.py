@@ -18,6 +18,7 @@ from varexp_cir.truncation import (
     truncated_diffusion,
     truncated_drift,
 )
+from varexp_cir.truncation import _float_maps, _rho, _theta  # the one-float maps' references
 
 
 def test_truncation_params_validation():
@@ -112,6 +113,41 @@ def test_theta_n_equals_the_five_piece_formula_bit_for_bit(n):
         got_slope = np.asarray(theta_n_deriv(tp, states))
         assert np.array_equal(got_value.view(np.uint64), value.view(np.uint64))
         assert np.array_equal(got_slope.view(np.uint64), slope.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 25, 1000, MAX_BAND])
+def test_one_float_coefficients_give_a_one_element_arrays_bits(params, n):
+    # every band edge and three neighbours each side, both gaps, both flats, +-0 and
+    # negatives, where sign(-0.0) is +0.0; through the model's closures and alone, with
+    # states across the gaps that catch Python's t**2 (a pow) for numpy's (a product): in
+    # the lower bridge, 4 of 100,001 differ at n = 2, 2 at n = 3 and none at n = 25; in the
+    # upper, 1 of 4097 at n = 3
+    tp = TruncationParams(n)
+    eps, lo = tp.epsilon, tp.lower
+    edges = np.array([lo, lo + eps, n - eps, float(n)])
+    below, above = [edges], [edges]
+    for _ in range(3):  # three nextafter steps to either side of each edge
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    r = np.concatenate([*below, *above, [0.0, 0.5 * lo, 2.0 * n, 1e300],
+                        np.linspace(lo, lo + eps, 65), np.linspace(n - eps, n, 65)])
+    x = np.concatenate([r, -r, [-0.0]])
+    gaps = np.concatenate([np.linspace(a, a + eps, k) for a in (lo, n - eps)
+                           for k in ((4097, 100_001) if n <= 3 else (4097,))])
+    theta, rho = _float_maps(tp)
+    for on_array, on_float, states in [(_theta, theta, np.append(r, gaps)), (_rho, rho, x)]:
+        got = np.array([on_float(v) for v in states.tolist()])
+        with np.errstate(over="ignore"):  # 1e300 / eps in the pieces, which the kernel ignores
+            expected = on_array(tp, states)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    for spec in ["cir", "gm:p1", "gm:p2", "gm:p3", "gm:const:0.75"]:
+        model = parse_model(spec, params)
+        arrays = truncated_coefficients(tp, model)
+        floats = truncated_coefficients(tp, model, one_float=True)
+        for on_array, on_float in zip(arrays, floats):
+            expected = [on_array(np.array([v]))[0] for v in x.tolist()]
+            got = np.array([on_float(v) for v in x.tolist()])
+            assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
 
 
 def test_rho_n_basics():
