@@ -47,8 +47,8 @@ from .analysis import check_moment_bounds, martingale_report, terminal_histogram
 from .exponent import make_builtin, validate_hypotheses
 from .figures import svg_histogram, svg_line_plot
 from .model import ModelParams, feller_check, parse_model
-from .solver import PathOverflowError, euler_maruyama_truncated, picard_solve, simulate_models
-from .solver import simulate_batch  # noqa: F401  not called here: bench/tracer.py wraps it
+from .solver import PathOverflowError, euler_maruyama_truncated, picard_solve, simulate_batch
+from .solver import simulate_models
 from .stochastic import make_grid, path_increments, sample_batch
 from .truncation import TruncationParams, lipschitz_constants
 
@@ -243,36 +243,28 @@ def _shared(count: int) -> np.ndarray:
 
 def _walk_rows(settings: dict, grid, runs, arrays, nodes, dump, paths: range, out=None):
     """Fill the increments of paths (into out if given), step every model on them in one stack
-    into its rows of the kept arrays (with dump: one at a time at every node, as the size cap
-    counts, copying the kept ones), copy path 0; return the increments, least overflow or None."""
+    into its rows of the kept arrays and copy path 0; with dump, walk each model alone again at
+    every node for dump, which cannot overflow where the stack did not. Return the increments
+    and the least (step, model, path) that overflows, or None."""
     batch = sample_batch(settings["seed"], paths, grid, out=out)
-    size = 1 if dump else len(runs)
-    for first in range(0, len(runs), size):
-        stack = runs[first : first + size]
-        into = None if dump else tuple(a[..., paths.start : paths.stop] for a in arrays)
-        try:
-            pbs = simulate_models([run.model for run in stack], batch, settings["policy"],
-                                  None if dump else nodes, into)
-        except PathOverflowError as exc:
-            return batch.increments, (first + exc.model_index, exc.step_index,
-                                      paths.start + exc.path_index)
-        for run, pb in zip(stack, pbs):
-            if paths.start == 0:
-                run.path0[:] = pb.path0
-            if dump:
-                run.values[paths.start : paths.stop] = pb.values[:, nodes]
-                run.compensated[paths.start : paths.stop] = pb.compensated[:, nodes]
-                run.clamp_counts[paths.start : paths.stop] = pb.clamp_counts
-                dump(pb, paths.start)
-        del pbs, pb  # before the next model's arrays are made
+    into = tuple(a[..., paths.start : paths.stop] for a in arrays)
+    try:
+        pbs = simulate_models([run.model for run in runs], batch, settings["policy"], nodes, into)
+    except PathOverflowError as exc:
+        return batch.increments, (exc.step_index, exc.model_index, paths.start + exc.path_index)
+    for run, pb in zip(runs, pbs):
+        if paths.start == 0:
+            run.path0[:] = pb.path0
+        if dump:  # one model's every node at a time, as the size cap counts
+            dump(simulate_batch(run.model, batch, settings["policy"]), paths.start)
     return batch.increments, None
 
 
 def _round(h, walk, parts: list[range], n_steps: int):
     """Walk the first part of a chunk's rows here and fill every other part's rows of a
     time-major shared buffer in a forked child at once, or here once a pipe or fork fails;
-    feed the increments to h in row order and raise the overflow of least (model index,
-    step, path), as a one-process walk does. Kill and reap every child on the way out."""
+    feed the increments to h in row order and raise the overflow of least (step, model index,
+    path), as a one-process walk does. Kill and reap every child on the way out."""
     children, rest, first = [], [], parts[0].stop
     carried = (OSError, ValueError, MemoryError)  # a worker's failure keeps the class run() reads
     buffer = _shared((parts[-1].stop - first) * n_steps).reshape(n_steps, -1).T
@@ -317,7 +309,7 @@ def _round(h, walk, parts: list[range], n_steps: int):
                 raise kind(*report[1:]) if kind else RuntimeError(": ".join(report))
             faults.append(tuple(report))
         if any(faults):
-            model, step, path = min(f for f in faults if f)
+            step, model, path = min(f for f in faults if f)
             raise PathOverflowError(step, path, model)
         stochastic.hash_rows(h, buffer)
     finally:  # each child has reported, or this process leaves on an exception

@@ -95,7 +95,7 @@ def _euler(fs, gs, v0s, grid, increments: np.ndarray, policy, nodes, out=None):
     on the whole stack if fs holds one. Tiles of the (models, rows) state step in lane-consistent
     ufuncs: a row depends on no other row or model. Returns the state and the state minus the
     compensator at nodes, as (models, nodes, m_paths), the clamp counts and row 0 at every
-    node; raises PathOverflowError at the least (model, step, path) whose state is not finite.
+    node; raises PathOverflowError at the least (step, model, path) whose state is not finite.
     out, if given, holds the first three arrays to write, views of the caller's."""
     if increments.ndim != 2 or increments.shape[1] != grid.n_steps or not len(increments):
         raise ValueError("increments must have shape (m_paths, grid.n_steps), m_paths >= 1")
@@ -103,42 +103,40 @@ def _euler(fs, gs, v0s, grid, increments: np.ndarray, policy, nodes, out=None):
     values, compensated, clamps = out or (*np.empty((2, n_models, len(nodes), m_paths)),
                                           np.empty((n_models, m_paths), np.int64))
     path0, clamps[...] = np.empty((n_models, n_steps + 1)), 0  # the clamps add up from 0
-    rows, fault, full = _TILE // (n_models or 1) or 1, (n_models,), policy == "full-truncation"
+    rows, full = _TILE // (n_models or 1) or 1, policy == "full-truncation"
+    fault = (n_steps, n_models)  # the least failing (step, model, path); sorts after any
     # Overflow is reported below; numpy's warning, once per process, would vary with the workers
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m_paths, rows):
-            tile, n = slice(start, min(start + rows, m_paths)), min(fault[0] + 1, n_models)
-            while n:  # walked again without a failing model: the models before it may fail later
-                v, k = np.repeat(np.reshape(v0s[:n], (-1, 1)), tile.stop - start, axis=1), 0
-                fd, gdw, comp, below = np.empty_like(v), np.empty_like(v), -0.0 * v, v < 0
-                drifts = list(zip(fs, v, fd)) if len(fs) != 1 else [(fs[0], v.ravel(), fd.ravel())]
-                diffusions, dws, p0 = list(zip(gs, v, gdw)), increments[tile].T, path0[:n].T
-                vals, comps = (a[:n, :, tile].swapaxes(0, 1) for a in (values, compensated))
-                for j in range(n_steps + 1):
-                    if j:
-                        for f, x, out in drifts:
-                            np.multiply(f(x), dt, out=out)
-                        for g, x, out in diffusions:
-                            np.multiply(g(x), dws[j - 1], out=out)
-                        np.add(np.add(v, fd, out=v), gdw, out=v)  # (v + f dt) + g dW
-                        np.add(comp, fd, out=comp)  # -0.0 + f dt is f dt
-                        if not np.logical_and.reduce(np.isfinite(v, out=below), None):
-                            n = int(below.all(axis=1).argmin())
-                            fault = min(fault, (n, j, start + int(below[n].argmin())))
-                            break
-                        # with no state below zero, the clamp would change no bit
-                        if policy and np.logical_or.reduce(np.less(v, 0.0, out=below), None):
-                            clamps[:n, tile] += below
-                            np.maximum(v, 0.0, out=v) if full else np.abs(v, out=v)
-                    if start == 0:
-                        p0[j] = v[:, 0]
-                    if k < len(nodes) and nodes[k] == j:
-                        vals[k], comps[k] = v, v - comp
-                        k += 1
-                else:
-                    break
-    if fault[0] < n_models:
-        raise PathOverflowError(*fault[1:], model_index=fault[0])
+            tile = slice(start, min(start + rows, m_paths))
+            v, k = np.repeat(np.reshape(v0s, (-1, 1)), tile.stop - start, axis=1), 0
+            fd, gdw, comp, below = np.empty_like(v), np.empty_like(v), -0.0 * v, v < 0
+            drifts = list(zip(fs, v, fd)) if len(fs) != 1 else [(fs[0], v.ravel(), fd.ravel())]
+            diffusions, dws, p0 = list(zip(gs, v, gdw)), increments[tile].T, path0.T
+            vals, comps = (a[..., tile].swapaxes(0, 1) for a in (values, compensated))
+            for j in range(fault[0] + 1):  # all models step together: stop at the least failure
+                if j:
+                    for f, x, out in drifts:
+                        np.multiply(f(x), dt, out=out)
+                    for g, x, out in diffusions:
+                        np.multiply(g(x), dws[j - 1], out=out)
+                    np.add(np.add(v, fd, out=v), gdw, out=v)  # (v + f dt) + g dW
+                    np.add(comp, fd, out=comp)  # -0.0 + f dt is f dt
+                    if not np.logical_and.reduce(np.isfinite(v, out=below), None):
+                        n = int(below.all(axis=1).argmin())
+                        fault = min(fault, (j, n, start + int(below[n].argmin())))
+                        break
+                    # with no state below zero, the clamp would change no bit
+                    if policy and np.logical_or.reduce(np.less(v, 0.0, out=below), None):
+                        clamps[:, tile] += below
+                        np.maximum(v, 0.0, out=v) if full else np.abs(v, out=v)
+                if start == 0:
+                    p0[j] = v[:, 0]
+                if k < len(nodes) and nodes[k] == j:
+                    vals[k], comps[k] = v, v - comp
+                    k += 1
+    if fault[1] < n_models:
+        raise PathOverflowError(fault[0], fault[2], model_index=fault[1])
     return values, compensated, clamps, path0
 
 

@@ -28,8 +28,9 @@ from varexp_cir.solver import (
     euler_maruyama_truncated,
     picard_solve,
     simulate_batch,
+    simulate_models,
 )
-from varexp_cir.stochastic import make_grid, path_increments, sample_batch
+from varexp_cir.stochastic import BrownianBatch, make_grid, path_increments, sample_batch
 from varexp_cir.truncation import (
     TruncationParams,
     lipschitz_constants,
@@ -281,3 +282,60 @@ def test_criterion_10_weak_consistency(params, full_runs):
         ok &= dev <= 2.0 * se
         details.append(f"{mid}:|{m1:.5f}-{m2:.5f}|={dev:.1e}<={2 * se:.1e}")
     _report(10, "weak consistency across step sizes", ok, "; ".join(details))
+
+
+#: Rejection level of the terminal-law test, fixed before any run: a p-value below it fails.
+#: It matches the false-failure rate of the 4-sigma checks above.
+KS_LEVEL = 1e-4
+
+
+def test_criterion_11_cir_terminal_law(full_batch):
+    # v_T of CIR is c chi'^2(d, lambda) with c = xi^2 (1 - e^{-kappa T}) / (4 kappa),
+    # d = 4 kappa theta / xi^2 and lambda = v0 e^{-kappa T} / c (Cox, Ingersoll & Ross 1985).
+    # Started off equilibrium (v0 = 2 theta), so a wrong drift rate moves the law
+    from scipy import stats
+
+    kappa, theta, xi, v0 = 2.0, 0.05, 0.3, 0.1
+    pb = simulate_batch(parse_model("cir", ModelParams(kappa, theta, xi, v0)), full_batch,
+                        nodes=[int(T / DT)])
+    c = xi**2 * -np.expm1(-kappa * T) / (4.0 * kappa)
+    law = stats.ncx2(df=4.0 * kappa * theta / xi**2, nc=v0 * np.exp(-kappa * T) / c, scale=c)
+    result = stats.kstest(pb.values[:, -1], law.cdf)
+    clamps = int(pb.clamp_counts.sum())
+    _report(11, "CIR terminal law (KS against the scaled noncentral chi-square)",
+            result.pvalue >= KS_LEVEL,
+            f"D={result.statistic:.4f}, p={result.pvalue:.3g} (rejected below {KS_LEVEL:g}); "
+            f"clamped steps {clamps}")
+
+
+def test_criterion_12_second_order_ito_identity(full_batch):
+    # With f(v) = kappa (theta - v) and g(v)^2 = xi^2 v^{2 p(v)} from the paper, a step
+    # y = v_j + f dt + g dW_j has E[y^2 | v_j] = v_j^2 + (2 v_j f + g^2) dt + (f dt)^2, so
+    # S = v_N^2 - sum_j [(2 v_j f(v_j) + g(v_j)^2) dt + (f(v_j) dt)^2] has mean v0^2 on
+    # Euler paths. A clamped step stores 0 for y < 0 and lowers S by y^2, so the mean is
+    # v0^2 less the mean over paths of sum y^2 at clamped steps: that is the allowance.
+    # The reference batch's paths are walked 500 rows at a time, 4 MB per model.
+    grid, n_steps = full_batch.grid, int(T / DT)
+    specs = ("gm:p1", "gm:p2", "gm:p3")
+    models = [parse_model(spec, ModelParams(KAPPA, THETA, XI, V0)) for spec in specs]
+    exponents = [make_builtin(spec[3:]).func for spec in specs]
+    s_values = [[] for _ in specs]
+    clamped, allowance = [0] * len(specs), [0.0] * len(specs)
+    for start in range(0, M_PATHS, 500):
+        batch = BrownianBatch(SEED, grid, full_batch.increments[start : start + 500])
+        for i, pb in enumerate(simulate_models(models, batch)):
+            v = pb.values[:, :n_steps]
+            f, g = KAPPA * (THETA - v), XI * np.power(v, exponents[i](v))
+            s_values[i].append(pb.values[:, -1] ** 2
+                               - ((2.0 * v * f + g * g) * DT + (f * DT) ** 2).sum(axis=1))
+            y = v + f * DT + g * batch.increments
+            allowance[i] += float(np.square(y[pb.values[:, 1:] == 0.0]).sum()) / M_PATHS
+            clamped[i] += int(pb.clamp_counts.sum())
+    ok, details = True, []
+    for i, spec in enumerate(specs):
+        s = np.concatenate(s_values[i])
+        mean, se = float(s.mean()), float(s.std(ddof=1) / np.sqrt(s.size))
+        ok &= abs(mean - V0**2) <= 4.0 * se + allowance[i]
+        details.append(f"{spec}: z={(mean - V0**2) / se:+.2f}, clamped steps {clamped[i]}, "
+                       f"allowance {allowance[i]:.1e}")
+    _report(12, "second-order Ito identity", ok, "; ".join(details))

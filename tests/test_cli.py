@@ -713,6 +713,25 @@ def test_every_split_gives_the_same_bytes(
             os.fstat(fd)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_dump_writes_the_bytes_of_a_run_without_it(tmp_path, monkeypatch, one_process, workers):
+    # the kept nodes come from one stacked walk with or without --dump-paths; the dump's second
+    # walk, of each model alone at every node, only adds the other paths to the path CSVs
+    if workers > 1:
+        _workers(monkeypatch, workers)
+    outputs = one_process if workers == 1 else _split_outputs(tmp_path)
+    kept, manifest, _, dumped, dump_manifest = outputs[:5]
+    assert sorted(dumped) == sorted(kept) and len(kept) == 18
+    for name in kept:
+        if name.endswith("_path.csv"):  # path 0 at every node, then paths 1 to 199
+            assert dumped[name].startswith(kept[name]), name
+            assert dumped[name].count(b"\n") == 1 + 200 * 101, name
+        else:  # every summary, histogram and figure
+            assert dumped[name] == kept[name], name
+    assert not manifest["config"]["dump_paths"]
+    assert dump_manifest == {**manifest, "config": {**manifest["config"], "dump_paths": True}}
+
+
 def test_a_dump_round_counts_every_node_against_the_cap(capsys, tmp_path, monkeypatch):
     # a dump round's parts also hold one model's values and compensated at all
     # 101 nodes: 49 paths add 2 x 49 x 101 = 9898 values to the 7268 of a
@@ -771,6 +790,33 @@ def test_overflow_names_the_run_path_at_every_split(
     )
     assert (code, stdout) == (3, "")
     assert err == f"numeric failure: non-finite state produced at {message}\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
+
+
+def test_a_compare_overflow_names_its_earliest_step_at_every_split(tmp_path, monkeypatch):
+    # at xi = 1e90 on 300 paths, cir never overflows, gm:p3 (listed first) first overflows at
+    # path 265, step 7, in the last of three parts, and gm:p1 at path 58, step 6: the run names
+    # p1's earlier step at every split, where a model-first order named p3's
+    config = {"xi": 1e90, "seed": 11, "paths": 300, "T": 0.1, "dt": 0.01}
+    grid, params = make_grid(config["T"], config["dt"]), ModelParams(2.0, 0.05, config["xi"], 0.05)
+    batch, alone = sample_batch(config["seed"], config["paths"], grid), []
+    for spec in ("cir", "gm:p3", "gm:p1"):
+        try:
+            simulate_batch(parse_model(spec, params), batch, nodes=[grid.n_steps])
+            alone.append(None)
+        except varexp_cir.PathOverflowError as exc:
+            alone.append((exc.step_index, exc.path_index))
+    assert alone == [None, (7, 265), (6, 58)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    errs = []
+    for workers in (1, 2, 3):
+        forks = _workers(monkeypatch, workers)
+        code, stdout, err = _cli("compare", "--exponents", "p3,p1", "--no-svg", "--config",
+                                 str(cfg), "--out", str(tmp_path / "o"))
+        assert (code, stdout, len(forks)) == (3, "", workers - 1)
+        errs.append(err)
+    assert errs == ["numeric failure: non-finite state produced at path 58, step 6\n"] * 3
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
 

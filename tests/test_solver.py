@@ -226,6 +226,20 @@ def test_band_exit_index(gm_p1):
         TruncationParams(0)
 
 
+def test_the_nested_bands_localize_each_production_path():
+    # the bands [1/n + eps_n, n - eps_n] grow with n, so a path leaves a wider band no earlier:
+    # the exit index is non-decreasing in n on every path and P(tau_n <= T) non-increasing,
+    # the paper's localization read off one batch. v0 = theta = 1 starts inside every band
+    grid = make_grid(1.0, 0.01)
+    model = parse_model("gm:p2", ModelParams(2.0, 1.0, 1.0, 1.0))
+    values = simulate_batch(model, sample_batch(3, 2000, grid)).values
+    exits = np.array([band_exit_index(TruncationParams(n), values) for n in (2, 3, 10, 100)])
+    assert np.all(np.diff(exits, axis=0) >= 0)
+    fractions = np.mean(exits < grid.n_steps + 1, axis=1)
+    assert np.all(np.diff(fractions) <= 0.0)
+    assert fractions[0] > fractions[-1]  # the paths do leave the narrow bands, not the wide one
+
+
 def test_truncated_euler_refuses_other_increment_shapes(gm_p1, grid):
     tp = TruncationParams(10)
     with pytest.raises(ValueError):
@@ -414,15 +428,24 @@ def test_each_model_of_a_stack_equals_the_previous_step_bit_for_bit(
 @pytest.mark.parametrize(
     "poisoned, expected",
     [
-        # only the later model, pkm's b = 3/2, overflows (path 602 at step 13, in tile 2)
+        # the (path, step) of each increment set to inf, where both models fail, and the
+        # (model, step, path) raised, the least by (step, model, path). Without one, only
+        # the later model, pkm's b = 3/2, overflows (path 602 at step 13, in rows 512-767)
         ([], (1, 13, 602)),
-        # cir fails too, later and in tile 0, and wins as the earlier model
-        ([(37, 40)], (0, 40, 37)),
-        # in the tile where pkm fails first: cir walks that tile again without it
-        ([(600, 40)], (0, 40, 600)),
+        # cir fails earlier, in tile 0, and wins by its step
+        ([(37, 10)], (0, 10, 37)),
+        # cir fails at pkm's step in pkm's tile: the earlier model wins, at a higher path
+        ([(700, 13)], (0, 13, 700)),
         # cir fails in two tiles; the least step wins, whichever tile holds it
-        ([(37, 40), (700, 20)], (0, 20, 700)),
-        ([(37, 20), (700, 40)], (0, 20, 37)),
+        ([(37, 12), (700, 10)], (0, 10, 700)),
+        ([(37, 10), (700, 12)], (0, 10, 37)),
+        # cir fails at one step on three paths in two tiles: the lowest path wins
+        ([(300, 10), (41, 10), (37, 10)], (0, 10, 37)),
+        # cir fails later than pkm, in an earlier tile: the earlier step wins over the model
+        ([(37, 40)], (1, 13, 602)),
+        # cir fails at pkm's step in the tile after pkm's: that tile is walked through the
+        # step, and the earlier model wins
+        ([(800, 13)], (0, 13, 800)),
     ],
 )
 def test_a_stack_raises_the_overflow_of_least_model_step_and_path(monkeypatch, poisoned, expected):
@@ -440,8 +463,9 @@ def test_a_stack_raises_the_overflow_of_least_model_step_and_path(monkeypatch, p
         try:
             _euler_oracle(*coefficients(model), 30.0, grid, increments, "full-truncation", [100])
         except PathOverflowError as exc:
-            faults.append((i, exc.step_index, exc.path_index))
-    assert min(faults) == expected
+            faults.append((exc.step_index, i, exc.path_index))
+    step, model, path = min(faults)
+    assert (model, step, path) == expected
     with pytest.raises(PathOverflowError) as got:
         simulate_models(models, BrownianBatch(10, grid, increments), "full-truncation", [100])
     assert (got.value.model_index, got.value.step_index, got.value.path_index) == expected
