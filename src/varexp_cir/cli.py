@@ -241,36 +241,18 @@ def _shared(count: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=np.float64)[:count]
 
 
-def _walk_rows(settings: dict, grid, runs, arrays, nodes, dump, paths: range, out=None):
-    """Fill the increments of paths (into out if given), step every model on them in one stack
-    into its rows of the kept arrays and copy path 0; with dump, walk each model alone again at
-    every node for dump, which cannot overflow where the stack did not. Return the increments
-    and the least (step, model, path) that overflows, or None."""
-    batch = sample_batch(settings["seed"], paths, grid, out=out)
-    into = tuple(a[..., paths.start : paths.stop] for a in arrays)
-    try:
-        pbs = simulate_models([run.model for run in runs], batch, settings["policy"], nodes, into)
-    except PathOverflowError as exc:
-        return batch.increments, (exc.step_index, exc.model_index, paths.start + exc.path_index)
-    for run, pb in zip(runs, pbs):
-        if paths.start == 0:
-            run.path0[:] = pb.path0
-        if dump:  # one model's every node at a time, as the size cap counts
-            dump(simulate_batch(run.model, batch, settings["policy"]), paths.start)
-    return batch.increments, None
-
-
-def _round(h, walk, parts: list[range], n_steps: int):
-    """Walk the first part of a chunk's rows here and fill every other part's rows of a
-    time-major shared buffer in a forked child at once, or here once a pipe or fork fails;
-    feed the increments to h in row order and raise the overflow of least (step, model index,
-    path), as a one-process walk does. Kill and reap every child on the way out."""
+def _round(h, seed: int, grid, job, parts: list[range]):
+    """Fill a chunk's first part here and each other part's rows of a shared time-major buffer
+    in a forked child at once, or here once a pipe or fork fails; job(batch, paths) runs where
+    they were filled and returns the part's least (step, model index, path) overflow, or None.
+    Feed h the increments in row order and raise the least overflow, as one process would."""
     children, rest, first = [], [], parts[0].stop
     carried = (OSError, ValueError, MemoryError)  # a worker's failure keeps the class run() reads
-    buffer = _shared((parts[-1].stop - first) * n_steps).reshape(n_steps, -1).T
+    buffer = _shared((parts[-1].stop - first) * grid.n_steps).reshape(grid.n_steps, -1).T
 
-    def keep(paths):  # walk a later part into its rows of the buffer; return its overflow
-        return walk(paths, buffer[paths.start - first : paths.stop - first])[1]
+    def keep(paths):  # fill a later part's rows of the buffer; return its job's overflow
+        rows = buffer[paths.start - first : paths.stop - first]
+        return job(sample_batch(seed, paths, grid, out=rows), paths)
 
     try:
         for n, paths in enumerate(parts[1:], 1):
@@ -298,10 +280,11 @@ def _round(h, walk, parts: list[range], n_steps: int):
                     os._exit(0)
             os.close(w)
             children.append((pid, r))
-        increments, fault = walk(parts[0])
-        stochastic.hash_rows(h, increments)
-        del increments  # free this part before the later parts' rows are read
-        faults = [fault, *map(keep, rest)]
+        batch = sample_batch(seed, parts[0], grid)
+        faults = [job(batch, parts[0])]
+        stochastic.hash_rows(h, batch.increments)
+        del batch  # free this part before the later parts' rows are read
+        faults += map(keep, rest)
         for _, r in children:  # a child killed before it could report ran out of memory
             report = json.loads(os.read(r, 4096) or b'["MemoryError"]')
             if report and isinstance(report[0], str):
@@ -356,13 +339,27 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
     arrays = blocks[:, :k], blocks[:, k:-1], blocks[:, -1].view(np.int64)  # as the kernel writes
     runs = [solver.PathBatch(model, grid, np.array(nodes), v.T, c.T, counts, np.empty(n_steps + 1))
             for model, v, c, counts in zip(models, *arrays)]
-    walk = functools.partial(_walk_rows, settings, grid, runs, arrays, nodes, dump)
+
+    def stack(batch, paths):  # every model in one stack, into its rows of the kept arrays
+        into = tuple(a[..., paths.start : paths.stop] for a in arrays)
+        try:
+            pbs = simulate_models(models, batch, settings["policy"], nodes, into)
+        except PathOverflowError as exc:
+            return exc.step_index, exc.model_index, paths.start + exc.path_index
+        for run, pb in zip(runs, pbs if paths.start == 0 else ()):  # the first part holds path 0
+            run.path0[:] = pb.path0
+
+    def dump_each(batch, paths):  # one model's every node at a time, as the size cap counts
+        for model in models:  # cannot overflow where the stack did not
+            dump(simulate_batch(model, batch, settings["policy"]), paths.start)
+
+    job = (lambda batch, paths: stack(batch, paths) or dump_each(batch, paths)) if dump else stack
     h = stochastic.checksum_start(m_paths, n_steps)
     for start in range(0, m_paths, rows):
         stop = min(start + rows, m_paths)
         n_parts = max(1, min(workers, (stop - start) // least))
         cuts = [start + (stop - start) * i // n_parts for i in range(n_parts + 1)]
-        _round(h, walk, [range(a, b) for a, b in zip(cuts, cuts[1:])], n_steps)
+        _round(h, settings["seed"], grid, job, [range(a, b) for a, b in zip(cuts, cuts[1:])])
     return h.hexdigest(), runs
 
 

@@ -73,6 +73,7 @@ class ModelParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value}")
+            object.__setattr__(self, name, float(value))  # so the kernel steps in float64
 
     def to_dict(self) -> dict:
         return {"kappa": self.kappa, "theta": self.theta, "xi": self.xi, "v0": self.v0}

@@ -339,3 +339,24 @@ def test_criterion_12_second_order_ito_identity(full_batch):
         details.append(f"{spec}: z={(mean - V0**2) / se:+.2f}, clamped steps {clamped[i]}, "
                        f"allowance {allowance[i]:.1e}")
     _report(12, "second-order Ito identity", ok, "; ".join(details))
+
+
+def test_criterion_13_exact_mean_off_equilibrium(full_batch):
+    # With the linear drift f(v) = kappa (theta - v), an Euler step that is not clamped has
+    # E[v_{j+1} | v_j] = v_j + kappa (theta - v_j) dt, so on paths that are never clamped
+    # E[v_j] = theta + (v0 - theta)(1 - kappa dt)^j exactly, whatever the diffusion. Started
+    # off equilibrium (v0 = 2 theta), a wrong drift rate moves the mean. Bound, fixed before
+    # any run: |mean - target| <= 4 standard errors at T/4, T/2, 3T/4 and T, with no clamp.
+    v0, n_steps = 0.1, int(T / DT)
+    nodes = [n_steps // 4, n_steps // 2, 3 * n_steps // 4, n_steps]
+    specs = ("cir", "gm:p1", "gm:p2", "gm:p3")
+    models = [parse_model(spec, ModelParams(KAPPA, THETA, XI, v0)) for spec in specs]
+    ok, details = True, []
+    for spec, pb in zip(specs, simulate_models(models, full_batch, nodes=nodes)):
+        clamps, z = int(pb.clamp_counts.sum()), []
+        for k, j in enumerate(nodes):
+            v, target = pb.values[:, k], THETA + (v0 - THETA) * (1.0 - KAPPA * DT) ** j
+            z.append((float(v.mean()) - target) / float(v.std(ddof=1) / np.sqrt(v.size)))
+        ok &= clamps == 0 and max(map(abs, z)) <= 4.0
+        details.append(f"{spec}: z={', '.join(f'{x:+.2f}' for x in z)}, clamped steps {clamps}")
+    _report(13, "exact Euler mean off equilibrium", ok, "; ".join(details))

@@ -793,6 +793,29 @@ def test_overflow_names_the_run_path_at_every_split(
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
 
+#: (seed, config, path, step) of every overflow in the OVERFLOWS runs
+REPLAYS = [
+    (7, {"xi": 100, "v0": 100}, 732, 11),
+    (7, {"xi": 100, "v0": 100}, 495, 12),
+    (10, {"xi": 30, "v0": 30}, 602, 13),
+]
+
+
+@pytest.mark.parametrize("seed, config, path, step", REPLAYS)
+def test_an_overflowing_path_replays_alone(seed, config, path, step):
+    # a row depends on (seed, path) alone, so the path a run names steps to the same
+    # overflow as a one-row batch, with no chunk, worker or other path around it
+    from varexp_cir.stochastic import BrownianBatch, path_increments
+
+    assert {f"path {p}, step {s}" for *_, p, s in REPLAYS} >= {c.values[3] for c in OVERFLOWS}
+    grid = make_grid(1.0, 0.01)
+    model = parse_model("pkm:a=0,b=1.5", ModelParams(**{"kappa": 2.0, "theta": 0.05, **config}))
+    batch = BrownianBatch(seed, grid, path_increments(seed, path, grid)[None])
+    with pytest.raises(varexp_cir.PathOverflowError) as failure:
+        simulate_batch(model, batch)
+    assert (failure.value.step_index, failure.value.path_index) == (step, 0)
+
+
 def test_a_compare_overflow_names_its_earliest_step_at_every_split(tmp_path, monkeypatch):
     # at xi = 1e90 on 300 paths, cir never overflows, gm:p3 (listed first) first overflows at
     # path 265, step 7, in the last of three parts, and gm:p1 at path 58, step 6: the run names

@@ -27,6 +27,21 @@ def test_params_must_be_positive():
         ModelParams(kappa=2.0, theta=0.05, xi=math.inf, v0=0.05)
 
 
+@pytest.mark.parametrize("one", [1, np.int64(1), np.float32(1.0)], ids=["int", "int64", "float32"])
+def test_params_store_floats_so_the_walk_steps_in_float64(one):
+    # an integer start failed the kernel's first in-place step, and a float32 one stepped
+    # every state in single precision; each must walk as 1.0 does, bit for bit
+    from varexp_cir import make_grid, sample_batch, simulate_batch
+
+    params = ModelParams(2.0, 0.05, 0.3, one)
+    assert type(params.v0) is float and params == ModelParams(2.0, 0.05, 0.3, 1.0)
+    batch = sample_batch(1, 4, make_grid(0.01, 0.001))
+    pb, expected = (simulate_batch(parse_model("gm:p1", p), batch)
+                    for p in (params, ModelParams(2.0, 0.05, 0.3, 1.0)))
+    assert pb.values.dtype == np.float64
+    assert pb.values.tobytes() == expected.values.tobytes()
+
+
 def test_drift_examples(params, gm_p1):
     assert drift(gm_p1, 0.05) == 0.0  # x = theta
     assert drift(gm_p1, 0.0) == pytest.approx(0.1)  # kappa * theta
