@@ -180,6 +180,9 @@ def _load_config_file(path: str | None) -> dict:
         raise ValueError(f"malformed config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    echoed = {"dump_paths", "no_svg", "models"}  # a manifest's config echo holds them; unread
+    if unknown := [key for key in cfg if key not in {*PARAMS, *SETTINGS, *echoed}]:
+        raise ValueError(f"config file {path} has an unknown key {unknown[0]!r}")
     return cfg
 
 
@@ -243,11 +246,12 @@ def _shared(count: int) -> np.ndarray:
 
 def _round(h, seed: int, grid, job, parts: list[range]):
     """Fill a chunk's first part here and each other part's rows of a shared time-major buffer
-    in a forked child at once, or here once a pipe or fork fails; job(batch, paths) runs where
-    they were filled and returns the part's least (step, model index, path) overflow, or None.
-    Feed h the increments in row order and raise the least overflow, as one process would."""
-    children, rest, first = [], [], parts[0].stop
-    carried = (OSError, ValueError, MemoryError)  # a worker's failure keeps the class run() reads
+    in a forked child at once, or here once a fork fails; job(batch, paths) runs where they
+    were filled and returns the part's least (step, model index, path) overflow, or None. A
+    child reports by its exit status alone: 0 walked, 2 out of memory, 1 an overflow or any
+    other exception, and this process then walks that part itself, so it raises what one
+    process would. Feed h the increments in row order and raise the least overflow."""
+    children, first = {}, parts[0].stop
     buffer = _shared((parts[-1].stop - first) * grid.n_steps).reshape(grid.n_steps, -1).T
 
     def keep(paths):  # fill a later part's rows of the buffer; return its job's overflow
@@ -255,50 +259,42 @@ def _round(h, seed: int, grid, job, parts: list[range]):
         return job(sample_batch(seed, paths, grid, out=rows), paths)
 
     try:
-        for n, paths in enumerate(parts[1:], 1):
-            fds = ()
+        for paths in parts[1:]:
             try:
-                fds = r, w = os.pipe()
                 with warnings.catch_warnings():
                     # Python 3.12+ warns on fork while numpy's idle BLAS threads exist. The child
                     # is safe: it runs only ufuncs, Philox and file writes, then os._exit.
                     warnings.filterwarnings("ignore", "This process .* fork", DeprecationWarning)
                     pid = os.fork()
-            except OSError:  # no process or descriptor to spare (EAGAIN, ENOMEM, EMFILE)
-                list(map(os.close, fds))
-                rest = parts[n:]
+            except OSError:  # no process or memory to spare (EAGAIN, ENOMEM): walk the rest here
                 break
-            if pid == 0:  # the child: walk its rows, report in plain values, exit
+            if pid == 0:  # the child: walk its rows, report by its exit status alone
                 try:
-                    try:
-                        report = keep(paths)
-                    except Exception as exc:  # short enough for one atomic pipe write
-                        kind = next((k for k in carried if isinstance(exc, k)), type(exc))
-                        report = (kind.__name__, str(exc)[:300])
-                    os.write(w, json.dumps(report or ()).encode())
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, r))
+                    os._exit(1 if keep(paths) else 0)
+                except MemoryError:
+                    os._exit(2)
+                finally:  # any other exception: this process walks the part again
+                    os._exit(1)
+            children[paths] = pid
         batch = sample_batch(seed, parts[0], grid)
         faults = [job(batch, parts[0])]
         stochastic.hash_rows(h, batch.increments)
         del batch  # free this part before the later parts' rows are read
-        faults += map(keep, rest)
-        for _, r in children:  # a child killed before it could report ran out of memory
-            report = json.loads(os.read(r, 4096) or b'["MemoryError"]')
-            if report and isinstance(report[0], str):
-                kind = {k.__name__: k for k in carried}.get(report[0])
-                raise kind(*report[1:]) if kind else RuntimeError(": ".join(report))
-            faults.append(tuple(report))
+        for paths in parts[1:]:  # in row order: wait for the part's child, or walk the part here
+            code = 1  # a part no child took is walked here, as is one whose child failed
+            if pid := children.get(paths):
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[paths]  # reaped
+            if code not in (0, 1):  # 2, or killed before it could exit: it ran out of memory
+                raise MemoryError
+            faults.append(code and keep(paths))
         if any(faults):
             step, model, path = min(f for f in faults if f)
             raise PathOverflowError(step, path, model)
         stochastic.hash_rows(h, buffer)
-    finally:  # each child has reported, or this process leaves on an exception
-        for pid, r in children:
+    finally:  # on an exception, each child not yet reaped is stopped and reaped
+        for pid in children.values():
             os.kill(pid, signal.SIGKILL)
-            os.close(r)
             os.waitpid(pid, 0)
 
 

@@ -59,6 +59,10 @@ def test_empirical_moment_validation(cir, grid):
         empirical_moment(batch, 0.5, 0)
     with pytest.raises(ValueError):
         empirical_moment(batch, 0.0001234, 2)  # off-grid time
+    small = make_grid(0.01, 0.001)
+    kept_t = simulate_batch(cir, BrownianBatch(1, small, np.zeros((4, 10))), nodes=[10])
+    with pytest.raises(ValueError, match="time 0.005 is not a node this path batch kept"):
+        empirical_moment(kept_t, 0.005, 2)  # a node of the grid that the walk did not keep
 
 
 def test_moment_bound_paper_arithmetic(params):
@@ -71,6 +75,8 @@ def test_moment_bound_at_time_zero():
     p = ModelParams(kappa=2.0, theta=0.05, xi=0.3, v0=1.0)
     _, bound = moment_bound(p, 2, 0.0)
     assert bound == pytest.approx(4.0)  # 2 * (1 + 1) * 1
+    with pytest.raises(ValueError, match="checkpoint must be nonnegative"):
+        moment_bound(p, 2, -1e-300)
 
 
 def test_moment_bound_monotone_in_order(params):

@@ -307,6 +307,20 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         pytest.param(["feller"], {"kappa": [1]}, 2, id="feller-config-kappa-list"),
         pytest.param(["feller"], {"paths": 10.9}, 2, id="feller-config-paths-fractional"),
         pytest.param(["lipschitz"], {"dt": "x"}, 2, id="lipschitz-config-dt-malformed"),
+        pytest.param(
+            ["feller"], [1], (2, "error: config file <config> must hold a JSON object\n"),
+            id="config-json-list",
+        ),
+        # a misspelled key is refused, the first in file order, not read as absent
+        pytest.param(
+            ["feller", "--model", "cir"], {"kapa": 3.0},
+            (2, "error: config file <config> has an unknown key 'kapa'\n"), id="config-unknown-key",
+        ),
+        pytest.param(
+            ["simulate", "--paths", "4", "--T", "0.01"], {"theta": 0.1, "sed": 5, "pths": 3},
+            (2, "error: config file <config> has an unknown key 'sed'\n"),
+            id="config-unknown-keys-first-in-file-order",
+        ),
         # a parameter whose square overflows a double is refused by name
         pytest.param(
             ["simulate", "--model", "cir", "--paths", "8", "--T", "0.01"], {"xi": 1e300}, 2,
@@ -341,6 +355,12 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         pytest.param(["lipschitz"], {"seed": 2**64}, 2, id="lipschitz-config-seed-64-bit"),
         pytest.param(["simulate", "--dt", "0.0003", "--paths", "4"], None, 2, id="off-grid-dt"),
         pytest.param(["simulate", "--model", "heston"], None, 2, id="unknown-model"),
+        pytest.param(
+            ["simulate", "--model", "pkm:a=0,b=2"], None,
+            (2, "error: malformed pkm spec: 'pkm:a=0,b=2' (pkm diffusion power b must be one of "
+                "(0.5, 1.0, 1.5), got 2.0)\n"),
+            id="pkm-b-2",
+        ),
         # a gm model's constant exponent is refused where its spec is parsed
         *(pytest.param(
             ["simulate", "--model", f"gm:const:{c}"], None,
@@ -352,6 +372,10 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             (2, "error: constant exponent must be finite\n"), id="gm-const-inf",
         ),
         pytest.param(["compare", "--paths", "0"], None, 2, id="zero-paths"),
+        pytest.param(
+            ["compare", "--exponents", ","], None,
+            (2, "error: --exponents must name at least one exponent\n"), id="no-exponents",
+        ),
         pytest.param(
             ["compare", "--exponents", "p1,p1", "--paths", "4"], None, 2, id="repeated-model",
         ),
@@ -438,15 +462,15 @@ def test_hostile_input_exit_codes(capsys, tmp_path, monkeypatch, argv, config, e
     argv = list(argv)
     if argv[0] in ("simulate", "compare"):
         argv += ["--out", str(tmp_path / "out")]
+    cfg = tmp_path / "cfg.json"
     if config is not None:
-        cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
     code, _, err = _run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in err
     if expected_err is not None:  # the one line, with no numpy warning before it
-        assert err == expected_err
+        assert err == expected_err.replace("<config>", str(cfg))
     elif config is not None and expected == 2:
         assert f"config key {next(iter(config))!r}" in err  # the refusal names its source
     if expected in (2, 3):  # no output is left behind
@@ -645,11 +669,11 @@ SPLITS = [
         pytest.param(workers, rows, None, id=f"{workers}-workers-{rows}-rows")
         for workers in (2, 3) for rows in (33, 200)
     ),
-    # out of descriptors for the pipe (EMFILE) or of processes (EAGAIN) or
-    # memory (ENOMEM) to fork: the parts left are walked in this process
+    # out of processes (EAGAIN) or memory (ENOMEM) to fork: the parts left are walked in
+    # this process; every worker fails before it fills a row: its part is walked here
     *(
         pytest.param(3, 33, failing, id=f"failing-{failing}")
-        for failing in ("pipe", "fork", "every-second-fork")
+        for failing in ("fork", "every-second-fork", "worker")
     ),
 ]
 
@@ -659,26 +683,22 @@ def test_every_split_gives_the_same_bytes(
     tmp_path, monkeypatch, one_process, workers, rows, failing
 ):
     # chunks of `rows` rows, each split between up to `workers` processes in
-    # row order, give the bytes of a one-process walk and leave no pipe open
+    # row order, give the bytes of a one-process walk and reap every worker
     import errno
 
     import varexp_cir.cli as cli
 
     monkeypatch.setattr(cli, "_CHUNK", rows * 100)
     _workers(monkeypatch, workers)
-    pipes, forks, log = [], [], tmp_path / "filled.log"
-    real_sample_batch, real_pipe, real_fork = cli.sample_batch, os.pipe, os.fork
+    forks, log, parent = [], tmp_path / "filled.log", os.getpid()
+    real_sample_batch, real_fork = cli.sample_batch, os.fork
 
     def counted(seed, paths, grid, out=None):
+        if failing == "worker" and os.getpid() != parent:
+            raise OSError(errno.ENOSPC, "No space left on device")  # exit 2 from one process
         with open(log, "a") as fh:  # one line a fill, from this process or a worker
             fh.write(f"{os.getpid()} {paths.start} {len(paths)} {int(out is not None)}\n")
         return real_sample_batch(seed, paths, grid, out=out)
-
-    def pipe():
-        if failing == "pipe":
-            raise OSError(errno.EMFILE, "Too many open files")
-        pipes.extend(real_pipe())
-        return tuple(pipes[-2:])
 
     def fork():
         forks.append(1)
@@ -687,7 +707,6 @@ def test_every_split_gives_the_same_bytes(
         return real_fork()
 
     monkeypatch.setattr(cli, "sample_batch", counted)
-    monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", fork)
     assert _split_outputs(tmp_path) == one_process
     fills = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
@@ -700,17 +719,15 @@ def test_every_split_gives_the_same_bytes(
     # in this process when a chunk cannot be split or no part can be handed out
     if workers == 1 or rows == 1:
         assert filled == ([rows] * (200 // rows) + [200 % rows] * (200 % rows > 0)) * 4
-    if failing in ("pipe", "fork"):
+    if failing in ("fork", "worker"):
         assert sum(filled) == 4 * 200
     # and forks in every split round
-    assert bool(forks) == (workers > 1 and rows > 1 and failing != "pipe")
-    if failing is None:
+    assert bool(forks) == (workers > 1 and rows > 1)
+    if failing in (None, "worker"):
         rounds = [min(rows, 200 - start) for start in range(0, 200, rows)]
         assert len(forks) == 4 * sum(min(workers, n) - 1 for n in rounds)
-    assert len(pipes) == 2 * len(forks)
-    for fd in pipes:
-        with pytest.raises(OSError):
-            os.fstat(fd)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -880,7 +897,7 @@ def test_stderr_before_an_overflow_exit_is_the_same_at_every_worker_count(tmp_pa
     "failure",
     [
         "memory-error", "killed", "parent-fails-first",
-        # a worker fails writing its first dump segment, after a path of it
+        # the later part's first dump segment fails after a path of it, in any process
         "dump-memory-error", "dump-killed", "dump-no-space", "dump-permission",
     ],
 )
@@ -892,7 +909,7 @@ def test_failing_worker_exits_two_and_leaves_nothing_behind(capsys, tmp_path, mo
     import varexp_cir.cli as cli
 
     _workers(monkeypatch, 2)
-    real_sample_batch, real_atomic_write, parent = cli.sample_batch, cli.atomic_write, os.getpid()
+    real_sample_batch, real_atomic_write = cli.sample_batch, cli.atomic_write
 
     def failing(seed, paths, grid, out=None):
         in_child = paths.start > 0
@@ -918,7 +935,8 @@ def test_failing_worker_exits_two_and_leaves_nothing_behind(capsys, tmp_path, mo
                 raise PermissionError(errno.EACCES, "Permission denied")
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        real_atomic_write(path, text if os.getpid() == parent else rows())
+        later = ".part-" in path.name and int(path.name[-20:]) > 0  # a segment after path 0
+        real_atomic_write(path, rows() if later else text)
 
     monkeypatch.setattr(cli, "sample_batch", failing)
     monkeypatch.setattr(cli, "atomic_write", failing_write)
@@ -940,6 +958,28 @@ def test_failing_worker_exits_two_and_leaves_nothing_behind(capsys, tmp_path, mo
         os.waitpid(-1, os.WNOHANG)  # every worker was reaped
     # no output, segment or temporary file; a dump made the directory
     assert not [p for p in tmp_path.rglob("*") if p.is_file()] and (dump or not out.exists())
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_error_in_a_later_part_is_raised_as_in_one_process(tmp_path, monkeypatch, workers):
+    # a worker exits 1 on any exception, and this process walks its part again, so
+    # run() raises the error itself at every split, not a report of it
+    import varexp_cir.cli as cli
+
+    forks, real_sample_batch = _workers(monkeypatch, workers), cli.sample_batch
+
+    def failing(seed, paths, grid, out=None):
+        if 199 in paths:
+            raise TypeError("the last part's stub")
+        return real_sample_batch(seed, paths, grid, out=out)
+
+    monkeypatch.setattr(cli, "sample_batch", failing)
+    with pytest.raises(TypeError, match="^the last part's stub$"):
+        _cli("compare", "--paths", "200", "--T", "0.1", "--no-svg", "--out", str(tmp_path / "o"))
+    assert len(forks) == workers - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 def test_cli_walk_equals_the_library_on_a_full_batch(capsys, tmp_path):

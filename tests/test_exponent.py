@@ -146,6 +146,19 @@ def test_custom_exponent_with_infinite_derivative_fails_clause():
     assert report.failing_clause == "derivative_unbounded_near_zero"
 
 
+@pytest.mark.parametrize("which, message", [("func", "evaluation"), ("deriv", "derivative")])
+def test_a_custom_exponent_of_the_wrong_shape_is_refused(which, message):
+    # a callable that ignores its array argument gives one value, not one per state
+    fns = {
+        "func": lambda x: np.full_like(np.asarray(x, dtype=float), 0.75),
+        "deriv": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        which: lambda x: 0.75,
+    }
+    fn = ExponentFunction(kind="custom", **fns, declared_pminus=0.75, declared_pplus=0.75)
+    with pytest.raises(ValueError, match=rf"exponent {message} failed on the check grid \(custom\)"):
+        validate_hypotheses(fn)
+
+
 def test_vectorized_evaluation_matches_scalar():
     fn = make_builtin("p2")
     xs = np.array([0.0, 0.3, 2.5, 40.0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from varexp_cir.exponent import constant_exponent, make_builtin
+from varexp_cir.exponent import ExponentFunction, constant_exponent, make_builtin
 from varexp_cir.model import (
     ModelParams,
     cir_model,
@@ -178,6 +178,19 @@ def test_feller_check_pkm(params):
     assert feller_check(pkm_model(params, 0, 1.5)).verdict == "non-attainable"
     # a=1, b=1/2: drift limit 0, diffusion contributes -xi^2/2 < 0
     assert feller_check(pkm_model(params, 1, 0.5)).verdict == "attainable"
+
+
+def test_feller_check_of_an_exponent_that_cannot_be_differentiated_is_inconclusive(params):
+    def deriv(x):
+        raise ValueError("no derivative")
+
+    fn = ExponentFunction(
+        kind="custom", func=lambda x: np.full_like(np.asarray(x, dtype=float), 0.75), deriv=deriv,
+        declared_pminus=0.75, declared_pplus=0.75,
+    )
+    report = feller_check(gm_model(params, fn))
+    assert (report.verdict, report.numeric_profile) == ("inconclusive", ())
+    assert report.criterion_used == "p0_above_half"
 
 
 def test_parse_model_grammar(params):

@@ -73,6 +73,8 @@ def test_seed_validation(grid):
         sample_batch(1.5, 4, grid)
     with pytest.raises(ValueError):
         sample_batch(42, 0, grid)
+    with pytest.raises(ValueError, match="path_index must be nonnegative"):
+        path_increments(42, -1, grid)
 
 
 def test_absurd_sizes_rejected(grid):
