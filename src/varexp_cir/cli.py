@@ -241,22 +241,24 @@ _WORKER_INCREMENTS = 2**20
 
 def _shared(count: int) -> np.ndarray:
     """count float64 zeros in an anonymous mapping, which forked children share."""
-    return np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=np.float64)[:count]
+    return np.frombuffer(mmap.mmap(-1, 8 * count), dtype=np.float64)
 
 
 def _round(h, seed: int, grid, job, parts: list[range]):
-    """Fill a chunk's first part here and each other part's rows of a shared time-major buffer
-    in a forked child at once, or here once a fork fails; job(batch, paths) runs where they
-    were filled and returns the part's least (step, model index, path) overflow, or None. A
-    child reports by its exit status alone: 0 walked, 2 out of memory, 1 an overflow or any
+    """Walk a chunk's parts: the first here in private memory, each other into its own shared
+    time-major rows in a child forked at once, or here once a fork fails. job(batch, paths) runs
+    where a part was filled and returns its least (step, model index, path) overflow, or None.
+    A child reports by its exit status alone: 0 walked, 2 out of memory, 1 an overflow or any
     other exception, and this process then walks that part itself, so it raises what one
-    process would. Feed h the increments in row order and raise the least overflow."""
-    children, first = {}, parts[0].stop
-    buffer = _shared((parts[-1].stop - first) * grid.n_steps).reshape(grid.n_steps, -1).T
+    process would. Feed h each part's increments in row order, freeing them before the next
+    part is read, and raise the least overflow."""
+    children, faults = {}, []
+    rows = {paths: _shared(len(paths) * grid.n_steps).reshape(grid.n_steps, -1).T
+            for paths in parts[1:]}
 
-    def keep(paths):  # fill a later part's rows of the buffer; return its job's overflow
-        rows = buffer[paths.start - first : paths.stop - first]
-        return job(sample_batch(seed, paths, grid, out=rows), paths)
+    def walk(paths):  # fill the part's rows, private ones for the first; (increments, overflow)
+        batch = sample_batch(seed, paths, grid, out=rows.pop(paths, None))
+        return batch.increments, job(batch, paths)
 
     try:
         for paths in parts[1:]:
@@ -270,28 +272,25 @@ def _round(h, seed: int, grid, job, parts: list[range]):
                 break
             if pid == 0:  # the child: walk its rows, report by its exit status alone
                 try:
-                    os._exit(1 if keep(paths) else 0)
+                    os._exit(1 if walk(paths)[1] else 0)
                 except MemoryError:
                     os._exit(2)
                 finally:  # any other exception: this process walks the part again
                     os._exit(1)
             children[paths] = pid
-        batch = sample_batch(seed, parts[0], grid)
-        faults = [job(batch, parts[0])]
-        stochastic.hash_rows(h, batch.increments)
-        del batch  # free this part before the later parts' rows are read
-        for paths in parts[1:]:  # in row order: wait for the part's child, or walk the part here
-            code = 1  # a part no child took is walked here, as is one whose child failed
-            if pid := children.get(paths):
+        for paths in parts:  # in row order: wait for the part's child, or walk the part here
+            code = 1  # the first part, one no child took and one whose child failed
+            if pid := children.pop(paths, None):
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[paths]  # reaped
             if code not in (0, 1):  # 2, or killed before it could exit: it ran out of memory
                 raise MemoryError
-            faults.append(code and keep(paths))
+            increments, fault = walk(paths) if code else (rows.pop(paths), None)
+            faults.append(fault)
+            stochastic.hash_rows(h, increments)
+            del increments  # freed before the next part is read
         if any(faults):
             step, model, path = min(f for f in faults if f)
             raise PathOverflowError(step, path, model)
-        stochastic.hash_rows(h, buffer)
     finally:  # on an exception, each child not yet reaped is stopped and reaped
         for pid in children.values():
             os.kill(pid, signal.SIGKILL)
@@ -323,8 +322,8 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
     workers = 1 if not hasattr(os, "fork") else max(1, min(cpus or 1, rows // least))
     k = len(nodes)  # per model: k rows of values, k of compensated, 1 of clamp counts
     kept = m_paths * len(models) * (2 * k + 1)
-    # a round's increments, held once at any split (its later parts fill their rows of the
-    # shared buffer), so a refusal does not depend on the CPU count; with dump, one model's
+    # a round's increments, held once at any split (each later part fills its own shared
+    # rows), so a refusal does not depend on the CPU count; with dump, one model's
     # values and compensated at every node; every histogram's counts, densities, bins + 1 edges
     held = kept + rows * (n_steps + (2 * n_steps + 2 if dump else 0))
     held += len(models) * (3 * bins + 1) if bins else 0

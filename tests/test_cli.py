@@ -590,8 +590,8 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
 
     # compare holds, per path, 4 models x (4 kept nodes + 4 compensated
     # values + 1 clamp count), plus one chunk of increments (here every
-    # path, 100 steps each) once at any split, the later parts filling
-    # their rows of the shared buffer, plus 4 histograms of 50 bins x
+    # path, 100 steps each) once at any split, each later part filling
+    # its own shared rows, plus 4 histograms of 50 bins x
     # (count, density, left edge) and a right edge: 49 paths hold 1764
     # + 4900 + 4 x 151 = 7268
     real_sample_batch = cli.sample_batch
@@ -669,6 +669,7 @@ SPLITS = [
         pytest.param(workers, rows, None, id=f"{workers}-workers-{rows}-rows")
         for workers in (2, 3) for rows in (33, 200)
     ),
+    pytest.param(4, 200, None, id="4-workers-200-rows"),
     # out of processes (EAGAIN) or memory (ENOMEM) to fork: the parts left are walked in
     # this process; every worker fails before it fills a row: its part is walked here
     *(
@@ -712,7 +713,7 @@ def test_every_split_gives_the_same_bytes(
     fills = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     filled = [n for pid, _, n, _ in fills if pid == os.getpid()]
     # every row is filled once, and exactly the parts after each round's first (rounds
-    # start at multiples of rows) fill their rows of the shared buffer in place
+    # start at multiples of rows) fill their own shared rows in place
     assert sum(n for _, _, n, _ in fills) == 4 * 200
     assert all(into_buffer == (start % rows > 0) for _, start, _, into_buffer in fills)
     # each of the four commands, the dump among them, fills every chunk once, all
@@ -726,6 +727,66 @@ def test_every_split_gives_the_same_bytes(
     if failing in (None, "worker"):
         rounds = [min(rows, 200 - start) for start in range(0, 200, rows)]
         assert len(forks) == 4 * sum(min(workers, n) - 1 for n in rounds)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+@pytest.mark.parametrize("failing", [None, "middle-worker"])
+@pytest.mark.parametrize("workers", [3, 4])
+def test_the_running_process_holds_one_part_at_a_time(
+    tmp_path, monkeypatch, one_process, workers, failing
+):
+    # each part's increments, in private memory or in the part's own shared mapping, are
+    # freed once hashed, so at every hash the running process holds only the part it hashes;
+    # a middle part whose worker exits 1 is walked again here, into its own mapping
+    import weakref
+
+    import numpy as np
+
+    import varexp_cir.cli as cli
+    import varexp_cir.stochastic as stochastic
+
+    forks, parent = _workers(monkeypatch, workers), os.getpid()
+    parts = [range(200 * i // workers, 200 * (i + 1) // workers) for i in range(workers)]
+    allocated, hashed, held, walked_here = [], [], [], []
+    real_shared, real_sample_batch, real_hash_rows = (
+        cli._shared, cli.sample_batch, stochastic.hash_rows)
+
+    def shared(count):
+        array = owner = real_shared(count)
+        while isinstance(owner.base, np.ndarray):  # the array that lives as long as its mapping
+            owner = owner.base
+        allocated.append(weakref.ref(owner))
+        return array
+
+    def live():  # rows of the hashed parts not yet freed
+        return sum(rows for r, rows in hashed if r() is not None)
+
+    def sample(seed, paths, grid, out=None):
+        if os.getpid() == parent:
+            walked_here.append((paths, live()))
+        elif failing and paths == parts[1]:
+            raise RuntimeError("the middle worker's stub")
+        batch = real_sample_batch(seed, paths, grid, out=out)
+        if out is None:
+            allocated.append(weakref.ref(batch.increments))
+        return batch
+
+    def hash_rows(h, increments):
+        owner, = (r for r in allocated if np.may_share_memory(r(), increments))
+        hashed.append((owner, len(increments)))  # rows hashed so far, each while it lives
+        held.append(live())
+        return real_hash_rows(h, increments)
+
+    monkeypatch.setattr(cli, "_shared", shared)
+    monkeypatch.setattr(cli, "sample_batch", sample)
+    monkeypatch.setattr(stochastic, "hash_rows", hash_rows)
+    assert _split_outputs(tmp_path) == one_process
+    # each of the four commands hashes every part once, in row order, holding that part alone
+    assert held == [len(p) for p in parts] * 4
+    assert len(forks) == 4 * (workers - 1)
+    # and fills a part here only once every part before it is freed
+    assert walked_here == [(parts[0], 0), *[(parts[1], 0)] * bool(failing)] * 4
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every worker was reaped
 
