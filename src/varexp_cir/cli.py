@@ -245,20 +245,19 @@ def _shared(count: int) -> np.ndarray:
 
 
 def _round(h, seed: int, grid, job, parts: list[range]):
-    """Walk a chunk's parts: the first here in private memory, each other into its own shared
-    time-major rows in a child forked at once, or here once a fork fails. job(batch, paths) runs
-    where a part was filled and returns its least (step, model index, path) overflow, or None.
+    """Walk a chunk's parts, each into its own shared time-major rows: the first here, each
+    other in a child forked at once, or here once a fork fails. job(batch, paths) runs where a
+    part was filled and returns its least (step, model index, path) overflow, or None.
     A child reports by its exit status alone: 0 walked, 2 out of memory, 1 an overflow or any
     other exception, and this process then walks that part itself, so it raises what one
     process would. Feed h each part's increments in row order, freeing them before the next
     part is read, and raise the least overflow."""
     children, faults = {}, []
     rows = {paths: _shared(len(paths) * grid.n_steps).reshape(grid.n_steps, -1).T
-            for paths in parts[1:]}
+            for paths in parts}
 
-    def walk(paths):  # fill the part's rows, private ones for the first; (increments, overflow)
-        batch = sample_batch(seed, paths, grid, out=rows.pop(paths, None))
-        return batch.increments, job(batch, paths)
+    def walk(paths):  # fill the part's rows; the job's overflow, or None
+        return job(sample_batch(seed, paths, grid, out=rows[paths]), paths)
 
     try:
         for paths in parts[1:]:
@@ -272,7 +271,7 @@ def _round(h, seed: int, grid, job, parts: list[range]):
                 break
             if pid == 0:  # the child: walk its rows, report by its exit status alone
                 try:
-                    os._exit(1 if walk(paths)[1] else 0)
+                    os._exit(1 if walk(paths) else 0)
                 except MemoryError:
                     os._exit(2)
                 finally:  # any other exception: this process walks the part again
@@ -284,10 +283,8 @@ def _round(h, seed: int, grid, job, parts: list[range]):
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code not in (0, 1):  # 2, or killed before it could exit: it ran out of memory
                 raise MemoryError
-            increments, fault = walk(paths) if code else (rows.pop(paths), None)
-            faults.append(fault)
-            stochastic.hash_rows(h, increments)
-            del increments  # freed before the next part is read
+            faults.append(walk(paths) if code else None)
+            stochastic.hash_rows(h, rows.pop(paths))  # freed before the next part is read
         if any(faults):
             step, model, path = min(f for f in faults if f)
             raise PathOverflowError(step, path, model)
@@ -319,11 +316,11 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
     rows = min(max(1, _CHUNK // n_steps), m_paths)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     least = max(1, _WORKER_INCREMENTS // n_steps)  # rows in a worker's part
-    workers = 1 if not hasattr(os, "fork") else max(1, min(cpus or 1, rows // least))
+    workers = (cpus or 1) if hasattr(os, "fork") else 1
     k = len(nodes)  # per model: k rows of values, k of compensated, 1 of clamp counts
     kept = m_paths * len(models) * (2 * k + 1)
-    # a round's increments, held once at any split (each later part fills its own shared
-    # rows), so a refusal does not depend on the CPU count; with dump, one model's
+    # a round's increments, held once at any split (each part fills its own shared rows),
+    # so a refusal does not depend on the CPU count; with dump, one model's
     # values and compensated at every node; every histogram's counts, densities, bins + 1 edges
     held = kept + rows * (n_steps + (2 * n_steps + 2 if dump else 0))
     held += len(models) * (3 * bins + 1) if bins else 0
@@ -553,7 +550,7 @@ def cmd_picard_verify(ns):
     model = parse_model(ns.model, params)
     tp = TruncationParams(n=ns.n)
     solver.check_picard_settings(ns.tol, ns.kmax)  # before the row is drawn
-    # the row, Picard's two iterates, and the oracle's values, compensated values and path 0
+    # the row (N) and, of N + 1 each, two Picard iterates, the oracle's list and array, their gap
     held = grid.n_steps + 5 * (grid.n_steps + 1)
     if held > (cap := stochastic.MAX_STORED_INCREMENTS):
         raise ValueError(f"1 path of {grid.n_steps} steps holds {held} values, "

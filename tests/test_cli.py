@@ -416,7 +416,8 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             (2, f"error: 20 paths of 5 steps hold {held} values, above the cap of 1000000000\n"),
             id=f"bins-{bins}",
         ) for bins, held in ((2**63, 27670116110564327705), (10**11, 300000000281))),
-        # picard-verify holds the row, two iterates and the oracle's three arrays of N + 1
+        # picard-verify holds the row (N) and, of N + 1 each, two Picard iterates, the
+        # oracle's list and array, and their gap: 6N + 5
         pytest.param(
             ["picard-verify", "--T", "1000", "--dt", "1e-6"], None,
             (2, "error: 1 path of 1000000000 steps holds 6000000005 values, "
@@ -686,6 +687,9 @@ def test_every_split_gives_the_same_bytes(
     # chunks of `rows` rows, each split between up to `workers` processes in
     # row order, give the bytes of a one-process walk and reap every worker
     import errno
+    import mmap
+
+    import numpy as np
 
     import varexp_cir.cli as cli
 
@@ -697,8 +701,14 @@ def test_every_split_gives_the_same_bytes(
     def counted(seed, paths, grid, out=None):
         if failing == "worker" and os.getpid() != parent:
             raise OSError(errno.ENOSPC, "No space left on device")  # exit 2 from one process
+        owner = out
+        while isinstance(owner, np.ndarray):  # the view's arrays, then the buffer under them
+            owner = owner.base
+        # out fills the whole of one anonymous mapping, sized for this part alone
+        mapping = getattr(owner, "obj", None)
+        own = isinstance(mapping, mmap.mmap) and len(mapping) == 8 * len(paths) * grid.n_steps
         with open(log, "a") as fh:  # one line a fill, from this process or a worker
-            fh.write(f"{os.getpid()} {paths.start} {len(paths)} {int(out is not None)}\n")
+            fh.write(f"{os.getpid()} {paths.start} {len(paths)} {int(own)}\n")
         return real_sample_batch(seed, paths, grid, out=out)
 
     def fork():
@@ -712,10 +722,10 @@ def test_every_split_gives_the_same_bytes(
     assert _split_outputs(tmp_path) == one_process
     fills = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     filled = [n for pid, _, n, _ in fills if pid == os.getpid()]
-    # every row is filled once, and exactly the parts after each round's first (rounds
-    # start at multiples of rows) fill their own shared rows in place
+    # every row is filled once, and every fill is given its own mapping, the first
+    # part of each round (rounds start at multiples of rows) as well as the others
     assert sum(n for _, _, n, _ in fills) == 4 * 200
-    assert all(into_buffer == (start % rows > 0) for _, start, _, into_buffer in fills)
+    assert all(own for _, _, _, own in fills)
     # each of the four commands, the dump among them, fills every chunk once, all
     # in this process when a chunk cannot be split or no part can be handed out
     if workers == 1 or rows == 1:
@@ -736,9 +746,9 @@ def test_every_split_gives_the_same_bytes(
 def test_the_running_process_holds_one_part_at_a_time(
     tmp_path, monkeypatch, one_process, workers, failing
 ):
-    # each part's increments, in private memory or in the part's own shared mapping, are
-    # freed once hashed, so at every hash the running process holds only the part it hashes;
-    # a middle part whose worker exits 1 is walked again here, into its own mapping
+    # each part's increments fill the part's own shared mapping, which is freed once hashed,
+    # so at every hash the running process holds only the part it hashes; a middle part
+    # whose worker exits 1 is walked again here, into its own mapping
     import weakref
 
     import numpy as np
@@ -748,7 +758,7 @@ def test_the_running_process_holds_one_part_at_a_time(
 
     forks, parent = _workers(monkeypatch, workers), os.getpid()
     parts = [range(200 * i // workers, 200 * (i + 1) // workers) for i in range(workers)]
-    allocated, hashed, held, walked_here = [], [], [], []
+    allocated, hashed, held, walked_here, whole = [], [], [], [], []
     real_shared, real_sample_batch, real_hash_rows = (
         cli._shared, cli.sample_batch, stochastic.hash_rows)
 
@@ -767,13 +777,11 @@ def test_the_running_process_holds_one_part_at_a_time(
             walked_here.append((paths, live()))
         elif failing and paths == parts[1]:
             raise RuntimeError("the middle worker's stub")
-        batch = real_sample_batch(seed, paths, grid, out=out)
-        if out is None:
-            allocated.append(weakref.ref(batch.increments))
-        return batch
+        return real_sample_batch(seed, paths, grid, out=out)
 
-    def hash_rows(h, increments):
+    def hash_rows(h, increments):  # a _shared mapping's, which they fill whole
         owner, = (r for r in allocated if np.may_share_memory(r(), increments))
+        whole.append(owner().size == increments.size)
         hashed.append((owner, len(increments)))  # rows hashed so far, each while it lives
         held.append(live())
         return real_hash_rows(h, increments)
@@ -783,7 +791,7 @@ def test_the_running_process_holds_one_part_at_a_time(
     monkeypatch.setattr(stochastic, "hash_rows", hash_rows)
     assert _split_outputs(tmp_path) == one_process
     # each of the four commands hashes every part once, in row order, holding that part alone
-    assert held == [len(p) for p in parts] * 4
+    assert held == [len(p) for p in parts] * 4 and whole == [True] * 4 * workers
     assert len(forks) == 4 * (workers - 1)
     # and fills a part here only once every part before it is freed
     assert walked_here == [(parts[0], 0), *[(parts[1], 0)] * bool(failing)] * 4
@@ -1070,11 +1078,21 @@ def test_memory_is_bounded_by_the_kept_state(capsys, tmp_path, monkeypatch):
     # 40,000 paths x 100 steps in chunks of 1000 paths: the run holds 4
     # models x 40,000 paths x 9 kept values (11.5 MB) plus one 0.8 MB
     # chunk; the whole increment matrix alone would be 32 MB. The kept
-    # values live in a shared mapping, which tracemalloc does not see, so
-    # the bytes mapped are added to its peak
+    # values and each chunk live in shared mappings, which tracemalloc does
+    # not see, so the most bytes mapped at once are added to its peak
+    import weakref
+
     monkeypatch.setattr(cli, "_CHUNK", 1000 * 100)
-    mapped, real_shared = [], cli._shared
-    monkeypatch.setattr(cli, "_shared", lambda n: mapped.append(8 * n) or real_shared(n))
+    mapped, real_shared = [0, 0], cli._shared  # bytes mapped now, and the most at once
+
+    def shared(count):
+        array = real_shared(count)  # its mapping is unmapped when the array is freed
+        mapped[0] += 8 * count
+        mapped[1] = max(mapped)
+        weakref.finalize(array, lambda: mapped.__setitem__(0, mapped[0] - 8 * count))
+        return array
+
+    monkeypatch.setattr(cli, "_shared", shared)
     tracemalloc.start()
     try:
         code, _, err = _run(
@@ -1085,7 +1103,7 @@ def test_memory_is_bounded_by_the_kept_state(capsys, tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0, err
-    assert mapped and peak + sum(mapped) < 20 * 10**6
+    assert mapped[1] and peak + mapped[1] < 20 * 10**6
 
 
 @pytest.mark.parametrize(
