@@ -25,7 +25,7 @@ for name, model in models:
     rep = feller_check(model)
     extra = ""
     if rep.classical_holds is not None:
-        extra = f"  (2kt={rep.classical_lhs:.3f} vs xi^2={rep.classical_rhs:.3f})"
+        extra = f"  (2kt={rep.classical_lhs_2kt:.3f} vs xi^2={rep.classical_rhs_xi2:.3f})"
     print(
         f"  {name:>14}: {rep.verdict:15s} criterion={rep.criterion_used:14s} "
         f"limit={rep.analytic_limit:+.4f}{extra}"
@@ -34,7 +34,8 @@ for name, model in models:
 print("\nfailing regime: slow reversion, violent noise")
 bad = ModelParams(kappa=0.1, theta=0.1, xi=0.5, v0=0.05)
 rep = feller_check(cir_model(bad))
-print(f"  cir kappa=0.1 theta=0.1 xi=0.5: {rep.verdict} (2kt={rep.classical_lhs} < xi^2={rep.classical_rhs})")
+lhs, rhs = rep.classical_lhs_2kt, rep.classical_rhs_xi2
+print(f"  cir kappa=0.1 theta=0.1 xi=0.5: {rep.verdict} (2kt={lhs} < xi^2={rhs})")
 
 print("\nthe numeric profile near the boundary backs the analytic limit:")
 rep = feller_check(gm_model(params, make_builtin("p1")))

@@ -16,12 +16,13 @@ non-attainability test and the linear-growth constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .exponent import (
+    GRID_MIN,
     NEAR_ZERO_RADIUS,
     ExponentFunction,
     check_state,
@@ -69,14 +70,14 @@ class ModelParams:
     v0: float
 
     def __post_init__(self):
-        for name in ("kappa", "theta", "xi", "v0"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be strictly positive and finite, got {value}")
-            object.__setattr__(self, name, float(value))  # so the kernel steps in float64
+                raise ValueError(f"{field.name} must be strictly positive and finite, got {value}")
+            object.__setattr__(self, field.name, float(value))  # so the kernel steps in float64
 
     def to_dict(self) -> dict:
-        return {"kappa": self.kappa, "theta": self.theta, "xi": self.xi, "v0": self.v0}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class Model:
     effective diffusion exponent: the variable p for ``gm``, the
     constant 1/2 for ``cir`` and the constant b for ``pkm`` (possibly
     outside [1/2, 1], which is why the unchecked constant constructor is
-    used). ``kind`` only names the model.
+    used). ``kind`` names the model, and band truncation refuses ``pkm``.
     """
 
     params: ModelParams
@@ -239,27 +240,17 @@ class FellerReport:
     """
 
     analytic_limit: float
-    numeric_profile: tuple
     criterion_used: str
     verdict: str
     p_at_zero: float
-    classical_lhs: float | None = None
-    classical_rhs: float | None = None
+    numeric_profile: tuple
+    classical_lhs_2kt: float | None = None
+    classical_rhs_xi2: float | None = None
     classical_holds: bool | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "analytic_limit": self.analytic_limit,
-            "criterion_used": self.criterion_used,
-            "verdict": self.verdict,
-            "p_at_zero": self.p_at_zero,
-            "numeric_profile": [[x, t] for x, t in self.numeric_profile],
-        }
-        if self.classical_holds is not None:
-            d["classical_lhs_2kt"] = self.classical_lhs
-            d["classical_rhs_xi2"] = self.classical_rhs
-            d["classical_holds"] = self.classical_holds
-        return d
+        """The JSON payload: every field that is not None, in field order."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def feller_check(model: Model) -> FellerReport:
@@ -277,7 +268,7 @@ def feller_check(model: Model) -> FellerReport:
     kappa, theta, xi = params.kappa, params.theta, params.xi
 
     exp_fn = model.exponent
-    p_zero = float(exp_fn.func(1e-12))
+    p_zero = float(exp_fn.func(GRID_MIN))
     drift_limit = float(coefficients(model)[0](0.0))
 
     half = abs(p_zero - 0.5) <= P_HALF_TOL
@@ -313,20 +304,7 @@ def feller_check(model: Model) -> FellerReport:
     else:
         verdict = "attainable"
 
-    classical_lhs = classical_rhs = classical_holds = None
-    if constant_half:
-        classical_lhs = 2.0 * kappa * theta
-        classical_rhs = xi**2
-        classical_holds = classical_lhs >= classical_rhs
-
-    return FellerReport(
-        analytic_limit=analytic_limit,
-        numeric_profile=profile,
-        criterion_used=criterion,
-        verdict=verdict,
-        p_at_zero=p_zero,
-        classical_lhs=classical_lhs,
-        classical_rhs=classical_rhs,
-        classical_holds=classical_holds,
-    )
-
+    if not constant_half:
+        return FellerReport(analytic_limit, criterion, verdict, p_zero, profile)
+    lhs, rhs = 2.0 * kappa * theta, xi**2
+    return FellerReport(analytic_limit, criterion, verdict, p_zero, profile, lhs, rhs, lhs >= rhs)

@@ -7,6 +7,7 @@ the suite is deterministic.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -70,8 +71,8 @@ def test_criterion_2_feller_reproduction():
     rep = feller_check(cir_model(params))
     ok = (
         rep.verdict == "non-attainable"
-        and rep.classical_lhs == pytest.approx(0.2)
-        and rep.classical_rhs == pytest.approx(0.09)
+        and rep.classical_lhs_2kt == pytest.approx(0.2)
+        and rep.classical_rhs_xi2 == pytest.approx(0.09)
     )
     rng = np.random.default_rng(2024)
     agree = 0
@@ -308,36 +309,56 @@ def test_criterion_11_cir_terminal_law(full_batch):
             f"clamped steps {clamps}")
 
 
-def test_criterion_12_second_order_ito_identity(full_batch):
-    # With f(v) = kappa (theta - v) and g(v)^2 = xi^2 v^{2 p(v)} from the paper, a step
-    # y = v_j + f dt + g dW_j has E[y^2 | v_j] = v_j^2 + (2 v_j f + g^2) dt + (f dt)^2, so
-    # S = v_N^2 - sum_j [(2 v_j f(v_j) + g(v_j)^2) dt + (f(v_j) dt)^2] has mean v0^2 on
-    # Euler paths. A clamped step stores 0 for y < 0 and lowers S by y^2, so the mean is
-    # v0^2 less the mean over paths of sum y^2 at clamped steps: that is the allowance.
-    # The reference batch's paths are walked 500 rows at a time, 4 MB per model.
+GM_SPECS = ("gm:p1", "gm:p2", "gm:p3")
+
+
+def _euler_moment_identities(full_batch, v0, orders):
+    # With f(v) = kappa (theta - v) and g(v)^2 = xi^2 v^{2 p(v)} from the paper, an Euler step
+    # y = x + g dW_j, x = v_j + f dt, is normal given v_j with variance s^2 = g^2 dt, so
+    # E[y^m | v_j] = sum_{k even} C(m, k) x^{m-k} s^k (k-1)!! and
+    # S_m = v_N^m - sum_j (E[y^m | v_j] - v_j^m) has mean v0^m on Euler paths. A clamped step
+    # stores 0 for y < 0 and moves S_m by -y^m, so the mean is v0^m within the mean over paths
+    # of sum |y|^m at clamped steps: that is the allowance. Bound: |mean - v0^m| <= 4 SE plus
+    # the allowance. gm p1-p3 walk the reference batch 500 rows at a time, 4 MB per model.
+    # Per model: its spec, clamped steps and, per order, (m, z, within the bound, allowance).
     grid, n_steps = full_batch.grid, int(T / DT)
-    specs = ("gm:p1", "gm:p2", "gm:p3")
-    models = [parse_model(spec, ModelParams(KAPPA, THETA, XI, V0)) for spec in specs]
-    exponents = [make_builtin(spec[3:]).func for spec in specs]
-    s_values = [[] for _ in specs]
-    clamped, allowance = [0] * len(specs), [0.0] * len(specs)
+    models = [parse_model(spec, ModelParams(KAPPA, THETA, XI, v0)) for spec in GM_SPECS]
+    exponents = [make_builtin(spec[3:]).func for spec in GM_SPECS]
+    s_values = [{m: [] for m in orders} for _ in GM_SPECS]
+    allowance = [dict.fromkeys(orders, 0.0) for _ in GM_SPECS]
+    clamped = [0] * len(GM_SPECS)
     for start in range(0, M_PATHS, 500):
         batch = BrownianBatch(SEED, grid, full_batch.increments[start : start + 500])
         for i, pb in enumerate(simulate_models(models, batch)):
             v = pb.values[:, :n_steps]
             f, g = KAPPA * (THETA - v), XI * np.power(v, exponents[i](v))
-            s_values[i].append(pb.values[:, -1] ** 2
-                               - ((2.0 * v * f + g * g) * DT + (f * DT) ** 2).sum(axis=1))
-            y = v + f * DT + g * batch.increments
-            allowance[i] += float(np.square(y[pb.values[:, 1:] == 0.0]).sum()) / M_PATHS
+            x, s2 = v + f * DT, g * g * DT
+            y = x + g * batch.increments
+            below = np.abs(y[pb.values[:, 1:] == 0.0])
+            for m in orders:
+                step_mean = sum(math.comb(m, k) * math.prod(range(k - 1, 0, -2))
+                                * x ** (m - k) * s2 ** (k // 2) for k in range(0, m + 1, 2))
+                s_values[i][m].append(pb.values[:, -1] ** m - (step_mean - v**m).sum(axis=1))
+                allowance[i][m] += float((below**m).sum()) / M_PATHS
             clamped[i] += int(pb.clamp_counts.sum())
+    results = []
+    for i, spec in enumerate(GM_SPECS):
+        checks = []
+        for m in orders:
+            s = np.concatenate(s_values[i][m])
+            mean, se = float(s.mean()), float(s.std(ddof=1) / np.sqrt(s.size))
+            within = abs(mean - v0**m) <= 4.0 * se + allowance[i][m]
+            checks.append((m, (mean - v0**m) / se, within, allowance[i][m]))
+        results.append((spec, clamped[i], checks))
+    return results
+
+
+def test_criterion_12_second_order_ito_identity(full_batch):
+    # the order-2 identity at the reference start: E[y^2 | v_j] = x^2 + s^2
     ok, details = True, []
-    for i, spec in enumerate(specs):
-        s = np.concatenate(s_values[i])
-        mean, se = float(s.mean()), float(s.std(ddof=1) / np.sqrt(s.size))
-        ok &= abs(mean - V0**2) <= 4.0 * se + allowance[i]
-        details.append(f"{spec}: z={(mean - V0**2) / se:+.2f}, clamped steps {clamped[i]}, "
-                       f"allowance {allowance[i]:.1e}")
+    for spec, clamped, [(_, z, within, allowance)] in _euler_moment_identities(full_batch, V0, (2,)):
+        ok &= within
+        details.append(f"{spec}: z={z:+.2f}, clamped steps {clamped}, allowance {allowance:.1e}")
     _report(12, "second-order Ito identity", ok, "; ".join(details))
 
 
@@ -360,3 +381,16 @@ def test_criterion_13_exact_mean_off_equilibrium(full_batch):
         ok &= clamps == 0 and max(map(abs, z)) <= 4.0
         details.append(f"{spec}: z={', '.join(f'{x:+.2f}' for x in z)}, clamped steps {clamps}")
     _report(13, "exact Euler mean off equilibrium", ok, "; ".join(details))
+
+
+def test_criterion_14_third_and_fourth_order_euler_identities(full_batch):
+    # criterion 12's identity at orders 3 and 4, started off equilibrium (v0 = 2 theta), under
+    # the same bound: |mean(S_m) - v0^m| <= 4 SE plus the clamp allowance
+    start = time.monotonic()
+    ok, details = True, []
+    for spec, clamped, checks in _euler_moment_identities(full_batch, 0.1, (3, 4)):
+        ok &= all(within for _, _, within, _ in checks)
+        orders = ", ".join(f"m={m} z={z:+.2f} allowance {a:.1e}" for m, z, _, a in checks)
+        details.append(f"{spec}: {orders}, clamped steps {clamped}")
+    elapsed = time.monotonic() - start
+    _report(14, "third- and fourth-order Euler identities", ok, f"{'; '.join(details)}; {elapsed:.2f}s")

@@ -125,8 +125,8 @@ def test_feller_check_cir_paper_params(cir):
     report = feller_check(cir)
     assert report.verdict == "non-attainable"
     assert report.criterion_used == "constant_half"
-    assert report.classical_lhs == pytest.approx(0.2)
-    assert report.classical_rhs == pytest.approx(0.09)
+    assert report.classical_lhs_2kt == pytest.approx(0.2)
+    assert report.classical_rhs_xi2 == pytest.approx(0.09)
     assert report.classical_holds
 
 
@@ -223,11 +223,23 @@ def test_feller_check_pkm_square_root_is_classical(params, cir):
     ref = feller_check(cir)
     assert pkm.criterion_used == "constant_half"
     assert (pkm.verdict, pkm.analytic_limit) == (ref.verdict, ref.analytic_limit)
-    assert (pkm.classical_lhs, pkm.classical_rhs, pkm.classical_holds) == (
-        ref.classical_lhs, ref.classical_rhs, ref.classical_holds,
+    assert (pkm.classical_lhs_2kt, pkm.classical_rhs_xi2, pkm.classical_holds) == (
+        ref.classical_lhs_2kt, ref.classical_rhs_xi2, ref.classical_holds,
     )
     # with the quadratic drift the classical condition does not apply
     assert feller_check(pkm_model(params, 1, 0.5)).criterion_used == "p0_equal_half"
+
+
+FELLER_KEYS = ("analytic_limit", "criterion_used", "verdict", "p_at_zero", "numeric_profile",
+               "classical_lhs_2kt", "classical_rhs_xi2", "classical_holds")
+
+
+@pytest.mark.parametrize("spec, keys", [("cir", FELLER_KEYS), ("pkm:a=0,b=0.5", FELLER_KEYS),
+                                        ("gm:p1", FELLER_KEYS[:5])])
+def test_feller_payload_keys_come_in_order(params, spec, keys):
+    # `feller` prints these keys in this order; the classical three only for a constant
+    # exponent 1/2 under the linear drift
+    assert tuple(feller_check(parse_model(spec, params)).to_dict()) == keys
 
 
 def test_model_carries_its_coefficient_data(params):
