@@ -9,7 +9,7 @@ martingale statistic, and terminal-distribution histograms.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class MomentReport:
     C_m: float
     satisfied: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def check_moment_bounds(batch: PathBatch, orders=(2, 3, 4), checkpoints=None) -> list[MomentReport]:
     """One MomentReport per (order, checkpoint) pair, for the batch's model."""
@@ -160,9 +157,6 @@ class MartingaleReport:
     satisfied: bool
     bias_allowance: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def martingale_report(batch: PathBatch, checkpoints=None) -> MartingaleReport:
     """Check that M(t) = v(t) - sum_{t_i<t} f(v(t_i)) dt, the statistic the
@@ -200,9 +194,6 @@ class Histogram:
     bin_edges: np.ndarray
     counts: np.ndarray
     densities: np.ndarray
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def terminal_histogram(batch: PathBatch, t: float, n_bins: int) -> Histogram:

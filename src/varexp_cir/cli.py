@@ -28,6 +28,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -73,8 +74,16 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _payload(report) -> dict:
+    """A report's JSON payload: its fields in declaration order, but those
+    declared field(repr=False) and those whose value is None."""
+    return {f.name: value for f in dataclasses.fields(report)
+            if f.repr and (value := getattr(report, f.name)) is not None}
+
+
 def json_text(obj, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits; a dataclass
+    is written as its payload."""
     pad = " " * indent
     inner = " " * (indent + 2)
     if obj is None:
@@ -92,6 +101,8 @@ def json_text(obj, indent: int = 0) -> str:
     elif isinstance(obj, dict):
         items = [f'{json.dumps(str(k))}: {json_text(v, indent + 2)}' for k, v in obj.items()]
         brackets = "{}"
+    elif dataclasses.is_dataclass(obj):
+        return json_text(_payload(obj), indent)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
     if not items:
@@ -214,6 +225,8 @@ def _run_config(ns):
     settings = {key: _setting(ns, cfg, key) for key in SETTINGS}
     params = ModelParams(*(_setting(ns, cfg, key) for key in PARAMS))
     grid = make_grid(settings["T"], settings["dt"])
+    for m in settings["orders"] if hasattr(ns, "orders") else ():  # before a draw, as bins are
+        analysis.moment_bound(params, m, 0.0)  # refuses an order below 2
     settings["checkpoints"] = settings["checkpoints"] or analysis.default_checkpoints(grid)
     return settings, params, grid
 
@@ -392,9 +405,9 @@ def _summary(settings: dict, checksum: str, pb):
         "m_paths": pb.m_paths,
         "increment_checksum": checksum,
         "clamp": {"clamped_steps": int(pb.clamp_counts.sum()), "fraction": pb.clamp_fraction},
-        "moments": [r.to_dict() for r in check_moment_bounds(pb, settings["orders"], checkpoints)],
-        "martingale": martingale_report(pb, checkpoints).to_dict(),
-        "terminal_histogram": hist.to_dict(),
+        "moments": check_moment_bounds(pb, settings["orders"], checkpoints),
+        "martingale": martingale_report(pb, checkpoints),
+        "terminal_histogram": hist,
     }
     return summary, hist
 
@@ -466,7 +479,7 @@ def _write_runs(ns, specs: list[str], figures: bool):
     manifest = {
         "command": ns.command,
         "config": {
-            **params.to_dict(),
+            **_payload(params),
             **{k: v for k, v in settings.items() if k != "out"},
             "dump_paths": dump_paths,
             "no_svg": getattr(ns, "no_svg", False),
@@ -509,14 +522,14 @@ def cmd_compare(ns):
 
 def cmd_validate_exponent(ns):
     report = validate_hypotheses(make_builtin(ns.exponent))
-    payload = {"exponent": ns.exponent, **report.to_dict()}
+    payload = {"exponent": ns.exponent, **_payload(report)}
     return payload, report.passed, f"validate-exponent {ns.exponent}: {report.verdict}"
 
 
 def cmd_feller(ns):
     model = parse_model(ns.model, _run_config(ns)[1])
     report = feller_check(model)
-    payload = {"model": model.model_id, **report.to_dict()}
+    payload = {"model": model.model_id, **_payload(report)}
     return payload, report.verdict == "non-attainable", f"feller {model.model_id}: {report.verdict}"
 
 
@@ -524,7 +537,7 @@ def cmd_lipschitz(ns):
     model = parse_model(ns.model, _run_config(ns)[1])
     report = lipschitz_constants(TruncationParams(n=ns.n), model)
     ok = report.empirical_sup_quotient <= report.Lg_n * (1.0 + 1e-12)
-    return report.to_dict(), ok, f"lipschitz n={ns.n}: {'ok' if ok else 'violated'}"
+    return report, ok, f"lipschitz n={ns.n}: {'ok' if ok else 'violated'}"
 
 
 def cmd_moments(ns):
@@ -532,7 +545,7 @@ def cmd_moments(ns):
     _, [pb] = _simulate(settings, params, grid, [ns.model])
     reports = check_moment_bounds(pb, settings["orders"], settings["checkpoints"])
     ok = all(r.satisfied for r in reports)
-    payload = {"model": pb.model.model_id, "reports": [r.to_dict() for r in reports]}
+    payload = {"model": pb.model.model_id, "reports": reports}
     return payload, ok, f"moments {pb.model.model_id}: {'ok' if ok else 'violated'}"
 
 
@@ -540,7 +553,7 @@ def cmd_martingale(ns):
     settings, params, grid = _run_config(ns)
     _, [pb] = _simulate(settings, params, grid, [ns.model])
     report = martingale_report(pb, settings["checkpoints"])
-    payload = {"model": pb.model.model_id, **report.to_dict()}
+    payload = {"model": pb.model.model_id, **_payload(report)}
     verdict = "ok" if report.satisfied else "violated"
     return payload, report.satisfied, f"martingale {pb.model.model_id}: {verdict}"
 
@@ -561,11 +574,11 @@ def cmd_picard_verify(ns):
         overflowed = report.sup_diffs[-1] == math.inf
         failure = (f"iterate {report.iterations_used} overflowed" if overflowed
                    else f"no convergence within {ns.kmax} iterations")
-        return report.to_dict(), None, f"picard-verify: {failure}"
+        return report, None, f"picard-verify: {failure}"
     euler = euler_maruyama_truncated(tp, model, grid, row[None])[0]
     sup_diff = float(np.max(np.abs(report.fixed_point - euler)))
     ok = sup_diff <= ns.tol
-    payload = {"model": model.model_id, "n": ns.n, **report.to_dict()}
+    payload = {"model": model.model_id, "n": ns.n, **_payload(report)}
     payload["sup_diff_vs_euler"] = sup_diff
     summary = (
         f"picard-verify {model.model_id} n={ns.n}: iterations={report.iterations_used} "

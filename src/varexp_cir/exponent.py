@@ -11,7 +11,7 @@ A user-supplied exponent is an ``ExponentFunction`` of kind ``"custom"``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -160,8 +160,8 @@ def make_builtin(name: str) -> ExponentFunction:
 class HypothesisReport:
     """Outcome of the numerical admissibility check.
 
-    ``passed`` is true iff ``observed_inf >= 1/2 - RANGE_TOL``,
-    ``observed_sup <= 1 + RANGE_TOL`` and the derivative sup near zero is
+    ``passed`` is true iff ``observed_inf >= 1/2 - tol``,
+    ``observed_sup <= 1 + tol`` and the derivative sup near zero is
     finite. The inf/sup are grid approximations; the grid bounds are
     recorded in ``grid_used``.
     """
@@ -171,16 +171,14 @@ class HypothesisReport:
     observed_dsup_near_zero: float
     p_at_zero_plus: float
     grid_used: str
-    passed: bool
-    failing_clause: str | None
+    verdict: str = field(init=False)
+    tol: float = field(init=False, default=RANGE_TOL)
+    passed: bool = field(repr=False)
+    failing_clause: str | None = field(repr=False)
 
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else f"fail({self.failing_clause})"
-
-    def to_dict(self) -> dict:
-        fields = {k: v for k, v in asdict(self).items() if k not in ("passed", "failing_clause")}
-        return {**fields, "verdict": self.verdict, "tol": RANGE_TOL}
+    def __post_init__(self):
+        verdict = "pass" if self.passed else f"fail({self.failing_clause})"
+        object.__setattr__(self, "verdict", verdict)
 
 
 def validate_hypotheses(fn: ExponentFunction) -> HypothesisReport:

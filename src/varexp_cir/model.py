@@ -16,7 +16,7 @@ non-attainability test and the linear-growth constant.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -75,9 +75,6 @@ class ModelParams:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{field.name} must be strictly positive and finite, got {value}")
             object.__setattr__(self, field.name, float(value))  # so the kernel steps in float64
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -247,10 +244,6 @@ class FellerReport:
     classical_lhs_2kt: float | None = None
     classical_rhs_xi2: float | None = None
     classical_holds: bool | None = None
-
-    def to_dict(self) -> dict:
-        """The JSON payload: every field that is not None, in field order."""
-        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def feller_check(model: Model) -> FellerReport:

@@ -14,7 +14,7 @@ into a sharp numerical test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -213,12 +213,8 @@ class PicardReport:
     iterations_used: int
     sup_diffs: tuple
     converged: bool
-    fixed_point: np.ndarray
+    fixed_point: np.ndarray = field(repr=False)
     rate_envelope_constant: float
-
-    def to_dict(self) -> dict:
-        """Every field but the fixed-point values."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "fixed_point"}
 
 
 def _fit_rate_envelope(sup_diffs: np.ndarray, horizon: float) -> float:

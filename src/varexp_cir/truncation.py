@@ -10,7 +10,7 @@ cubic Hermite so the truncation has a computable derivative bound.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,12 +191,8 @@ class LipschitzReport:
     Lg_n: float
     Lhat_n: float
     empirical_sup_quotient: float
-    phi_deriv_sup: float
-    p_deriv_sup: float
-
-    def to_dict(self) -> dict:
-        """Every field but the two numerical sups behind C_n and L_n."""
-        return {k: v for k, v in asdict(self).items() if k not in ("phi_deriv_sup", "p_deriv_sup")}
+    phi_deriv_sup: float = field(repr=False)
+    p_deriv_sup: float = field(repr=False)
 
 
 def _phi_deriv_sup(tp: TruncationParams) -> float:

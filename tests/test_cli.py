@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -534,13 +535,20 @@ def test_a_histogram_of_no_bins_is_refused_before_sampling(capsys, tmp_path, mon
     import varexp_cir.cli as cli
 
     def refuse(*args, **kwargs):
-        raise AssertionError("sample_batch called for a histogram of no bins")
+        raise AssertionError("sample_batch called for a refused setting")
 
     monkeypatch.setattr(cli, "sample_batch", refuse)
     for bins in ("0", "-3"):
         out = tmp_path / f"bins{bins}"
         code, _, err = _run(capsys, "simulate", "--bins", bins, "--out", str(out))
         assert (code, err) == (2, "error: n_bins must be >= 1\n")
+        assert not out.exists()
+    # and so is a moment order below 2, which the statistics would refuse only after the walk
+    for command, order in itertools.product(("simulate", "compare", "moments"), ("1", "0", "-2")):
+        out = tmp_path / f"{command}{order}"
+        outputs = ("--out", str(out)) if command != "moments" else ()
+        code, _, err = _run(capsys, command, "--orders", order, *outputs)
+        assert (code, err) == (2, f"error: moment order must be an integer >= 2, got {order}\n")
         assert not out.exists()
 
 
@@ -1065,9 +1073,9 @@ def test_cli_walk_equals_the_library_on_a_full_batch(capsys, tmp_path):
         pb = simulate_batch(parse_model(spec, ModelParams(2.0, 0.05, 0.3, 0.05)), batch)
         summary = json.loads((out / f"{pb.model.model_id}_summary.json").read_text())
         expected = {
-            "moments": [r.to_dict() for r in check_moment_bounds(pb, (2, 3, 4), checkpoints)],
-            "martingale": martingale_report(pb, checkpoints).to_dict(),
-            "terminal_histogram": terminal_histogram(pb, 0.1, 50).to_dict(),
+            "moments": check_moment_bounds(pb, (2, 3, 4), checkpoints),
+            "martingale": martingale_report(pb, checkpoints),
+            "terminal_histogram": terminal_histogram(pb, 0.1, 50),
         }
         assert {key: summary[key] for key in expected} == json.loads(json_text(expected)), spec
 

@@ -5,10 +5,15 @@ plus the stdout of the 24 verification ops run beside it. A change that
 moves any of these digests changes program output and has to say why.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (Python
-3.11): the increments' bits come from scipy's ``ndtri`` and the paths'
-from numpy's ``exp``, ``tanh`` and ``power``, so another version of
-either library may move them. CI installs these versions through
-``.github/constraints.txt``."""
+3.11), on a CPU where numpy dispatches to its AVX-512 target: the
+increments' bits come from scipy's ``ndtri`` and the paths' from
+numpy's ``exp``, ``tanh`` and ``power``, so another version of either
+library, or another CPU dispatch target, may move them. numpy's SIMD
+loops for these three differ in the last bit between targets: at its
+AVX2 target (``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``)
+6 tests here fail, and 8 in the suite, which ROADMAP.md lists. CI
+installs these versions through ``.github/constraints.txt`` and prints
+``numpy.show_runtime()``, which names the target its numpy found."""
 
 import hashlib
 import json

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from varexp_cir.cli import json_text
 from varexp_cir.exponent import ExponentFunction, constant_exponent, make_builtin
 from varexp_cir.model import (
     ModelParams,
@@ -233,13 +235,52 @@ def test_feller_check_pkm_square_root_is_classical(params, cir):
 FELLER_KEYS = ("analytic_limit", "criterion_used", "verdict", "p_at_zero", "numeric_profile",
                "classical_lhs_2kt", "classical_rhs_xi2", "classical_holds")
 
+#: report kind -> its payload's keys, in the order the CLI prints them; a golden digest
+#: mismatch does not say which key moved
+REPORT_KEYS = {
+    "params": ("kappa", "theta", "xi", "v0"),
+    "moment": ("order", "checkpoint", "empirical", "stderr", "theoretical_bound", "C_m",
+               "satisfied"),
+    "martingale": ("checkpoints", "mh_means", "mh_stderrs", "max_abs_drift", "satisfied",
+                   "bias_allowance"),
+    "histogram": ("bin_edges", "counts", "densities"),
+    "picard": ("iterations_used", "sup_diffs", "converged", "rate_envelope_constant"),
+    "lipschitz": ("n", "epsilon", "L_n", "C_n", "Lf_n", "Lg_n", "Lhat_n",
+                  "empirical_sup_quotient"),
+    "hypothesis": ("observed_inf", "observed_sup", "observed_dsup_near_zero", "p_at_zero_plus",
+                   "grid_used", "verdict", "tol"),
+}
+
+
+def _report(kind: str, params):
+    """A report of kind, or for a model spec its Feller report, on a small gm:p1 run."""
+    from varexp_cir import (TruncationParams, check_moment_bounds, lipschitz_constants, make_grid,
+                            martingale_report, path_increments, picard_solve, sample_batch,
+                            simulate_batch, terminal_histogram, validate_hypotheses)
+
+    if kind not in REPORT_KEYS:
+        return feller_check(parse_model(kind, params))
+    model, grid = parse_model("gm:p1", params), make_grid(0.1, 0.01)
+    pb = simulate_batch(model, sample_batch(42, 20, grid))
+    return {
+        "params": lambda: params,
+        "moment": lambda: check_moment_bounds(pb, (2,), (0.05,))[0],
+        "martingale": lambda: martingale_report(pb, (0.05,)),
+        "histogram": lambda: terminal_histogram(pb, 0.1, 5),
+        "picard": lambda: picard_solve(TruncationParams(10), model, grid,
+                                       path_increments(42, 0, grid)),
+        "lipschitz": lambda: lipschitz_constants(TruncationParams(10), model),
+        "hypothesis": lambda: validate_hypotheses(make_builtin("p1")),
+    }[kind]()
+
 
 @pytest.mark.parametrize("spec, keys", [("cir", FELLER_KEYS), ("pkm:a=0,b=0.5", FELLER_KEYS),
-                                        ("gm:p1", FELLER_KEYS[:5])])
+                                        ("gm:p1", FELLER_KEYS[:5]), *REPORT_KEYS.items()])
 def test_feller_payload_keys_come_in_order(params, spec, keys):
-    # `feller` prints these keys in this order; the classical three only for a constant
-    # exponent 1/2 under the linear drift
-    assert tuple(feller_check(parse_model(spec, params)).to_dict()) == keys
+    # every report the CLI prints writes these keys in this order: its fields but those
+    # declared repr=False and those that are None. Feller's classical three are set only for
+    # a constant exponent 1/2 under the linear drift
+    assert tuple(json.loads(json_text(_report(spec, params)))) == keys
 
 
 def test_model_carries_its_coefficient_data(params):

@@ -290,10 +290,3 @@ def test_difference_quotients_below_constants(params, gm_p1):
         ) / np.abs(x - y)
         assert np.max(qf) <= rep.Lf_n
         assert np.max(qg) <= rep.Lg_n
-
-
-def test_lipschitz_report_json_keys(params, gm_p1):
-    d = lipschitz_constants(TruncationParams(10), gm_p1).to_dict()
-    assert set(d) == {
-        "n", "epsilon", "L_n", "C_n", "Lf_n", "Lg_n", "Lhat_n", "empirical_sup_quotient",
-    }
