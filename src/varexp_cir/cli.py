@@ -145,8 +145,11 @@ def _int(value) -> int:
     return int(value)
 
 
-def _ints(value) -> tuple:
-    return tuple(_int(v) for v in _items(value))
+def _orders(value) -> tuple:
+    """Moment orders; one past the largest double, which a ceiling cannot take, is refused."""
+    orders = tuple(_int(v) for v in _items(value))
+    list(map(float, orders))  # OverflowError past the largest double
+    return orders
 
 
 def _checkpoints(value) -> tuple | None:
@@ -175,7 +178,7 @@ SETTINGS = {
     "seed": (42, lambda value: stochastic._check_seed(_int(value))),  # refused before a draw
     "policy": ("full-trunc", _policy),
     "bins": (50, _int),
-    "orders": ("2,3,4", _ints),
+    "orders": ("2,3,4", _orders),
     "checkpoints": (None, _checkpoints),
     "out": (".", FsPath),
 }
@@ -232,9 +235,12 @@ def _run_config(ns):
 
 
 def _versions() -> dict:
+    umath = np._core._multiarray_umath  # numpy's highest CPU dispatch target this CPU runs
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     return {
         "varexp_cir": __version__,
         "numpy": np.__version__,
+        "numpy_cpu_target": (targets or umath.__cpu_baseline__ or ["none"])[-1],
         "scipy": scipy.__version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
     }
@@ -262,9 +268,9 @@ def _round(h, seed: int, grid, job, parts: list[range]):
     other in a child forked at once, or here once a fork fails. job(batch, paths) runs where a
     part was filled and returns its least (step, model index, path) overflow, or None.
     A child reports by its exit status alone: 0 walked, 2 out of memory, 1 an overflow or any
-    other exception, and this process then walks that part itself, so it raises what one
+    other exception, and this process then walks that part itself, so it finds what one
     process would. Feed h each part's increments in row order, freeing them before the next
-    part is read, and raise the least overflow."""
+    part is read, and return the least overflow, or None."""
     children, faults = {}, []
     rows = {paths: _shared(len(paths) * grid.n_steps).reshape(grid.n_steps, -1).T
             for paths in parts}
@@ -298,9 +304,7 @@ def _round(h, seed: int, grid, job, parts: list[range]):
                 raise MemoryError
             faults.append(walk(paths) if code else None)
             stochastic.hash_rows(h, rows.pop(paths))  # freed before the next part is read
-        if any(faults):
-            step, model, path = min(f for f in faults if f)
-            raise PathOverflowError(step, path, model)
+        return min(filter(None, faults), default=None)
     finally:  # on an exception, each child not yet reaped is stopped and reaped
         for pid in children.values():
             os.kill(pid, signal.SIGKILL)
@@ -314,9 +318,12 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
     process and forked workers, one per CPU in its affinity set, each part of
     _WORKER_INCREMENTS or more; no output changes. With dump, a part keeps
     every node for dump(path batch, first path), in the process walking it.
-    A repeated model, a histogram of fewer than one bin, or a run that would
-    hold more than the cap with each model's histogram of bins bins (None: no
-    histogram), is refused first."""
+    An overflow is raised after the last chunk, at the run's least (step,
+    model, path): once one is found at step s, later chunks are filled, hashed
+    and walked on a grid of s steps, to find an equal or earlier one, and are
+    not dumped. A repeated model, a histogram of fewer than one bin, or a run
+    that would hold more than the cap with each model's histogram of bins
+    bins (None: no histogram), is refused first."""
     models = [parse_model(spec, params) for spec in specs]
     if len({model.model_id for model in models}) < len(models):
         raise ValueError(f"the models {', '.join(specs)} name one model more than once")
@@ -345,26 +352,33 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
     runs = [solver.PathBatch(model, grid, np.array(nodes), v.T, c.T, counts, np.empty(n_steps + 1))
             for model, v, c, counts in zip(models, *arrays)]
 
-    def stack(batch, paths):  # every model in one stack, into its rows of the kept arrays
-        into = tuple(a[..., paths.start : paths.stop] for a in arrays)
+    def job(batch, paths):  # every model in one stack, into its rows of the kept arrays
+        full = batch.grid is grid  # else a walk through an earlier chunk's failing step
+        into = tuple(a[..., paths.start : paths.stop] for a in arrays) if full else None
         try:
-            pbs = simulate_models(models, batch, settings["policy"], nodes, into)
+            pbs = simulate_models(models, batch, settings["policy"],
+                                  nodes if full else [batch.grid.n_steps], into)
         except PathOverflowError as exc:
             return exc.step_index, exc.model_index, paths.start + exc.path_index
         for run, pb in zip(runs, pbs if paths.start == 0 else ()):  # the first part holds path 0
             run.path0[:] = pb.path0
-
-    def dump_each(batch, paths):  # one model's every node at a time, as the size cap counts
-        for model in models:  # cannot overflow where the stack did not
+        # one model's every node at a time, as the size cap counts; it cannot overflow where
+        # the stack walked every step and did not
+        for model in models if dump and full else ():
             dump(simulate_batch(model, batch, settings["policy"]), paths.start)
 
-    job = (lambda batch, paths: stack(batch, paths) or dump_each(batch, paths)) if dump else stack
-    h = stochastic.checksum_start(m_paths, n_steps)
+    h, fault = stochastic.checksum_start(m_paths, n_steps), None  # the least overflow so far
     for start in range(0, m_paths, rows):
         stop = min(start + rows, m_paths)
         n_parts = max(1, min(workers, (stop - start) // least))
         cuts = [start + (stop - start) * i // n_parts for i in range(n_parts + 1)]
-        _round(h, settings["seed"], grid, job, [range(a, b) for a, b in zip(cuts, cuts[1:])])
+        # past a fault at step s, s steps: a row's first s increments are the whole grid's, and
+        # the run raises, so h's digest is never read
+        walked = grid if not fault else stochastic.TimeGrid(fault[0] * grid.dt, grid.dt, fault[0])
+        found = _round(h, settings["seed"], walked, job, list(map(range, cuts, cuts[1:])))
+        fault = min(filter(None, (fault, found)), default=None)
+    if fault:
+        raise PathOverflowError(fault[0], fault[2], model_index=fault[1])
     return h.hexdigest(), runs
 
 

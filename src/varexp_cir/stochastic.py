@@ -15,7 +15,7 @@ contiguous, which is the order the Euler kernel reads them in. It is
 filled a block of paths at a time: each path's raw words come from the
 one generator re-keyed to (seed, path_index), and the block is mapped
 to normals in one vectorized pass. Row j is still a function of
-(seed, j) alone, equal bit for bit to path_increments(seed, j, grid).
+(seed, j) alone; path_increments(seed, j, grid) is the one-row batch of j.
 
 The inverse CDF is scipy's compiled ``ndtri`` ufunc, loaded from its
 extension module ``scipy.special._ufuncs`` without running the
@@ -142,23 +142,11 @@ def _check_seed(seed: int) -> int:
 
 
 def path_increments(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
-    """Increments of one path, Normal(0, dt), from substream (seed, path_index).
-
-    The raw 64-bit Philox stream keyed by (seed, path_index) is mapped
-    to uniforms u = ((r >> 11) + 0.5) * 2**-53 in (0, 1), with r >> 11 capped
-    at 2**53 - 2 so that u < 1 (a 2**-53 chance per draw), and through the
-    inverse normal CDF: scipy's ndtri ufunc (Cephes; peak relative error
-    about 1e-15 in the central region, so increments are reproducible
-    across platforms to that precision at worst), taken from
-    scipy.special._ufuncs by _load_ndtri, the object scipy.special.ndtri is.
-    """
-    seed = _check_seed(seed)
+    """Increments of one path, Normal(0, dt), from substream (seed, path_index):
+    row 0 of sample_batch(seed, range(path_index, path_index + 1), grid), read-only."""
     if path_index < 0:
         raise ValueError("path_index must be nonnegative")
-    key = np.array([seed, path_index], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(grid.n_steps)
-    u = (np.minimum(raw >> np.uint64(11), _TOP).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u) * math.sqrt(grid.dt)
+    return sample_batch(seed, range(path_index, path_index + 1), grid).increments[0]
 
 
 def checksum_start(m_paths: int, n_steps: int):
@@ -201,7 +189,16 @@ class BrownianBatch:
 def sample_batch(seed: int, m_paths, grid: TimeGrid, out=None) -> BrownianBatch:
     """Increments of paths 0..m_paths-1, or of a range of path indices (a chunk of a
     larger run), time-major, a block of paths at a time, into out (float64, a row per
-    path) if given; the row of path j equals path_increments(seed, j, grid) bit for bit."""
+    path) if given; the row of path j depends on (seed, j) alone.
+
+    The raw 64-bit Philox stream keyed by (seed, j) is mapped to uniforms
+    u = ((r >> 11) + 0.5) * 2**-53 in (0, 1), with r >> 11 capped at 2**53 - 2
+    so that u < 1 (a 2**-53 chance per draw), and through the inverse normal
+    CDF: scipy's ndtri ufunc (Cephes; peak relative error about 1e-15 in the
+    central region, so increments are reproducible across platforms to that
+    precision at worst), taken from scipy.special._ufuncs by _load_ndtri, the
+    object scipy.special.ndtri is. Buffers hold at most _BLOCK rows, and no
+    more rows than the batch has."""
     seed = _check_seed(seed)
     paths = range(m_paths) if isinstance(m_paths, (int, np.integer)) else m_paths
     if not isinstance(paths, range) or len(paths) < 1 or paths.start < 0 or paths.step != 1:
@@ -216,8 +213,8 @@ def sample_batch(seed: int, m_paths, grid: TimeGrid, out=None) -> BrownianBatch:
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     state = bitgen.state
     key = state["state"]["key"]
-    raw = np.empty((_BLOCK, n_steps), dtype=np.uint64)
-    normals = np.empty((_BLOCK, n_steps))
+    raw = np.empty((min(_BLOCK, len(paths)), n_steps), dtype=np.uint64)
+    normals = np.empty(raw.shape)
     scale = math.sqrt(grid.dt)
     for start in range(0, len(paths), _BLOCK):
         stop = min(start + _BLOCK, len(paths))
@@ -226,7 +223,7 @@ def sample_batch(seed: int, m_paths, grid: TimeGrid, out=None) -> BrownianBatch:
             key[1] = j
             bitgen.state = state
             r[i] = bitgen.random_raw(n_steps)
-        # ((r >> 11 capped) + 0.5) * 2**-53, then ndtri, then sqrt(dt), as in path_increments
+        # ((r >> 11 capped) + 0.5) * 2**-53, then ndtri, then sqrt(dt)
         np.right_shift(r, np.uint64(11), out=r)
         np.minimum(r, _TOP, out=r)
         z[...] = r

@@ -482,11 +482,15 @@ def test_hostile_input_exit_codes(capsys, tmp_path, monkeypatch, argv, config, e
 @pytest.mark.parametrize(
     "source, value",
     [("--seed", "x"), ("--paths", "x"), ("--dt", "1/2"), ("--T", "one"), ("--policy", "clamp"),
-     ("--bins", "2.5"), ("VAREXP_SEED", "0x2a"), ("--seed", "-1"), ("VAREXP_SEED", str(2**64))],
+     ("--bins", "2.5"), ("VAREXP_SEED", "0x2a"), ("--seed", "-1"), ("VAREXP_SEED", str(2**64)),
+     # an order past the largest double, whose moment ceiling cannot be computed
+     ("--orders", "1" + "0" * 400), ("--orders", "2,1" + "0" * 320)],
+    ids=lambda v: v if len(v) < 30 else f"{v[:4]}...{len(v)}-chars",
 )
 def test_a_malformed_setting_is_refused_in_one_line(capsys, tmp_path, monkeypatch, source, value):
     # a setting flag's string is read by the cast a config value gets, not by the parser
     flags = {"--paths": "4", "--T": "0.01", "--out": str(tmp_path / "o")}
+    monkeypatch.setattr("varexp_cir.cli.sample_batch", None)  # refused before a draw
     if source.startswith("--"):
         flags[source] = value
     else:
@@ -846,13 +850,18 @@ def test_a_dump_round_counts_every_node_against_the_cap(capsys, tmp_path, monkey
 
 #: (seed, config, chunk rows, overflow named, --dump-paths); a case without a dump keeps its id
 OVERFLOWS = [
-    # path 495 overflows at step 12 and path 732 at step 11: a chunk raises the least
-    # (step, path) among its own rows; a dump in one chunk of three parts writes the
-    # first part's rows, and the other parts overflow
+    # path 495 overflows at step 12 and path 732 at step 11: a run raises the least
+    # (step, path) of all its chunks, also where path 495's chunk of 500 comes first and
+    # path 732's walks only through step 12; a dump in one chunk of three parts writes
+    # the first part's rows, and the other parts overflow
     pytest.param(7, {"xi": 100, "v0": 100}, 1000, "path 732, step 11", False,
                  id="7-config0-1000-path 732, step 11"),
     pytest.param(7, {"xi": 100, "v0": 100}, 1000, "path 732, step 11", True,
                  id="dump-7-1000-path 732, step 11"),
+    pytest.param(7, {"xi": 100, "v0": 100}, 500, "path 732, step 11", False,
+                 id="7-500-path 732, step 11"),
+    pytest.param(7, {"xi": 100, "v0": 100}, 500, "path 732, step 11", True,
+                 id="dump-7-500-path 732, step 11"),
     # only path 602 overflows; a chunk must name it by its run index, and a dump
     # writes six chunks of 100 paths before path 602's chunk overflows
     *(pytest.param(10, {"xi": 30, "v0": 30}, rows, "path 602, step 13", False,
@@ -887,6 +896,24 @@ def test_overflow_names_the_run_path_at_every_split(
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
 
+def test_chunks_after_an_overflow_are_filled_through_its_step_alone(capsys, tmp_path, monkeypatch):
+    # at 500-row chunks, path 495 overflows at step 12 in the first chunk, so the second is
+    # filled on a grid of 12 steps, where path 732 overflows at step 11
+    import varexp_cir.cli as cli
+
+    fills, real = [], cli.sample_batch
+    monkeypatch.setattr(cli, "sample_batch", lambda seed, paths, grid, out=None: fills.append(
+        (paths, grid.n_steps)) or real(seed, paths, grid, out))
+    monkeypatch.setattr(cli, "_CHUNK", 500 * 100)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi": 100, "v0": 100}))
+    code, _, err = _run(capsys, "simulate", "--model", "pkm:a=0,b=1.5", "--paths", "1000",
+                        "--T", "1", "--dt", "0.01", "--seed", "7", "--config", str(cfg),
+                        "--out", str(tmp_path / "o"))
+    assert (code, err) == (3, "numeric failure: non-finite state produced at path 732, step 11\n")
+    assert fills == [(range(0, 500), 100), (range(500, 1000), 12)]
+
+
 #: (seed, config, path, step) of every overflow in the OVERFLOWS runs
 REPLAYS = [
     (7, {"xi": 100, "v0": 100}, 732, 11),
@@ -899,12 +926,10 @@ REPLAYS = [
 def test_an_overflowing_path_replays_alone(seed, config, path, step):
     # a row depends on (seed, path) alone, so the path a run names steps to the same
     # overflow as a one-row batch, with no chunk, worker or other path around it
-    from varexp_cir.stochastic import BrownianBatch, path_increments
-
     assert {f"path {p}, step {s}" for *_, p, s in REPLAYS} >= {c.values[3] for c in OVERFLOWS}
     grid = make_grid(1.0, 0.01)
     model = parse_model("pkm:a=0,b=1.5", ModelParams(**{"kappa": 2.0, "theta": 0.05, **config}))
-    batch = BrownianBatch(seed, grid, path_increments(seed, path, grid)[None])
+    batch = sample_batch(seed, range(path, path + 1), grid)
     with pytest.raises(varexp_cir.PathOverflowError) as failure:
         simulate_batch(model, batch)
     assert (failure.value.step_index, failure.value.path_index) == (step, 0)

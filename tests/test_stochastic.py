@@ -153,6 +153,19 @@ def test_checksum_copies_no_matrix(grid):
     assert peak < batch.increments.nbytes / 4
 
 
+def test_a_one_row_batch_holds_no_block_of_buffers():
+    # the row, its raw words, its normals and one draw: 32 MB at 10**6 steps, where
+    # buffers of a whole block of 32 rows traced 528 MB
+    grid = make_grid(1.0, 1e-6)
+    tracemalloc.start()
+    try:
+        sample_batch(42, range(5, 6), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def _uniforms(seed: int, paths: int, n_steps: int) -> np.ndarray:
     """The uniforms path_increments feeds to ndtri, for paths 0..paths-1."""
     raw = np.stack([
