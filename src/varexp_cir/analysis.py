@@ -29,8 +29,10 @@ __all__ = [
     "terminal_histogram",
 ]
 
-#: Statistical acceptance threshold: 4 standard errors keeps the
-#: false-failure probability per check below 1e-4.
+#: Statistical acceptance threshold: 4 standard errors keeps the false-failure
+#: probability per check below 1e-4 for many paths, where the statistic is near normal.
+#: With M paths it is a Student t with M - 1 degrees of freedom: at M = 2,
+#: P(|t| > 4) is about 0.156.
 SIGMA_FACTOR = 4.0
 
 
@@ -42,12 +44,15 @@ def default_checkpoints(grid: TimeGrid) -> tuple[float, ...]:
 
 
 def _mean_stderr(batch: PathBatch, values: np.ndarray, t: float, what: str, m: int = 1):
-    """Sample mean over paths of values**m at time t and its standard error; an
-    ArithmeticError names the model and the statistic if either is not finite."""
+    """Sample mean over paths of values**m at time t and its standard error, which
+    needs two paths or more; an ArithmeticError names the model and the statistic
+    if either is not finite."""
+    if batch.m_paths < 2:
+        raise ValueError(f"a standard error needs at least 2 paths, got {batch.m_paths}")
     with np.errstate(over="ignore", invalid="ignore"):
         col = values[:, batch.column(t)] ** m
         mean = float(col.mean())
-        stderr = float(col.std(ddof=1) / math.sqrt(col.size)) if col.size > 1 else 0.0
+        stderr = float(col.std(ddof=1) / math.sqrt(col.size))
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise ArithmeticError(f"{batch.model.model_id}'s {what} at t={t:g} is not finite "
                               f"(mean {mean:g}, standard error {stderr:g})")
@@ -58,8 +63,6 @@ def empirical_moment(batch: PathBatch, t: float, m: int) -> tuple[float, float]:
     """Sample mean of v(t)**m over paths and its standard error."""
     if m < 1:
         raise ValueError("moment order must be >= 1")
-    if batch.m_paths < 1:
-        raise ValueError("empty batch")
     return _mean_stderr(batch, batch.values, t, f"order-{m} moment", m)
 
 
@@ -77,8 +80,9 @@ def moment_bound(params: ModelParams, m: int, t: float) -> tuple[float, float]:
     if t < 0.0:
         raise ValueError("checkpoint must be nonnegative")
     kappa, theta, xi, v0 = params.kappa, params.theta, params.xi, params.v0
-    C_m = m * kappa * (theta + 1.0) + (xi**2 / 2.0) * m * (m - 1)
+    C_m = math.inf  # an order past the largest double
     try:
+        C_m = m * kappa * (theta + 1.0) + (xi**2 / 2.0) * m * (m - 1)
         bound = 2.0 ** (m - 1) * (1.0 + v0**m) * (math.exp(C_m * t) if t > 0.0 else 1.0)
     except OverflowError:
         bound = math.inf

@@ -169,18 +169,21 @@ def _param(value) -> float:
     return value
 
 
-#: setting -> (default, cast). Defaults reproduce the reference experiment.
+#: setting -> (default, cast), and for a SETTINGS row its flag's help. Defaults reproduce
+#: the reference experiment.
 PARAMS = {k: (v, _param) for k, v in {"kappa": 2.0, "theta": 0.05, "xi": 0.3, "v0": 0.05}.items()}
 SETTINGS = {
-    "T": (1.0, float),
-    "dt": (0.001, float),
-    "paths": (5000, _int),
-    "seed": (42, lambda value: stochastic._check_seed(_int(value))),  # refused before a draw
-    "policy": ("full-trunc", _policy),
-    "bins": (50, _int),
-    "orders": ("2,3,4", _orders),
-    "checkpoints": (None, _checkpoints),
-    "out": (".", FsPath),
+    "T": (1.0, float, "horizon"),
+    "dt": (0.001, float, "time step"),
+    "paths": (5000, _int, "number of Monte Carlo paths"),
+    "seed": (42, lambda value: stochastic._check_seed(_int(value)),  # refused before a draw
+             "64-bit seed (default 42; env VAREXP_SEED)"),
+    "policy": ("full-trunc", _policy,
+               f"positivity policy: {' or '.join(POLICY_NAMES)} (default full-trunc)"),
+    "bins": (50, _int, "histogram bin count"),
+    "orders": ("2,3,4", _orders, "comma-separated moment orders"),
+    "checkpoints": (None, _checkpoints, "comma-separated checkpoint times"),
+    "out": (".", FsPath, "output directory"),
 }
 
 
@@ -203,7 +206,7 @@ def _load_config_file(path: str | None) -> dict:
 def _setting(ns, cfg: dict, key: str):
     """Resolve one setting; a value its cast refuses, a boolean where a value
     or list item is expected, or an empty list, is a usage error."""
-    default, cast = {**PARAMS, **SETTINGS}[key]
+    default, cast = {**PARAMS, **SETTINGS}[key][:2]
     if getattr(ns, key, None) is not None:
         value, source = getattr(ns, key), f"--{key}"
     elif key in cfg:
@@ -321,15 +324,15 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
     An overflow is raised after the last chunk, at the run's least (step,
     model, path): once one is found at step s, later chunks are filled, hashed
     and walked on a grid of s steps, to find an equal or earlier one, and are
-    not dumped. A repeated model, a histogram of fewer than one bin, or a run
-    that would hold more than the cap with each model's histogram of bins
-    bins (None: no histogram), is refused first."""
+    not dumped. A repeated model, fewer than two paths, a histogram of fewer
+    than one bin, or a run that would hold more than the cap with each model's
+    histogram of bins bins (None: no histogram), is refused first."""
     models = [parse_model(spec, params) for spec in specs]
     if len({model.model_id for model in models}) < len(models):
         raise ValueError(f"the models {', '.join(specs)} name one model more than once")
     m_paths, n_steps = settings["paths"], grid.n_steps
-    if m_paths < 1:
-        raise ValueError("paths must be at least 1")
+    if m_paths < 2:
+        raise ValueError("paths must be at least 2")
     if bins is not None and bins < 1:
         raise ValueError("n_bins must be >= 1")
     nodes = sorted({grid.index_of(t) for t in settings["checkpoints"]} | {n_steps})
@@ -609,15 +612,7 @@ FLAGS = {
     "exponents": dict(default="p1,p2,p3", help="comma-separated exponent specs"),
     "model": dict(default="gm:p1", help="cir | gm:<exp> | pkm:a=..,b=.."),
     "config": dict(help="JSON config file (keys kappa, theta, xi, v0, ...)"),
-    "seed": dict(help="64-bit seed (default 42; env VAREXP_SEED)"),
-    "paths": dict(help="number of Monte Carlo paths"),
-    "dt": dict(help="time step"),
-    "T": dict(help="horizon"),
-    "policy": dict(help=f"positivity policy: {' or '.join(POLICY_NAMES)} (default full-trunc)"),
-    "bins": dict(help="histogram bin count"),
-    "orders": dict(help="comma-separated moment orders"),
-    "checkpoints": dict(help="comma-separated checkpoint times"),
-    "out": dict(help="output directory"),
+    **{key: dict(help=text) for key, (_, _, text) in SETTINGS.items()},
     "dump-paths": dict(action="store_true", help="write every path to CSV"),
     "no-svg": dict(action="store_true", help="skip SVG figures"),
     "n": dict(type=int, default=10, help="truncation level"),

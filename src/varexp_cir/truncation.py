@@ -67,8 +67,9 @@ def _pieces(tp: TruncationParams, ra: np.ndarray):
     coordinates t1, t2 in [0, 1] across the two bridges. At and below
     1/n, t1 = 0 and the lower bridge is the flat: value 1/n, slope 0."""
     n, eps, lo = tp.n, tp.epsilon, tp.lower
-    t1 = np.minimum(np.maximum((ra - lo) / eps, 0.0), 1.0)
-    t2 = np.minimum(np.maximum((ra - (n - eps)) / eps, 0.0), 1.0)
+    with np.errstate(over="ignore"):  # past about eps * 1.8e308, a state on a flat: t clips
+        t1 = np.minimum(np.maximum((ra - lo) / eps, 0.0), 1.0)
+        t2 = np.minimum(np.maximum((ra - (n - eps)) / eps, 0.0), 1.0)
     return [ra < lo + eps, ra <= n - eps, ra < n], t1, t2
 
 
@@ -81,11 +82,6 @@ def _select(pieces, choices, default):
 
 def _theta(tp: TruncationParams, ra: np.ndarray) -> np.ndarray:
     n, eps, lo = tp.n, tp.epsilon, tp.lower
-    # Outside the two open gaps the pieces are the clamp onto [1/n, n], bit for bit: the
-    # lower bridge at t1 = 0 is 1/n, the band is the identity, the default is n. A state
-    # in a gap, or a nan, takes the pieces.
-    if np.logical_and.reduce((ra <= lo) | ((ra >= lo + eps) & (ra <= n - eps)) | (ra >= n), None):
-        return np.minimum(np.maximum(ra, lo), float(n))
     pieces, t1, t2 = _pieces(tp, ra)
     bridge_lo = lo + eps * t1**2 * (2.0 - t1)
     bridge_hi = (n - eps) + eps * t2 * (1.0 + t2 - t2**2)
@@ -235,7 +231,11 @@ def lipschitz_constants(tp: TruncationParams, model: Model) -> LipschitzReport:
     L_n = 1.0 + n * phi_sup
     Lf_n = kappa * L_n
     Lg_n = xi * L_n * C_n
-    Lhat_n = max(Lf_n**2, Lg_n**2)
+    try:
+        Lhat_n = max(Lf_n**2, Lg_n**2)
+    except OverflowError:  # Python's float power raises where numpy's would give inf
+        raise OverflowError(f"{model.model_id}'s Lhat_n at n={n} is past the largest double "
+                            f"(Lf_n {Lf_n:g}, Lg_n {Lg_n:g})") from None
 
     rng = np.random.default_rng(0)
     x = rng.uniform(1.0 / n, n, size=10_000)

@@ -79,6 +79,20 @@ def test_moment_bound_at_time_zero():
         moment_bound(p, 2, -1e-300)
 
 
+def test_moment_bound_past_the_largest_double_is_inf(params):
+    # an order that no double holds overflows C_m itself, which is still a true bound
+    assert moment_bound(params, 10**400, 1.0) == (math.inf, math.inf)
+
+
+def test_one_path_has_no_standard_error(cir, grid):
+    # with one path, a standard error of 0 would make the 4-sigma test demand equality
+    batch = _constant_batch(cir, grid, 0.07, m_paths=1)
+    with pytest.raises(ValueError, match="a standard error needs at least 2 paths, got 1"):
+        empirical_moment(batch, 0.5, 2)
+    with pytest.raises(ValueError, match="a standard error needs at least 2 paths, got 1"):
+        martingale_report(batch)
+
+
 def test_moment_bound_monotone_in_order(params):
     cs = [moment_bound(params, m, 1.0)[0] for m in range(2, 8)]
     assert all(b > a for a, b in zip(cs, cs[1:]))

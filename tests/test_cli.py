@@ -333,6 +333,12 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             id="lipschitz-xi-squared",
         ),
         pytest.param(
+            ["lipschitz", "--model", "gm:p2", "--n", "185363"], {"xi": 1e150},
+            (3, "numeric failure: gm_p2's Lhat_n at n=185363 is past the largest double "
+                "(Lf_n 6.87189e+10, Lg_n 8.34804e+169)\n"),
+            id="lipschitz-lhat-overflow",
+        ),
+        pytest.param(
             ["lipschitz"], {"kappa": 1e200},
             (2, "error: config key 'kappa' has a malformed value 1e+200\n"),
             id="lipschitz-kappa-squared",
@@ -373,6 +379,12 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             (2, "error: constant exponent must be finite\n"), id="gm-const-inf",
         ),
         pytest.param(["compare", "--paths", "0"], None, 2, id="zero-paths"),
+        # one path has no standard error, which every walking command's verdict reads
+        *(pytest.param([command, "--paths", "1"], None, (2, "error: paths must be at least 2\n"),
+                       id=f"{command}-one-path")
+          for command in ("simulate", "compare", "moments", "martingale")),
+        pytest.param(["moments", "--paths", "2", "--T", "0.01"], None, (0, "moments gm_p1: ok\n"),
+                     id="moments-two-paths"),
         pytest.param(
             ["compare", "--exponents", ","], None,
             (2, "error: --exponents must name at least one exponent\n"), id="no-exponents",

@@ -37,7 +37,7 @@ OTHERS = ["x", "", "1,2", [], [1, 0.5], True, False, None]
 #: valid values of every setting and flag; a run's size comes from SMALL_DEFAULTS
 VALID = {
     "kappa": [0.5, 2.0], "theta": [0.05, 1.0], "xi": [0.3, 2.0], "v0": [0.05, 3.0],
-    "T": [0.02, 0.05], "dt": [0.01, 0.005], "paths": [1, 3], "seed": [0, 2**64 - 1],
+    "T": [0.02, 0.05], "dt": [0.01, 0.005], "paths": [2, 3], "seed": [0, 2**64 - 1],
     "policy": ["reflect", "full-truncation"], "bins": [1, 7], "orders": ["2", [2, 5]],
     "checkpoints": ["0.01", [0.01, 0.02]], "out": ["o"],
     "model": ["cir", "gm:p1", "gm:const:0.5", "pkm:a=1,b=1.5", "pkm:a=0,b=0.5"],

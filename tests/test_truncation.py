@@ -18,7 +18,7 @@ from varexp_cir.truncation import (
     truncated_diffusion,
     truncated_drift,
 )
-from varexp_cir.truncation import _float_maps, _rho, _theta  # the one-float maps' references
+from varexp_cir.truncation import _float_maps, _rho, _theta, _theta_deriv  # the raw maps
 
 
 def test_truncation_params_validation():
@@ -104,8 +104,7 @@ def test_theta_n_equals_the_five_piece_formula_bit_for_bit(n):
             np.linspace(n - 2.0 * eps, n + eps, 257),
         ]
     )
-    # theta_n clamps an array that misses both open gaps and takes the pieces
-    # otherwise: the mixed array, each state alone, and arrays wholly on one piece
+    # the mixed array, each state alone, and arrays wholly on one piece
     pieces = [r <= lo, (r >= lo + eps) & (r <= n - eps), r >= n]
     for states in [r, *np.split(r, len(r)), *(r[piece] for piece in pieces)]:
         value, slope = _theta_five_pieces(tp, states)
@@ -113,6 +112,22 @@ def test_theta_n_equals_the_five_piece_formula_bit_for_bit(n):
         got_slope = np.asarray(theta_n_deriv(tp, states))
         assert np.array_equal(got_value.view(np.uint64), value.view(np.uint64))
         assert np.array_equal(got_slope.view(np.uint64), slope.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, MAX_BAND])
+def test_states_past_a_bridge_coordinates_overflow_take_the_clamp(n):
+    # (r - 1/n) / eps overflows a double from about eps * 1.8e308 on; such a state lies on
+    # a flat, so the maps give the clamp, with no warning under the suite's filter
+    tp = TruncationParams(n)
+    big = np.array([1e300, 1.7e308, np.inf])
+    x = np.concatenate([big, -big])
+    clamp = np.minimum(np.maximum(np.abs(x), tp.lower), float(n))
+    assert np.array_equal(_theta(tp, x), np.minimum(np.maximum(x, tp.lower), float(n)))
+    assert np.array_equal(_theta_deriv(tp, x), np.zeros_like(x))
+    assert np.array_equal(_rho(tp, x), np.sign(x) * clamp)
+    for r in big[:2]:  # the public maps refuse a negative or infinite radius
+        assert (theta_n(tp, r), theta_n_deriv(tp, r)) == (float(n), 0.0)
+        assert (rho_n(tp, r), rho_n(tp, -r)) == (float(n), -float(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 25, 1000, MAX_BAND])
@@ -137,8 +152,7 @@ def test_one_float_coefficients_give_a_one_element_arrays_bits(params, n):
     theta, rho = _float_maps(tp)
     for on_array, on_float, states in [(_theta, theta, np.append(r, gaps)), (_rho, rho, x)]:
         got = np.array([on_float(v) for v in states.tolist()])
-        with np.errstate(over="ignore"):  # 1e300 / eps in the pieces, which the kernel ignores
-            expected = on_array(tp, states)
+        expected = on_array(tp, states)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     for spec in ["cir", "gm:p1", "gm:p2", "gm:p3", "gm:const:0.75"]:
         model = parse_model(spec, params)
