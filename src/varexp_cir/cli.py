@@ -48,8 +48,10 @@ from .analysis import check_moment_bounds, martingale_report, terminal_histogram
 from .exponent import make_builtin, validate_hypotheses
 from .figures import svg_histogram, svg_line_plot
 from .model import ModelParams, feller_check, parse_model
-from .solver import PathOverflowError, euler_maruyama_truncated, picard_solve, simulate_batch
-from .solver import simulate_models
+from .solver import PathOverflowError, euler_maruyama_truncated, picard_solve, simulate_models
+
+# Not called here: bench/tracer.py wraps this name in this module.
+from .solver import simulate_batch  # noqa: F401
 from .stochastic import make_grid, path_increments, sample_batch
 from .truncation import TruncationParams, lipschitz_constants
 
@@ -169,17 +171,17 @@ def _param(value) -> float:
     return value
 
 
-#: setting -> (default, cast), and for a SETTINGS row its flag's help. Defaults reproduce
-#: the reference experiment.
+#: setting -> (default, cast), and for a SETTINGS row its flag's help, in which {} stands for
+#: the default. Defaults reproduce the reference experiment.
 PARAMS = {k: (v, _param) for k, v in {"kappa": 2.0, "theta": 0.05, "xi": 0.3, "v0": 0.05}.items()}
 SETTINGS = {
     "T": (1.0, float, "horizon"),
     "dt": (0.001, float, "time step"),
     "paths": (5000, _int, "number of Monte Carlo paths"),
     "seed": (42, lambda value: stochastic._check_seed(_int(value)),  # refused before a draw
-             "64-bit seed (default 42; env VAREXP_SEED)"),
+             "64-bit seed (default {}; env VAREXP_SEED)"),
     "policy": ("full-trunc", _policy,
-               f"positivity policy: {' or '.join(POLICY_NAMES)} (default full-trunc)"),
+               f"positivity policy: {' or '.join(POLICY_NAMES)} (default {{}})"),
     "bins": (50, _int, "histogram bin count"),
     "orders": ("2,3,4", _orders, "comma-separated moment orders"),
     "checkpoints": (None, _checkpoints, "comma-separated checkpoint times"),
@@ -286,7 +288,7 @@ def _round(h, seed: int, grid, job, parts: list[range]):
             try:
                 with warnings.catch_warnings():
                     # Python 3.12+ warns on fork while numpy's idle BLAS threads exist. The child
-                    # is safe: it runs only ufuncs, Philox and file writes, then os._exit.
+                    # is safe: it runs only ufuncs and Philox, then os._exit.
                     warnings.filterwarnings("ignore", "This process .* fork", DeprecationWarning)
                     pid = os.fork()
             except OSError:  # no process or memory to spare (EAGAIN, ENOMEM): walk the rest here
@@ -314,19 +316,18 @@ def _round(h, seed: int, grid, job, parts: list[range]):
             os.waitpid(pid, 0)
 
 
-def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=None, bins=None):
+def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], bins=None):
     """Walk the paths in chunks of rows, each filled once, hashed in row order
     and driving every model; return the increment checksum and one path batch
     per model, holding the checkpoints and T. A chunk is split between this
     process and forked workers, one per CPU in its affinity set, each part of
-    _WORKER_INCREMENTS or more; no output changes. With dump, a part keeps
-    every node for dump(path batch, first path), in the process walking it.
-    An overflow is raised after the last chunk, at the run's least (step,
-    model, path): once one is found at step s, later chunks are filled, hashed
-    and walked on a grid of s steps, to find an equal or earlier one, and are
-    not dumped. A repeated model, fewer than two paths, a histogram of fewer
-    than one bin, or a run that would hold more than the cap with each model's
-    histogram of bins bins (None: no histogram), is refused first."""
+    _WORKER_INCREMENTS or more; no output changes. An overflow is raised after
+    the last chunk, at the run's least (step, model, path): once one is found
+    at step s, later chunks are filled, hashed and walked on a grid of s steps,
+    to find an equal or earlier one. A repeated model, fewer than two paths, a
+    histogram of fewer than one bin, or a run that would hold more than the cap
+    with each model's histogram of bins bins (None: no histogram), is refused
+    first."""
     models = [parse_model(spec, params) for spec in specs]
     if len({model.model_id for model in models}) < len(models):
         raise ValueError(f"the models {', '.join(specs)} name one model more than once")
@@ -343,9 +344,9 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
     k = len(nodes)  # per model: k rows of values, k of compensated, 1 of clamp counts
     kept = m_paths * len(models) * (2 * k + 1)
     # a round's increments, held once at any split (each part fills its own shared rows),
-    # so a refusal does not depend on the CPU count; with dump, one model's
-    # values and compensated at every node; every histogram's counts, densities, bins + 1 edges
-    held = kept + rows * (n_steps + (2 * n_steps + 2 if dump else 0))
+    # so a refusal does not depend on the CPU count, and every histogram's counts,
+    # densities and bins + 1 edges
+    held = kept + rows * n_steps
     held += len(models) * (3 * bins + 1) if bins else 0
     if held > (cap := stochastic.MAX_STORED_INCREMENTS):
         raise ValueError(f"{m_paths} paths of {n_steps} steps hold {held} values, "
@@ -365,10 +366,6 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
             return exc.step_index, exc.model_index, paths.start + exc.path_index
         for run, pb in zip(runs, pbs if paths.start == 0 else ()):  # the first part holds path 0
             run.path0[:] = pb.path0
-        # one model's every node at a time, as the size cap counts; it cannot overflow where
-        # the stack walked every step and did not
-        for model in models if dump and full else ():
-            dump(simulate_batch(model, batch, settings["policy"]), paths.start)
 
     h, fault = stochastic.checksum_start(m_paths, n_steps), None  # the least overflow so far
     for start in range(0, m_paths, rows):
@@ -385,29 +382,9 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], dump=
     return h.hexdigest(), runs
 
 
-def _path_rows(grid, first_path: int, values):
-    """The path CSV's lines t,path_id,v of each row of values, numbered from
-    first_path, at every node of the grid: one string per path."""
-    template = "".join(f"{t:.17g},%d,%.17g\n" for t in grid.times.tolist())
-    args = [0, 0.0] * (grid.n_steps + 1)
-    for i, row in enumerate(values, first_path):
-        args[::2], args[1::2] = [i] * (grid.n_steps + 1), row.tolist()
-        yield template % tuple(args)
-
-
-def _dump(out: FsPath, tag: str, pb, first_path: int):
-    """--dump-paths, in the process that walked the part: its paths at every
-    node, to a segment of the model's path CSV whose name order is row order."""
-    segment = out / f"{pb.model.model_id}_path.csv{tag}{first_path:020d}"
-    atomic_write(segment, _path_rows(pb.grid, first_path, pb.values))
-
-
-def _joined(segments):
-    """The segments' text in order, each deleted once it has been read."""
-    for segment in segments:
-        with open(segment) as fh:
-            yield from iter(functools.partial(fh.read, 2**20), "")
-        segment.unlink()
+def _path_rows(grid, path0):
+    """The path CSV's lines t,path_id,v of path 0 at every node of the grid."""
+    return (f"{t:.17g},0,{v:.17g}\n" for t, v in zip(grid.times.tolist(), path0.tolist()))
 
 
 def _summary(settings: dict, checksum: str, pb):
@@ -478,19 +455,11 @@ def _write_runs(ns, specs: list[str], figures: bool):
     """
     settings, params, grid = _run_config(ns)
     out = settings["out"]
-    dump_paths = getattr(ns, "dump_paths", False)
-    tag = f".part-{os.getpid()}-"  # a segment is {path CSV}{tag}{first path}
-    dump = functools.partial(_dump, out, tag) if dump_paths else None
+    checksum, runs = _simulate(settings, params, grid, specs, settings["bins"])
+    results = [(pb, *_summary(settings, checksum, pb)) for pb in runs]
     outputs = []
-    try:
-        checksum, runs = _simulate(settings, params, grid, specs, dump, settings["bins"])
-        results = [(pb, *_summary(settings, checksum, pb)) for pb in runs]
-        for pb, summary, hist in results:
-            rows = (_joined(sorted(out.glob(f"{pb.model.model_id}_path.csv{tag}*"))) if dump
-                    else _path_rows(grid, 0, pb.path0[None]))
-            outputs.extend(_model_outputs(out, summary, hist, rows))
-    finally:  # every segment of this run, and any temporary file a killed worker left
-        list(map(FsPath.unlink, out.glob(f"*{tag}*")))
+    for pb, summary, hist in results:
+        outputs.extend(_model_outputs(out, summary, hist, _path_rows(grid, pb.path0)))
     if figures:
         outputs.extend(_figures(out, grid.times, results))
     manifest = {
@@ -498,7 +467,6 @@ def _write_runs(ns, specs: list[str], figures: bool):
         "config": {
             **_payload(params),
             **{k: v for k, v in settings.items() if k != "out"},
-            "dump_paths": dump_paths,
             "no_svg": getattr(ns, "no_svg", False),
             "models": specs,
         },
@@ -612,8 +580,6 @@ FLAGS = {
     "exponents": dict(default="p1,p2,p3", help="comma-separated exponent specs"),
     "model": dict(default="gm:p1", help="cir | gm:<exp> | pkm:a=..,b=.."),
     "config": dict(help="JSON config file (keys kappa, theta, xi, v0, ...)"),
-    **{key: dict(help=text) for key, (_, _, text) in SETTINGS.items()},
-    "dump-paths": dict(action="store_true", help="write every path to CSV"),
     "no-svg": dict(action="store_true", help="skip SVG figures"),
     "n": dict(type=int, default=10, help="truncation level"),
     "tol": dict(type=float, default=1e-9),
@@ -621,7 +587,7 @@ FLAGS = {
 }
 
 _RUN = ("config", "seed", "paths", "dt", "T", "policy")
-_OUTPUTS = ("bins", "orders", "checkpoints", "out", "dump-paths")
+_OUTPUTS = ("bins", "orders", "checkpoints", "out")
 
 #: subcommand -> (handler, help, flags, flag defaults that differ)
 COMMANDS = {
@@ -670,8 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags, defaults) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument(f"--{flag}", **FLAGS[flag])
+        for flag in flags:  # a SETTINGS row's flag: its help, stating the row's default
+            default, _, text = SETTINGS.get(flag, (None, None, None))
+            p.add_argument(f"--{flag}", **FLAGS.get(flag) or dict(help=text.format(default)))
         p.set_defaults(func=handler, **defaults)
     return parser
 

@@ -394,3 +394,37 @@ def test_criterion_14_third_and_fourth_order_euler_identities(full_batch):
         details.append(f"{spec}: {orders}, clamped steps {clamped}")
     elapsed = time.monotonic() - start
     _report(14, "third- and fourth-order Euler identities", ok, f"{'; '.join(details)}; {elapsed:.2f}s")
+
+
+def test_criterion_15_zero_boundary_verdict_against_the_paths():
+    # Under full truncation a path touches zero when one of its steps is clamped. Where zero
+    # is attainable the fraction of paths that touch it stays put as h falls; where it is not,
+    # the fraction falls toward 0. At xi = 0.6 (2 kappa theta = 0.2 < xi^2 = 0.36, so the
+    # classical Feller condition fails) on cir, gm:p1 (p(0+) = 0.5), gm:p2 (0.6) and
+    # gm:const:0.75, seed 2718, M = 2000, T = 1 and h = 2^-6, 2^-8, 2^-10 and 2^-12. Bound,
+    # fixed before any run, by the feller verdict: attainable, the finest fraction is at least
+    # half the coarsest, which is above 0; non-attainable, it is at most a tenth of the
+    # coarsest; any other verdict fails. gm:p3 (p(0+) = 0.55, whose fraction falls slowly) and
+    # xi = 1.0 (where p3 is inconclusive) are left out.
+    start = time.monotonic()
+    specs = ("cir", "gm:p1", "gm:p2", "gm:const:0.75")
+    models = [parse_model(spec, ModelParams(KAPPA, THETA, 0.6, V0)) for spec in specs]
+    m_paths, levels = 2000, (6, 8, 10, 12)
+    touched = np.zeros((len(levels), len(specs)))
+    for i, k in enumerate(levels):
+        grid = make_grid(1.0, 2.0**-k)
+        for rows in range(0, m_paths, 500):  # 16 MB of increments at the finest level
+            batch = sample_batch(2718, range(rows, rows + 500), grid)
+            for j, pb in enumerate(simulate_models(models, batch, nodes=[grid.n_steps])):
+                touched[i, j] += np.count_nonzero(pb.clamp_counts) / m_paths
+    ok, details = True, []
+    for j, (spec, model) in enumerate(zip(specs, models)):
+        verdict, coarse, fine = feller_check(model).verdict, touched[0, j], touched[-1, j]
+        if verdict == "attainable":
+            ok &= fine >= coarse / 2 and coarse > 0
+        else:
+            ok &= verdict == "non-attainable" and fine <= coarse / 10
+        details.append(f"{spec} ({verdict}): {', '.join(f'{x:.3f}' for x in touched[:, j])}")
+    elapsed = time.monotonic() - start
+    _report(15, "zero-boundary verdict against the fraction of paths touching zero", ok,
+            f"{'; '.join(details)}; {elapsed:.2f}s")

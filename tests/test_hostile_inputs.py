@@ -1,8 +1,8 @@
 """A hostile-input search generated from the CLI's own tables.
 
 Each example picks a subcommand from ``COMMANDS``; its slots are its
-flags (``FLAGS``), every key of ``PARAMS`` and ``SETTINGS`` in its config
-file, and ``VAREXP_SEED``. One or two slots get an extreme value (0,
+flags, every key of ``PARAMS`` and ``SETTINGS`` in its config file, and
+``VAREXP_SEED``. One or two slots get an extreme value (0,
 negatives, +-inf, nan, 5e-324, 1e100, 1.3e154, 1e308, 2**63, 2**64,
 strings, lists, booleans and null), the rest a valid value or none. A
 flag and a config key are read by one cast, and a flag typed by the
@@ -42,7 +42,7 @@ VALID = {
     "checkpoints": ["0.01", [0.01, 0.02]], "out": ["o"],
     "model": ["cir", "gm:p1", "gm:const:0.5", "pkm:a=1,b=1.5", "pkm:a=0,b=0.5"],
     "exponent": ["p1", "const:1.2"], "exponents": ["p3", "const:0.5,p2"],
-    "n": [1, 10], "kmax": [1, 200], "tol": [1e-9, 1.0], "dump-paths": [True], "no-svg": [True],
+    "n": [1, 10], "kmax": [1, 200], "tol": [1e-9, 1.0], "no-svg": [True],
 }
 SMALL_DEFAULTS = {"T": 0.02, "dt": 0.01, "paths": 4}
 #: the extremes of a flag that takes a spec, drawn instead of the shared ones
@@ -122,7 +122,7 @@ def test_hostile_inputs_exit_with_one_line_and_finite_verdicts(invocation):
         tmp = Path(tmp)
         mp.chdir(tmp)  # a relative --out lands in the scratch directory
         for key, value in SMALL_DEFAULTS.items():
-            mp.setitem(cli.SETTINGS, key, (value, cli.SETTINGS[key][1]))
+            mp.setitem(cli.SETTINGS, key, (value, *cli.SETTINGS[key][1:]))
         mp.setattr(stochastic, "MAX_STORED_INCREMENTS", 20_000)
         if env_seed is None:
             mp.delenv("VAREXP_SEED", raising=False)
