@@ -133,7 +133,7 @@ def write_csv(path: FsPath, header: list[str], lines):
 
 
 # ---------------------------------------------------------------------------
-# settings: flag, then config file, then VAREXP_SEED (seed only), then default; one cast each
+# settings: flag, then config file, then default; one cast each
 
 def _items(value) -> list:
     """A list setting: a JSON list, or one comma-separated string."""
@@ -171,18 +171,15 @@ def _param(value) -> float:
     return value
 
 
-#: setting -> (default, cast), and for a SETTINGS row its flag's help, in which {} stands for
-#: the default. Defaults reproduce the reference experiment.
+#: setting -> (default, cast), and for a SETTINGS row its flag's help, to which --help
+#: appends the default, if any. Defaults reproduce the reference experiment.
 PARAMS = {k: (v, _param) for k, v in {"kappa": 2.0, "theta": 0.05, "xi": 0.3, "v0": 0.05}.items()}
 SETTINGS = {
     "T": (1.0, float, "horizon"),
     "dt": (0.001, float, "time step"),
     "paths": (5000, _int, "number of Monte Carlo paths"),
-    "seed": (42, lambda value: stochastic._check_seed(_int(value)),  # refused before a draw
-             "64-bit seed (default {}; env VAREXP_SEED)"),
-    "policy": ("full-trunc", _policy,
-               f"positivity policy: {' or '.join(POLICY_NAMES)} (default {{}})"),
-    "bins": (50, _int, "histogram bin count"),
+    "seed": (42, lambda value: stochastic._check_seed(_int(value)), "64-bit seed"),
+    "policy": ("full-trunc", _policy, f"positivity policy: {' or '.join(POLICY_NAMES)}"),
     "orders": ("2,3,4", _orders, "comma-separated moment orders"),
     "checkpoints": (None, _checkpoints, "comma-separated checkpoint times"),
     "out": (".", FsPath, "output directory"),
@@ -199,7 +196,8 @@ def _load_config_file(path: str | None) -> dict:
         raise ValueError(f"malformed config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    echoed = {"dump_paths", "no_svg", "models"}  # a manifest's config echo holds them; unread
+    # a manifest's config echo holds them, an older one also retired settings; unread
+    echoed = {"dump_paths", "bins", "no_svg", "models"}
     if unknown := [key for key in cfg if key not in {*PARAMS, *SETTINGS, *echoed}]:
         raise ValueError(f"config file {path} has an unknown key {unknown[0]!r}")
     return cfg
@@ -213,8 +211,6 @@ def _setting(ns, cfg: dict, key: str):
         value, source = getattr(ns, key), f"--{key}"
     elif key in cfg:
         value, source = cfg[key], f"config key {key!r}"
-    elif key == "seed" and "VAREXP_SEED" in os.environ:
-        value, source = os.environ["VAREXP_SEED"], "VAREXP_SEED"
     else:
         value, source = default, "default"
     try:
@@ -233,7 +229,7 @@ def _run_config(ns):
     settings = {key: _setting(ns, cfg, key) for key in SETTINGS}
     params = ModelParams(*(_setting(ns, cfg, key) for key in PARAMS))
     grid = make_grid(settings["T"], settings["dt"])
-    for m in settings["orders"] if hasattr(ns, "orders") else ():  # before a draw, as bins are
+    for m in settings["orders"] if hasattr(ns, "orders") else ():  # before a draw
         analysis.moment_bound(params, m, 0.0)  # refuses an order below 2
     settings["checkpoints"] = settings["checkpoints"] or analysis.default_checkpoints(grid)
     return settings, params, grid
@@ -253,6 +249,9 @@ def _versions() -> dict:
 
 # ---------------------------------------------------------------------------
 # simulation and per-model outputs
+
+#: Bins of every terminal histogram a run writes.
+HIST_BINS = 50
 
 #: Increments per chunk of paths: 8,388 paths (64 MB) at N = 1000, so the reference
 #: run is one chunk; smaller chunks pay numpy's per-call overhead on every step.
@@ -316,7 +315,7 @@ def _round(h, seed: int, grid, job, parts: list[range]):
             os.waitpid(pid, 0)
 
 
-def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], bins=None):
+def _simulate(settings: dict, params: ModelParams, grid, specs: list[str]):
     """Walk the paths in chunks of rows, each filled once, hashed in row order
     and driving every model; return the increment checksum and one path batch
     per model, holding the checkpoints and T. A chunk is split between this
@@ -324,18 +323,14 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], bins=
     _WORKER_INCREMENTS or more; no output changes. An overflow is raised after
     the last chunk, at the run's least (step, model, path): once one is found
     at step s, later chunks are filled, hashed and walked on a grid of s steps,
-    to find an equal or earlier one. A repeated model, fewer than two paths, a
-    histogram of fewer than one bin, or a run that would hold more than the cap
-    with each model's histogram of bins bins (None: no histogram), is refused
-    first."""
+    to find an equal or earlier one. A repeated model, fewer than two paths, or
+    a run that would hold more than the cap, is refused first."""
     models = [parse_model(spec, params) for spec in specs]
     if len({model.model_id for model in models}) < len(models):
         raise ValueError(f"the models {', '.join(specs)} name one model more than once")
     m_paths, n_steps = settings["paths"], grid.n_steps
     if m_paths < 2:
         raise ValueError("paths must be at least 2")
-    if bins is not None and bins < 1:
-        raise ValueError("n_bins must be >= 1")
     nodes = sorted({grid.index_of(t) for t in settings["checkpoints"]} | {n_steps})
     rows = min(max(1, _CHUNK // n_steps), m_paths)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -344,10 +339,8 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str], bins=
     k = len(nodes)  # per model: k rows of values, k of compensated, 1 of clamp counts
     kept = m_paths * len(models) * (2 * k + 1)
     # a round's increments, held once at any split (each part fills its own shared rows),
-    # so a refusal does not depend on the CPU count, and every histogram's counts,
-    # densities and bins + 1 edges
+    # so a refusal does not depend on the CPU count
     held = kept + rows * n_steps
-    held += len(models) * (3 * bins + 1) if bins else 0
     if held > (cap := stochastic.MAX_STORED_INCREMENTS):
         raise ValueError(f"{m_paths} paths of {n_steps} steps hold {held} values, "
                          f"above the cap of {cap}")
@@ -390,7 +383,7 @@ def _path_rows(grid, path0):
 def _summary(settings: dict, checksum: str, pb):
     """The summary and terminal histogram of one path batch's model."""
     grid, checkpoints = pb.grid, settings["checkpoints"]
-    hist = terminal_histogram(pb, grid.horizon, settings["bins"])
+    hist = terminal_histogram(pb, grid.horizon, HIST_BINS)
     summary = {
         "model": pb.model.model_id,
         "seed": settings["seed"],
@@ -455,7 +448,7 @@ def _write_runs(ns, specs: list[str], figures: bool):
     """
     settings, params, grid = _run_config(ns)
     out = settings["out"]
-    checksum, runs = _simulate(settings, params, grid, specs, settings["bins"])
+    checksum, runs = _simulate(settings, params, grid, specs)
     results = [(pb, *_summary(settings, checksum, pb)) for pb in runs]
     outputs = []
     for pb, summary, hist in results:
@@ -547,22 +540,21 @@ def cmd_picard_verify(ns):
     settings, params, grid = _run_config(ns)
     model = parse_model(ns.model, params)
     tp = TruncationParams(n=ns.n)
-    solver.check_picard_settings(ns.tol, ns.kmax)  # before the row is drawn
     # the row (N) and, of N + 1 each, two Picard iterates, the oracle's list and array, their gap
     held = grid.n_steps + 5 * (grid.n_steps + 1)
     if held > (cap := stochastic.MAX_STORED_INCREMENTS):
         raise ValueError(f"1 path of {grid.n_steps} steps holds {held} values, "
                          f"above the cap of {cap}")
     row = path_increments(settings["seed"], 0, grid)
-    report = picard_solve(tp, model, grid, row, tol=ns.tol, k_max=ns.kmax)
+    report = picard_solve(tp, model, grid, row)
     if not report.converged:
         overflowed = report.sup_diffs[-1] == math.inf
         failure = (f"iterate {report.iterations_used} overflowed" if overflowed
-                   else f"no convergence within {ns.kmax} iterations")
+                   else f"no convergence within {report.iterations_used} iterations")
         return report, None, f"picard-verify: {failure}"
     euler = euler_maruyama_truncated(tp, model, grid, row[None])[0]
     sup_diff = float(np.max(np.abs(report.fixed_point - euler)))
-    ok = sup_diff <= ns.tol
+    ok = sup_diff <= solver.PICARD_TOL
     payload = {"model": model.model_id, "n": ns.n, **_payload(report)}
     payload["sup_diff_vs_euler"] = sup_diff
     summary = (
@@ -582,12 +574,10 @@ FLAGS = {
     "config": dict(help="JSON config file (keys kappa, theta, xi, v0, ...)"),
     "no-svg": dict(action="store_true", help="skip SVG figures"),
     "n": dict(type=int, default=10, help="truncation level"),
-    "tol": dict(type=float, default=1e-9),
-    "kmax": dict(type=int, default=200),
 }
 
 _RUN = ("config", "seed", "paths", "dt", "T", "policy")
-_OUTPUTS = ("bins", "orders", "checkpoints", "out")
+_OUTPUTS = ("orders", "checkpoints", "out")
 
 #: subcommand -> (handler, help, flags, flag defaults that differ)
 COMMANDS = {
@@ -615,7 +605,7 @@ COMMANDS = {
     ),
     "picard-verify": (
         cmd_picard_verify, "Picard fixed point vs Euler recursion",
-        ("model", "n", "tol", "kmax", "config", "seed", "dt", "T"), {},
+        ("model", "n", "config", "seed", "dt", "T"), {},
     ),
 }
 
@@ -636,9 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags, defaults) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in flags:  # a SETTINGS row's flag: its help, stating the row's default
+        for flag in flags:  # a SETTINGS row's flag: its help, then the row's default, if any
             default, _, text = SETTINGS.get(flag, (None, None, None))
-            p.add_argument(f"--{flag}", **FLAGS.get(flag) or dict(help=text.format(default)))
+            text = text if default is None else f"{text} (default {default})"
+            p.add_argument(f"--{flag}", **FLAGS.get(flag) or dict(help=text))
         p.set_defaults(func=handler, **defaults)
     return parser
 

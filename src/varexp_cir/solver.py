@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 POLICIES = ("full-truncation", "reflection")
+#: picard_solve's default stopping tolerance; picard-verify also holds the fixed point
+#: to the Euler recursion within it, in the sup norm.
+PICARD_TOL = 1e-9
 #: Values (models x rows) that one kernel step works on, so a tile stays in cache (BENCH_19.json).
 _TILE = 2**15
 
@@ -229,20 +232,12 @@ def _fit_rate_envelope(sup_diffs: np.ndarray, horizon: float) -> float:
     return math.exp(c) / horizon
 
 
-def check_picard_settings(tol: float, k_max: int) -> None:
-    """Refuse a tolerance that is not positive and finite, or fewer than one sweep."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-
-
 def picard_solve(
     tp: TruncationParams,
     model: Model,
     grid: TimeGrid,
     increments_row: np.ndarray,
-    tol: float = 1e-9,
+    tol: float = PICARD_TOL,
     k_max: int = 200,
 ) -> PicardReport:
     """Iterate the discrete Picard map on the truncated coefficients.
@@ -255,9 +250,13 @@ def picard_solve(
 
     and stops when the sup-norm update d_k drops below tol. Failure to
     converge within k_max returns a partial report (converged=False)
-    rather than raising.
+    rather than raising. A tolerance that is not positive and finite, or
+    fewer than one sweep, is refused.
     """
-    check_picard_settings(tol, k_max)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     row = np.asarray(increments_row, dtype=float)
     if row.ndim != 1 or row.shape[0] != grid.n_steps:
         raise ValueError("increments_row must be one-dimensional and match the grid")

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -206,31 +207,31 @@ def test_picard_verify_subcommand(capsys):
     assert payload["sup_diff_vs_euler"] <= 1e-9
 
 
-def test_picard_verify_nonconvergence_exits_three(capsys):
-    code, _, _ = _run(
-        capsys, "picard-verify", "--model", "gm:p1", "--n", "10",
-        "--seed", "3", "--T", "0.2", "--kmax", "1",
-    )
-    assert code == 3
+def test_picard_verify_nonconvergence_exits_three(capsys, tmp_path):
+    # fast mean reversion over a long horizon: the iterates still move after the 200 sweeps
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kappa": 50}))
+    code, out, err = _run(capsys, "picard-verify", "--config", str(cfg), "--T", "5", "--n", "100")
+    assert (code, err) == (3, "picard-verify: no convergence within 200 iterations\n")
+    payload = json.loads(out)
+    assert (payload["iterations_used"], payload["converged"]) == (200, False)
 
 
-def test_env_seed_override(capsys, tmp_path, monkeypatch):
-    out1 = tmp_path / "env"
-    monkeypatch.setenv("VAREXP_SEED", "99")
-    code, _, _ = _run(
-        capsys, "simulate", "--model", "cir", "--paths", "4", "--T", "0.01",
-        "--out", str(out1),
-    )
-    assert code == 0
-    assert json.loads((out1 / "manifest.json").read_text())["config"]["seed"] == 99
-
-    # explicit flag wins over the environment
-    out2 = tmp_path / "flag"
-    code, _, _ = _run(
-        capsys, "simulate", "--model", "cir", "--paths", "4", "--T", "0.01",
-        "--seed", "5", "--out", str(out2),
-    )
-    assert json.loads((out2 / "manifest.json").read_text())["config"]["seed"] == 5
+def test_varexp_seed_changes_no_byte(capsys, tmp_path, monkeypatch):
+    # a run's seed is its flag, then its config key, then 42: the environment is not read
+    outputs = []
+    for env in (None, "99", "x"):
+        if env is None:
+            monkeypatch.delenv("VAREXP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("VAREXP_SEED", env)
+        out = tmp_path / f"env-{env}"
+        code, _, err = _run(capsys, "simulate", "--model", "cir", "--paths", "4", "--T", "0.01",
+                            "--out", str(out))
+        assert code == 0, err
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0]["manifest.json"])["config"]["seed"] == 42
 
 
 def test_reflection_policy_and_config_roundtrip(capsys, tmp_path):
@@ -277,6 +278,31 @@ def test_an_echo_holding_dump_paths_still_loads_as_a_config(capsys, tmp_path):
         assert json.loads((out / "manifest.json").read_text()) == manifest
 
 
+def test_an_echo_holding_bins_still_loads_as_a_config(capsys, tmp_path):
+    # manifests echoed "bins" after "policy" while --bins existed; such an echo still runs as
+    # a config, and every histogram keeps its 50 bins whatever the key says
+    code, _, err = _run(capsys, "simulate", "--model", "cir", "--paths", "4", "--T", "0.01",
+                        "--out", str(tmp_path / "now"))
+    assert code == 0, err
+    now = {p.name: p.read_bytes() for p in (tmp_path / "now").iterdir()}
+    config = json.loads(now["manifest.json"])["config"]
+    assert "bins" not in config
+    assert now["cir_hist.csv"].count(b"\n") == 1 + 50
+    for bins in (50, 7):
+        echo = {}
+        for key, value in config.items():
+            echo[key] = value
+            if key == "policy":
+                echo["bins"] = bins
+        cfg = tmp_path / f"echo-{bins}.json"
+        cfg.write_text(json.dumps(echo))
+        out = tmp_path / f"old-{bins}"
+        code, _, err = _run(capsys, "simulate", "--model", "cir", "--config", str(cfg),
+                            "--out", str(out))
+        assert code == 0, err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == now
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kappa": 1.0, "theta": 0.1, "paths": 4, "T": 0.01, "seed": 11}))
@@ -305,12 +331,21 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         pytest.param(["lipschitz", "--n", "185363"], None, 0, id="lipschitz-n-at-max-band"),
         pytest.param(["lipschitz", "--n", "185364"], None, 2, id="lipschitz-n-past-max-band"),
         pytest.param(["picard-verify", "--n", "185364"], None, 2, id="picard-n-past-max-band"),
-        pytest.param(["picard-verify", "--tol", "inf"], None, 2, id="picard-tol-inf"),
-        pytest.param(["picard-verify", "--tol", "nan"], None, 2, id="picard-tol-nan"),
-        pytest.param(
-            ["picard-verify", "--kmax", "0"], None, (2, "error: k_max must be at least 1\n"),
-            id="picard-kmax-0",
-        ),
+        # retired flags: picard-verify holds the fixed point to solver.PICARD_TOL within 200
+        # sweeps and every histogram has 50 bins, so even the old defaults are unknown flags,
+        # refused before a draw
+        *(pytest.param(
+            argv, None, (2, f"error: unrecognized arguments: {' '.join(argv[1:])}\n"), id=name,
+        ) for name, argv in (
+            ("picard-tol-inf", ["picard-verify", "--tol", "inf"]),
+            ("picard-tol-nan", ["picard-verify", "--tol", "nan"]),
+            ("picard-tol-1e-9", ["picard-verify", "--tol", "1e-9"]),
+            ("picard-kmax-0", ["picard-verify", "--kmax", "0"]),
+            ("picard-kmax-200", ["picard-verify", "--kmax", "200"]),
+            ("bins-9223372036854775808", ["simulate", "--bins", str(2**63)]),
+            ("bins-100000000000", ["simulate", "--bins", str(10**11)]),
+            ("bins-50", ["simulate", "--bins", "50"]),
+        )),
         pytest.param(["simulate", "--T", "1e300", "--dt", "1e-300"], None, 2, id="grid-inf-steps"),
         pytest.param(["simulate"], {"paths": None}, 2, id="config-paths-null"),
         pytest.param(["simulate"], {"kappa": [1]}, 2, id="config-kappa-list"),
@@ -432,12 +467,6 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             (2, "error: time nan is not a node of the grid (dt=0.001)\n"),
             id="config-checkpoint-nan",
         ),
-        # the histograms count against the size cap, before any sampling
-        *(pytest.param(
-            ["simulate", "--paths", "20", "--T", "0.05", "--dt", "0.01", "--bins", str(bins)], None,
-            (2, f"error: 20 paths of 5 steps hold {held} values, above the cap of 1000000000\n"),
-            id=f"bins-{bins}",
-        ) for bins, held in ((2**63, 27670116110564327705), (10**11, 300000000281))),
         # picard-verify holds the row (N) and, of N + 1 each, two Picard iterates, the
         # oracle's list and array, and their gap: 6N + 5
         pytest.param(
@@ -503,7 +532,7 @@ def test_hostile_input_exit_codes(capsys, tmp_path, monkeypatch, argv, config, e
 @pytest.mark.parametrize(
     "source, value",
     [("--seed", "x"), ("--paths", "x"), ("--dt", "1/2"), ("--T", "one"), ("--policy", "clamp"),
-     ("--bins", "2.5"), ("VAREXP_SEED", "0x2a"), ("--seed", "-1"), ("VAREXP_SEED", str(2**64)),
+     ("--seed", "0x2a"), ("--seed", "-1"), ("--seed", str(2**64)),
      # an order past the largest double, whose moment ceiling cannot be computed
      ("--orders", "1" + "0" * 400), ("--orders", "2,1" + "0" * 320)],
     ids=lambda v: v if len(v) < 30 else f"{v[:4]}...{len(v)}-chars",
@@ -512,10 +541,7 @@ def test_a_malformed_setting_is_refused_in_one_line(capsys, tmp_path, monkeypatc
     # a setting flag's string is read by the cast a config value gets, not by the parser
     flags = {"--paths": "4", "--T": "0.01", "--out": str(tmp_path / "o")}
     monkeypatch.setattr("varexp_cir.cli.sample_batch", None)  # refused before a draw
-    if source.startswith("--"):
-        flags[source] = value
-    else:
-        monkeypatch.setenv(source, value)
+    flags[source] = value
     code, out, err = _run(capsys, "simulate", *(a for item in flags.items() for a in item))
     assert (code, out, err) == (2, "", f"error: {source} has a malformed value {value!r}\n")
     assert not (tmp_path / "o").exists()
@@ -524,6 +550,7 @@ def test_a_malformed_setting_is_refused_in_one_line(capsys, tmp_path, monkeypatc
 @pytest.mark.parametrize(
     "argv",
     [
+        # --tol and --kmax are retired flags, so the parser refuses them as unknown
         ["lipschitz", "--n", "x"], ["picard-verify", "--tol", "x"],
         ["picard-verify", "--kmax", "1e3"], ["compare", "--bogus", "1"], ["lipschitz", "--n"], [],
     ],
@@ -539,7 +566,18 @@ def test_a_parser_error_is_one_line(capsys, argv):
 def test_help_and_version_still_print_and_exit_zero(capsys):
     assert _run(capsys, "--version")[:2] == (0, f"{varexp_cir.__version__}\n")
     code, out, _ = _run(capsys, "picard-verify", "--help")
-    assert code == 0 and out.startswith("usage: varexp-cir picard-verify") and "--kmax" in out
+    assert code == 0 and out.startswith("usage: varexp-cir picard-verify") and "--n N" in out
+
+
+def test_readme_flag_table_is_the_parsers_and_every_flag_has_a_reader():
+    import varexp_cir.cli as cli
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, flags=re.M)
+    table = {command: re.findall(r"`--([\w-]+)`", flags) for command, flags in rows}
+    assert table == {command: list(spec[2]) for command, spec in cli.COMMANDS.items()}
+    read = {flag for spec in cli.COMMANDS.values() for flag in spec[2]}
+    assert not (set(cli.FLAGS) | set(cli.SETTINGS)) - read  # no row without a subcommand
 
 
 def test_a_settings_rows_help_states_its_own_default(capsys, monkeypatch):
@@ -549,14 +587,26 @@ def test_a_settings_rows_help_states_its_own_default(capsys, monkeypatch):
         cli.build_parser.cache_clear()
         return _run(capsys, "simulate", "--help")[1]
 
+    def line(text, key):  # the help of a SETTINGS row's flag, on one line
+        options = " ".join(text.split("options:")[1].split())
+        return re.search(rf"--{key} {key.upper()} (.*?)(?= --|$)", options).group(0)
+
     monkeypatch.setenv("COLUMNS", "200")
+    assert set(cli.SETTINGS) <= set(cli.COMMANDS["simulate"][2])
     try:
         text = help_text()
-        assert "(default 42; env VAREXP_SEED)" in text and "(default full-trunc)" in text
-        monkeypatch.setitem(cli.SETTINGS, "seed", (7, *cli.SETTINGS["seed"][1:]))
-        monkeypatch.setitem(cli.SETTINGS, "policy", ("reflect", *cli.SETTINGS["policy"][1:]))
+        for key, (default, _, help_) in cli.SETTINGS.items():
+            stated = help_ if default is None else f"{help_} (default {default})"
+            assert line(text, key).endswith(f" {stated}"), key
+        assert "(default" not in line(text, "checkpoints")  # a None default is not stated
+        changed = {"T": 2.5, "dt": 0.01, "paths": 7, "seed": 7, "policy": "reflect",
+                   "orders": "2,5", "checkpoints": "0.5", "out": "elsewhere"}
+        assert set(changed) == set(cli.SETTINGS)
+        for key, default in changed.items():
+            monkeypatch.setitem(cli.SETTINGS, key, (default, *cli.SETTINGS[key][1:]))
         text = help_text()
-        assert "(default 7; env VAREXP_SEED)" in text and "(default reflect)" in text
+        for key, default in changed.items():
+            assert line(text, key).endswith(f" (default {default})"), key
     finally:
         monkeypatch.undo()
         cli.build_parser.cache_clear()
@@ -583,10 +633,10 @@ def test_a_histogram_of_no_bins_is_refused_before_sampling(capsys, tmp_path, mon
         raise AssertionError("sample_batch called for a refused setting")
 
     monkeypatch.setattr(cli, "sample_batch", refuse)
-    for bins in ("0", "-3"):
+    for bins in ("0", "-3"):  # every histogram has 50 bins, and --bins is no flag
         out = tmp_path / f"bins{bins}"
         code, _, err = _run(capsys, "simulate", "--bins", bins, "--out", str(out))
-        assert (code, err) == (2, "error: n_bins must be >= 1\n")
+        assert (code, err) == (2, f"error: unrecognized arguments: --bins {bins}\n")
         assert not out.exists()
     # and so is a moment order below 2, which the statistics would refuse only after the walk
     for command, order in itertools.product(("simulate", "compare", "moments"), ("1", "0", "-2")):
@@ -597,19 +647,18 @@ def test_a_histogram_of_no_bins_is_refused_before_sampling(capsys, tmp_path, mon
         assert not out.exists()
 
 
-def test_integer_config_values_are_checked_not_truncated(capsys, tmp_path, monkeypatch):
+def test_integer_config_values_are_checked_not_truncated(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"paths": 10.9}))
     code, _, err = _run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 2
     assert "config key 'paths'" in err
-    # integral values, as numbers, strings or the environment, still work
-    cfg.write_text(json.dumps({"paths": "6", "bins": 5.0, "orders": [2, "3"], "T": 0.01}))
-    monkeypatch.setenv("VAREXP_SEED", "7")
+    # integral values, as numbers or strings, still work
+    cfg.write_text(json.dumps({"paths": "6", "seed": 7.0, "orders": [2, "3"], "T": 0.01}))
     code, _, err = _run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "ok"))
     assert code == 0, err
     conf = json.loads((tmp_path / "ok" / "manifest.json").read_text())["config"]
-    assert (conf["paths"], conf["seed"], conf["bins"], conf["orders"]) == (6, 7, 5, [2, 3])
+    assert (conf["paths"], conf["seed"], conf["orders"]) == (6, 7, [2, 3])
 
 
 def test_martingale_compensates_with_the_model_drift(capsys, tmp_path):
@@ -645,9 +694,7 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
     # compare holds, per path, 4 models x (4 kept nodes + 4 compensated
     # values + 1 clamp count), plus one chunk of increments (here every
     # path, 100 steps each) once at any split, each later part filling
-    # its own shared rows, plus 4 histograms of 50 bins x
-    # (count, density, left edge) and a right edge: 49 paths hold 1764
-    # + 4900 + 4 x 151 = 7268
+    # its own shared rows: 49 paths hold 1764 + 4900 = 6664
     real_sample_batch = cli.sample_batch
 
     def refuse(*args, **kwargs):
@@ -655,14 +702,14 @@ def test_run_size_cap_counts_paths_and_refuses_before_allocating(capsys, tmp_pat
 
     for workers in (1, 3):
         forks = _workers(monkeypatch, workers)
-        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 7_267)
+        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 6_663)
         monkeypatch.setattr(cli, "sample_batch", refuse)
         out = tmp_path / f"big-{workers}"
         code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
         assert code == 2 and not out.exists()
-        assert err == "error: 49 paths of 100 steps hold 7268 values, above the cap of 7267\n"
+        assert err == "error: 49 paths of 100 steps hold 6664 values, above the cap of 6663\n"
 
-        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 7_268)
+        monkeypatch.setattr(stochastic, "MAX_STORED_INCREMENTS", 6_664)
         monkeypatch.setattr(cli, "sample_batch", real_sample_batch)
         code, _, err = _run(capsys, "compare", "--paths", "49", "--T", "0.1", "--out", str(out))
         assert (code, len(forks)) == (0, workers - 1), err

@@ -1,19 +1,18 @@
 """A hostile-input search generated from the CLI's own tables.
 
 Each example picks a subcommand from ``COMMANDS``; its slots are its
-flags, every key of ``PARAMS`` and ``SETTINGS`` in its config file, and
-``VAREXP_SEED``. One or two slots get an extreme value (0,
-negatives, +-inf, nan, 5e-324, 1e100, 1.3e154, 1e308, 2**63, 2**64,
-strings, lists, booleans and null), the rest a valid value or none. A
-flag and a config key are read by one cast, and a flag typed by the
-parser refuses a value of another type in one line too, so one value
-list serves every slot; the truncation level, tolerance and iteration
-cap add extremes of their own. Runs stay small because the defaults of
-paths, horizon and step and the size cap are lowered, not by leaving
-hostile values out. A new flag or setting is drawn without a case
-written for it. Each class this search has found is kept as a fixed row
-of ``test_hostile_input_exit_codes``. 400 examples at a fixed seed take
-about 5 s on 2 vCPUs.
+flags and every key of ``PARAMS`` and ``SETTINGS`` in its config file.
+One or two slots get an extreme value (0, negatives, +-inf, nan,
+5e-324, 1e100, 1.3e154, 1e308, 2**63, 2**64, strings, lists, booleans
+and null), the rest a valid value or none. A flag and a config key are
+read by one cast, and a flag typed by the parser refuses a value of
+another type in one line too, so one value list serves every slot; the
+truncation level adds extremes of its own. Runs stay small because the
+defaults of paths, horizon and step and the size cap are lowered, not by
+leaving hostile values out. A new flag or setting is drawn without a
+case written for it. Each class this search has found is kept as a
+fixed row of ``test_hostile_input_exit_codes``. 400 examples at a fixed
+seed take about 5 s on 2 vCPUs.
 """
 
 import contextlib
@@ -38,11 +37,11 @@ OTHERS = ["x", "", "1,2", [], [1, 0.5], True, False, None]
 VALID = {
     "kappa": [0.5, 2.0], "theta": [0.05, 1.0], "xi": [0.3, 2.0], "v0": [0.05, 3.0],
     "T": [0.02, 0.05], "dt": [0.01, 0.005], "paths": [2, 3], "seed": [0, 2**64 - 1],
-    "policy": ["reflect", "full-truncation"], "bins": [1, 7], "orders": ["2", [2, 5]],
+    "policy": ["reflect", "full-truncation"], "orders": ["2", [2, 5]],
     "checkpoints": ["0.01", [0.01, 0.02]], "out": ["o"],
     "model": ["cir", "gm:p1", "gm:const:0.5", "pkm:a=1,b=1.5", "pkm:a=0,b=0.5"],
     "exponent": ["p1", "const:1.2"], "exponents": ["p3", "const:0.5,p2"],
-    "n": [1, 10], "kmax": [1, 200], "tol": [1e-9, 1.0], "no-svg": [True],
+    "n": [1, 10], "no-svg": [True],
 }
 SMALL_DEFAULTS = {"T": 0.02, "dt": 0.01, "paths": 4}
 #: the extremes of a flag that takes a spec, drawn instead of the shared ones
@@ -51,10 +50,7 @@ SPECS = {
     "exponent": ["const:0.4", "const:inf", "gm:p1", ""], "exponents": ["p1,p1", ",", "p9"],
 }
 #: the extremes of a number typed by the parser, drawn beside the shared ones
-OWN = {
-    "n": [0, -1, 185364, 2**63, 10**200], "kmax": [0, -1, 2**63],
-    "tol": [0.0, -1.0, math.inf, math.nan, 5e-324, 1e308],
-}
+OWN = {"n": [0, -1, 185364, 2**63, 10**200]}
 SWITCHES = {flag for flag, spec in cli.FLAGS.items() if spec.get("action") == "store_true"}
 #: report fields that may be non-finite: a moment ceiling, its growth constant and the
 #: classical Feller side 2 kappa theta past the largest double, which still bound and
@@ -64,25 +60,25 @@ ABSENT = object()
 
 
 def _text(value) -> str:
-    """A value as a flag or VAREXP_SEED spells it: a list comma-separated."""
+    """A value as a flag spells it: a list comma-separated."""
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 @st.composite
 def invocations(draw):
-    """(argv, config, VAREXP_SEED) of one subcommand. One or two of its flags,
-    config keys and VAREXP_SEED get an extreme, a model parameter twice as
-    often as the rest, since it drives every number a run computes; the others
-    are valid or absent, so that a run gets past its first refusal."""
+    """(argv, config) of one subcommand. One or two of its flags and config
+    keys get an extreme, a model parameter twice as often as the rest, since
+    it drives every number a run computes; the others are valid or absent, so
+    that a run gets past its first refusal."""
     command = draw(st.sampled_from(sorted(cli.COMMANDS)))
     flags = cli.COMMANDS[command][2]
-    slots = [f"--{flag}" for flag in flags if flag != "config"] + ["VAREXP_SEED"]
+    slots = [f"--{flag}" for flag in flags if flag != "config"]
     slots += [*cli.PARAMS, *cli.SETTINGS] * ("config" in flags)
     targets = [s for s in slots if s[2:] not in SWITCHES] + [*cli.PARAMS] * ("config" in flags)
     hostile = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=2, unique=True))
-    argv, config, env_seed = [command], {}, None
+    argv, config = [command], {}
     for slot in slots:
-        name = "seed" if slot == "VAREXP_SEED" else slot.removeprefix("--")
+        name = slot.removeprefix("--")
         if slot in hostile:
             extremes = SPECS.get(name) or OWN.get(name, []) + NUMBERS * 2 + OTHERS
             value = draw(st.sampled_from(extremes))
@@ -90,15 +86,13 @@ def invocations(draw):
             value = draw(st.sampled_from([ABSENT] * (name != "exponent") + VALID[name]))
         if value is ABSENT:
             continue
-        if slot == "VAREXP_SEED":
-            env_seed = _text(value)
-        elif not slot.startswith("--"):
+        if not slot.startswith("--"):
             config[slot] = value
         elif name in SWITCHES:
             argv.append(slot)
         else:  # --flag=value, so that a value may start with a minus sign
             argv.append(f"{slot}={_text(value)}")
-    return argv, config if "config" in flags else None, env_seed
+    return argv, config if "config" in flags else None
 
 
 def _non_finite_keys(obj, key=None):
@@ -117,17 +111,13 @@ def _non_finite_keys(obj, key=None):
           suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 def test_hostile_inputs_exit_with_one_line_and_finite_verdicts(invocation):
-    argv, config, env_seed = invocation
+    argv, config = invocation
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         tmp = Path(tmp)
         mp.chdir(tmp)  # a relative --out lands in the scratch directory
         for key, value in SMALL_DEFAULTS.items():
             mp.setitem(cli.SETTINGS, key, (value, *cli.SETTINGS[key][1:]))
         mp.setattr(stochastic, "MAX_STORED_INCREMENTS", 20_000)
-        if env_seed is None:
-            mp.delenv("VAREXP_SEED", raising=False)
-        else:
-            mp.setenv("VAREXP_SEED", env_seed)
         if config is not None:
             (tmp / "cfg.json").write_text(json.dumps(config))
             argv = [*argv, "--config", "cfg.json"]
