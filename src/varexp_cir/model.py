@@ -85,37 +85,29 @@ class Model:
     effective diffusion exponent: the variable p for ``gm``, the
     constant 1/2 for ``cir`` and the constant b for ``pkm`` (possibly
     outside [1/2, 1], which is why the unchecked constant constructor is
-    used). ``kind`` names the model, and band truncation refuses ``pkm``.
+    used). ``model_id`` is a filesystem-friendly name, e.g. ``gm_p1`` or
+    ``pkm_a1_b1.5``; it names the model's output files.
     """
 
     params: ModelParams
-    kind: str
+    model_id: str
     exponent: ExponentFunction
     a: int = 0
 
     @property
-    def b(self) -> float | None:
-        """The diffusion power of a constant exponent, None otherwise."""
-        return self.exponent.constant
-
-    @property
-    def model_id(self) -> str:
-        """Filesystem-friendly identifier, e.g. ``gm_p1`` or ``pkm_a1_b1.5``."""
-        if self.kind == "gm":
-            return "gm_" + self.exponent.kind.replace(":", "_")
-        if self.kind == "pkm":
-            return f"pkm_a{self.a}_b{self.b:g}"
-        return self.kind
+    def superlinear(self) -> bool:
+        """Drift power 1 or an exponent above 1: no linear-growth bound, no band truncation."""
+        return self.a == 1 or self.exponent.declared_pplus > 1.0
 
 
 def gm_model(params: ModelParams, exponent: ExponentFunction) -> Model:
     """Variable-exponent model with diffusion xi * x**p(x)."""
-    return Model(params=params, kind="gm", exponent=exponent)
+    return Model(params, "gm_" + exponent.kind.replace(":", "_"), exponent)
 
 
 def cir_model(params: ModelParams) -> Model:
     """Classical square-root diffusion xi * sqrt(x): the constant exponent 1/2."""
-    return Model(params=params, kind="cir", exponent=constant_exponent(0.5))
+    return Model(params, "cir", constant_exponent(0.5))
 
 
 def pkm_model(params: ModelParams, a: int, b: float) -> Model:
@@ -124,7 +116,7 @@ def pkm_model(params: ModelParams, a: int, b: float) -> Model:
         raise ValueError(f"pkm drift power a must be 0 or 1, got {a}")
     if b not in PKM_B_VALUES:
         raise ValueError(f"pkm diffusion power b must be one of {PKM_B_VALUES}, got {b}")
-    return Model(params=params, kind="pkm", exponent=constant_exponent(b), a=int(a))
+    return Model(params, f"pkm_a{int(a)}_b{b:g}", constant_exponent(b), int(a))
 
 
 def parse_model(spec: str, params: ModelParams) -> Model:
@@ -194,11 +186,10 @@ def growth_constant(model: Model) -> float:
 
     Closed form max(2*kappa^2*max(theta^2, 1), xi^2), valid because
     x**(2p) <= 1 + x^2 whenever p in [1/2, 1]. Verified on an internal
-    grid before returning. Models with superlinear coefficients (drift
-    power a = 1 or an exponent above 1, such as pkm's b = 3/2) admit no
-    such constant and are rejected.
+    grid before returning. A superlinear model (``Model.superlinear``,
+    such as pkm's b = 3/2) admits no such constant and is rejected.
     """
-    if model.a == 1 or model.exponent.declared_pplus > 1.0:
+    if model.superlinear:
         raise ValueError("growth constant undefined: coefficients are superlinear")
     kappa, theta, xi = model.params.kappa, model.params.theta, model.params.xi
     K = max(2.0 * kappa**2 * max(theta**2, 1.0), xi**2)

@@ -201,10 +201,12 @@ def sample_batch(seed: int, m_paths, grid: TimeGrid, out=None) -> BrownianBatch:
     more rows than the batch has."""
     seed = _check_seed(seed)
     paths = range(m_paths) if isinstance(m_paths, (int, np.integer)) else m_paths
-    if not isinstance(paths, range) or len(paths) < 1 or paths.start < 0 or paths.step != 1:
+    if not isinstance(paths, range) or paths.step != 1 or not 0 <= paths.start < paths.stop:
         raise ValueError("m_paths must be at least 1, or a nonempty range of path indices")
+    if paths.stop - 1 > MAX_SEED:  # a path index is Philox's second key word, as the seed its first
+        raise ValueError(f"path index {paths.stop - 1} is past the largest key word, 2**64 - 1")
     n_steps = grid.n_steps
-    if len(paths) * n_steps > MAX_STORED_INCREMENTS:
+    if (paths.stop - paths.start) * n_steps > MAX_STORED_INCREMENTS:
         raise ValueError("batch too large to store; walk the paths in chunks of rows")
     increments = np.empty((len(paths), n_steps), order="F") if out is None else out[...]
     if increments.shape != (len(paths), n_steps) or increments.dtype != np.float64:

@@ -141,8 +141,8 @@ def truncated_coefficients(tp: TruncationParams, model: Model, one_float: bool =
     g(1/n), negative states included, since theta_n maps every state
     below 1/n to 1/n; so g_n stays globally Lipschitz. With one_float,
     they take one Python float and give a one-element array's bits."""
-    if model.kind == "pkm":
-        raise ValueError("band truncation is defined for the variable-exponent model only")
+    if model.superlinear:
+        raise ValueError(f"{model.model_id}'s coefficients are superlinear: no band truncation")
     f, g = coefficients(model)
     theta, rho = _float_maps(tp) if one_float else (lambda r: _theta(tp, r), lambda x: _rho(tp, x))
     return lambda x: f(rho(x)), lambda x: g(theta(x))

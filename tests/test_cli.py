@@ -331,20 +331,28 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         pytest.param(["lipschitz", "--n", "185363"], None, 0, id="lipschitz-n-at-max-band"),
         pytest.param(["lipschitz", "--n", "185364"], None, 2, id="lipschitz-n-past-max-band"),
         pytest.param(["picard-verify", "--n", "185364"], None, 2, id="picard-n-past-max-band"),
-        # retired flags: picard-verify holds the fixed point to solver.PICARD_TOL within 200
-        # sweeps and every histogram has 50 bins, so even the old defaults are unknown flags,
-        # refused before a draw
+        # every retired flag on every subcommand that once read it: picard-verify holds the
+        # fixed point to solver.PICARD_TOL within 200 sweeps, every histogram has 50 bins and
+        # any path replays from the library (README), so even the old defaults are unknown
+        # flags, refused in the parser's one line before a draw or an output directory
         *(pytest.param(
             argv, None, (2, f"error: unrecognized arguments: {' '.join(argv[1:])}\n"), id=name,
         ) for name, argv in (
             ("picard-tol-inf", ["picard-verify", "--tol", "inf"]),
             ("picard-tol-nan", ["picard-verify", "--tol", "nan"]),
             ("picard-tol-1e-9", ["picard-verify", "--tol", "1e-9"]),
+            ("picard-tol-x", ["picard-verify", "--tol", "x"]),
             ("picard-kmax-0", ["picard-verify", "--kmax", "0"]),
             ("picard-kmax-200", ["picard-verify", "--kmax", "200"]),
+            ("picard-kmax-1e3", ["picard-verify", "--kmax", "1e3"]),
             ("bins-9223372036854775808", ["simulate", "--bins", str(2**63)]),
             ("bins-100000000000", ["simulate", "--bins", str(10**11)]),
             ("bins-50", ["simulate", "--bins", "50"]),
+            ("bins-0", ["simulate", "--bins", "0"]),
+            ("bins--3", ["simulate", "--bins", "-3"]),
+            ("compare-bins-50", ["compare", "--bins", "50"]),
+            ("simulate-dump-paths", ["simulate", "--dump-paths"]),
+            ("compare-dump-paths", ["compare", "--dump-paths"]),
         )),
         pytest.param(["simulate", "--T", "1e300", "--dt", "1e-300"], None, 2, id="grid-inf-steps"),
         pytest.param(["simulate"], {"paths": None}, 2, id="config-paths-null"),
@@ -527,6 +535,8 @@ def test_hostile_input_exit_codes(capsys, tmp_path, monkeypatch, argv, config, e
         assert f"config key {next(iter(config))!r}" in err  # the refusal names its source
     if expected in (2, 3):  # no output is left behind
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"] * bool(config)
+    if expected == 2:  # nor an output directory
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -550,12 +560,9 @@ def test_a_malformed_setting_is_refused_in_one_line(capsys, tmp_path, monkeypatc
 @pytest.mark.parametrize(
     "argv",
     [
-        # --tol and --kmax are retired flags, so the parser refuses them as unknown
-        ["lipschitz", "--n", "x"], ["picard-verify", "--tol", "x"],
-        ["picard-verify", "--kmax", "1e3"], ["compare", "--bogus", "1"], ["lipschitz", "--n"], [],
+        ["lipschitz", "--n", "x"], ["compare", "--bogus", "1"], ["lipschitz", "--n"], [],
     ],
-    ids=["n-not-int", "tol-not-float", "kmax-not-int", "unknown-flag", "missing-value",
-         "missing-subcommand"],
+    ids=["n-not-int", "unknown-flag", "missing-value", "missing-subcommand"],
 )
 def test_a_parser_error_is_one_line(capsys, argv):
     # the parser's error, not its usage block, as every other refusal prints it
@@ -626,19 +633,14 @@ def test_repeated_model_is_refused_before_sampling(capsys, tmp_path, monkeypatch
     assert not out.exists()
 
 
-def test_a_histogram_of_no_bins_is_refused_before_sampling(capsys, tmp_path, monkeypatch):
+def test_a_moment_order_below_two_is_refused_before_sampling(capsys, tmp_path, monkeypatch):
     import varexp_cir.cli as cli
 
     def refuse(*args, **kwargs):
         raise AssertionError("sample_batch called for a refused setting")
 
     monkeypatch.setattr(cli, "sample_batch", refuse)
-    for bins in ("0", "-3"):  # every histogram has 50 bins, and --bins is no flag
-        out = tmp_path / f"bins{bins}"
-        code, _, err = _run(capsys, "simulate", "--bins", bins, "--out", str(out))
-        assert (code, err) == (2, f"error: unrecognized arguments: --bins {bins}\n")
-        assert not out.exists()
-    # and so is a moment order below 2, which the statistics would refuse only after the walk
+    # the statistics would refuse such an order only after the walk
     for command, order in itertools.product(("simulate", "compare", "moments"), ("1", "0", "-2")):
         out = tmp_path / f"{command}{order}"
         outputs = ("--out", str(out)) if command != "moments" else ()
@@ -1181,7 +1183,7 @@ def test_memory_is_bounded_by_the_kept_state(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "flag",
     [
-        ["--paths", "5"], ["--bins", "0"], ["--out", "/nonexistent"], ["--exponents", "p1"],
+        ["--paths", "5"], ["--exponent", "p1"], ["--out", "/nonexistent"], ["--exponents", "p1"],
         ["--no-svg"], ["--policy", "reflect"], ["--orders", "2"], ["--checkpoints", "0.5"],
     ],
 )
@@ -1189,22 +1191,6 @@ def test_picard_verify_rejects_flags_it_does_not_read(capsys, flag):
     code, _, err = _run(capsys, "picard-verify", "--T", "0.01", *flag)
     assert code == 2
     assert "unrecognized arguments" in err
-
-
-def test_dump_paths_is_refused_before_a_draw(capsys, tmp_path, monkeypatch):
-    # every path at every node replays from the library (README), so no run writes more
-    # than path 0, and the retired flag is an unknown one
-    import varexp_cir.cli as cli
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("sample_batch called for a refused flag")
-
-    monkeypatch.setattr(cli, "sample_batch", refuse)
-    for command in ("simulate", "compare"):
-        out = tmp_path / command
-        code, stdout, err = _run(capsys, command, "--dump-paths", "--out", str(out))
-        assert (code, stdout) == (2, "") and not out.exists()
-        assert err == "error: unrecognized arguments: --dump-paths\n"
 
 
 def test_python_dash_m_runs_the_cli():

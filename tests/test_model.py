@@ -196,13 +196,13 @@ def test_feller_check_of_an_exponent_that_cannot_be_differentiated_is_inconclusi
 
 
 def test_parse_model_grammar(params):
-    assert parse_model("cir", params).kind == "cir"
+    assert parse_model("cir", params).model_id == "cir"
     gm = parse_model("gm:p2", params)
-    assert gm.kind == "gm" and gm.exponent.kind == "p2"
+    assert gm.model_id == "gm_p2" and gm.exponent.kind == "p2"
     gmc = parse_model("gm:const:0.5", params)
     assert gmc.exponent.declared_pplus == 0.5
     pkm = parse_model("pkm:a=1,b=1.5", params)
-    assert (pkm.a, pkm.b) == (1, 1.5)
+    assert (pkm.a, pkm.exponent.constant) == (1, 1.5)
     with pytest.raises(ValueError):
         parse_model("heston", params)
     with pytest.raises(ValueError):
@@ -212,10 +212,19 @@ def test_parse_model_grammar(params):
 
 
 def test_model_ids(params, gm_p1, cir):
-    assert gm_p1.model_id == "gm_p1"
-    assert cir.model_id == "cir"
-    assert parse_model("pkm:a=0,b=0.5", params).model_id == "pkm_a0_b0.5"
-    assert parse_model("gm:const:0.5", params).model_id == "gm_const_0.5"
+    # an id names a model's output files, so every spec's id is pinned
+    ids = {
+        "cir": "cir", "gm:p1": "gm_p1", "gm:p2": "gm_p2", "gm:p3": "gm_p3",
+        "gm:const:0.5": "gm_const_0.5", "gm:const:1": "gm_const_1",
+        "pkm:a=0,b=0.5": "pkm_a0_b0.5", "pkm:a=0,b=1": "pkm_a0_b1", "pkm:a=0,b=1.5": "pkm_a0_b1.5",
+        "pkm:a=1,b=0.5": "pkm_a1_b0.5", "pkm:a=1,b=1": "pkm_a1_b1", "pkm:a=1,b=1.5": "pkm_a1_b1.5",
+    }
+    assert {spec: parse_model(spec, params).model_id for spec in ids} == ids
+    assert (gm_p1.model_id, cir.model_id) == ("gm_p1", "cir")
+    assert pkm_model(params, 1, 1).model_id == "pkm_a1_b1"  # an int b formats as the float
+    custom = ExponentFunction(kind="custom", func=lambda x: np.full_like(x, 0.75),
+                              deriv=np.zeros_like, declared_pminus=0.75, declared_pplus=0.75)
+    assert gm_model(params, custom).model_id == "gm_custom"
 
 
 def test_feller_check_pkm_square_root_is_classical(params, cir):

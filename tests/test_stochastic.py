@@ -77,6 +77,20 @@ def test_seed_validation(grid):
         path_increments(42, -1, grid)
 
 
+def test_a_path_index_past_the_key_word_is_refused_before_allocating(grid, monkeypatch):
+    # a path index is Philox's second 64-bit key word: 2**64 - 1 draws, 2**64 is named
+    top = path_increments(42, 2**64 - 1, grid)
+    pair = sample_batch(42, range(2**64 - 2, 2**64), grid).increments
+    np.testing.assert_array_equal(pair[1], top)
+    monkeypatch.setattr(np, "empty", None)  # refused before a buffer is made
+    past = [(range(2**64 - 1, 2**64 + 1), 2**64), (range(2**70), 2**70 - 1), (2**70, 2**70 - 1)]
+    for paths, last in past:
+        with pytest.raises(ValueError, match=f"^path index {last} is past the largest key word"):
+            sample_batch(42, paths, grid)
+    with pytest.raises(ValueError, match=f"^path index {2**64} is past the largest key word"):
+        path_increments(42, 2**64, grid)
+
+
 def test_absurd_sizes_rejected(grid):
     with pytest.raises(ValueError):
         sample_batch(42, 10**7, grid)  # would exceed the storage cap

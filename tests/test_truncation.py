@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varexp_cir.exponent import make_builtin
-from varexp_cir.model import diffusion, drift, gm_model, parse_model, pkm_model
+from varexp_cir.model import diffusion, drift, gm_model, growth_constant, parse_model
 from varexp_cir.truncation import (
     MAX_BAND,
     TruncationParams,
@@ -232,16 +232,55 @@ def test_truncated_diffusion_rejects_negative(gm_p1):
     assert truncated_diffusion(tp, gm_p1, 0.0) == 0.0  # rho_n(0) = 0
 
 
+#: drift power 1 or an exponent above 1: the coefficients grow faster than linearly
+SUPERLINEAR = ["pkm:a=1,b=0.5", "pkm:a=1,b=1", "pkm:a=1,b=1.5", "pkm:a=0,b=1.5"]
+
+
 def test_truncation_rejects_pkm(params):
+    # the superlinear pkm models, by the linear-growth rule, naming the model
     tp = TruncationParams(10)
-    pkm = pkm_model(params, 0, 0.5)
-    for call in (
-        lambda: truncated_drift(tp, pkm, 1.0),
-        lambda: truncated_coefficients(tp, pkm),
-        lambda: lipschitz_constants(tp, pkm),
-    ):
-        with pytest.raises(ValueError):
+    for spec in SUPERLINEAR:
+        model = parse_model(spec, params)
+        for call in (
+            lambda: truncated_drift(tp, model, 1.0),
+            lambda: truncated_coefficients(tp, model),
+            lambda: lipschitz_constants(tp, model),
+        ):
+            with pytest.raises(ValueError, match=f"^{model.model_id}'s coefficients are superl"):
+                call()
+
+
+def test_truncation_takes_linear_pkm_as_its_twin_and_refuses_as_the_growth_constant(params):
+    # pkm with a = 0 and b <= 1 is cir or gm:const:1, bit for bit
+    tp, x = TruncationParams(10), np.linspace(-20.0, 20.0, 801)
+    for spec, twin in (("pkm:a=0,b=0.5", "cir"), ("pkm:a=0,b=1", "gm:const:1")):
+        model, same = parse_model(spec, params), parse_model(twin, params)
+        assert lipschitz_constants(tp, model) == lipschitz_constants(tp, same)
+        for one_float in (False, True):
+            apply = (lambda h: [h(v) for v in x.tolist()]) if one_float else (lambda h: h(x))
+            for h, twin_h in zip(truncated_coefficients(tp, model, one_float),
+                                 truncated_coefficients(tp, same, one_float)):
+                np.testing.assert_array_equal(apply(h), apply(twin_h), strict=True)
+        np.testing.assert_array_equal(truncated_drift(tp, model, x), truncated_drift(tp, same, x))
+        xs = np.abs(x)
+        np.testing.assert_array_equal(truncated_diffusion(tp, model, xs),
+                                      truncated_diffusion(tp, same, xs))
+
+    def refuses(call):
+        try:
             call()
+        except ValueError:
+            return True
+        return False
+
+    # growth_constant refuses by the same rule, exactly these models
+    linear = ["cir", "gm:p1", "gm:p2", "gm:p3", "gm:const:0.5", "gm:const:1", "pkm:a=0,b=0.5",
+              "pkm:a=0,b=1"]
+    for spec in linear + SUPERLINEAR:
+        model = parse_model(spec, params)
+        refused = refuses(lambda: growth_constant(model))
+        assert refused == (spec in SUPERLINEAR)
+        assert refused == refuses(lambda: truncated_coefficients(tp, model))
 
 
 @pytest.mark.parametrize("spec", ["cir", "gm:p1", "gm:p2", "gm:p3"])
