@@ -35,6 +35,9 @@ __all__ = [
 #: P(|t| > 4) is about 0.156.
 SIGMA_FACTOR = 4.0
 
+#: Moment orders checked by default, as every command-line run checks them.
+DEFAULT_ORDERS = (2, 3, 4)
+
 
 def default_checkpoints(grid: TimeGrid) -> tuple[float, ...]:
     """Quarter-horizon checkpoints {T/4, T/2, 3T/4, T}, snapped to grid nodes."""
@@ -107,7 +110,9 @@ class MomentReport:
     satisfied: bool
 
 
-def check_moment_bounds(batch: PathBatch, orders=(2, 3, 4), checkpoints=None) -> list[MomentReport]:
+def check_moment_bounds(
+    batch: PathBatch, orders=DEFAULT_ORDERS, checkpoints=None
+) -> list[MomentReport]:
     """One MomentReport per (order, checkpoint) pair, for the batch's model."""
     if checkpoints is None:
         checkpoints = default_checkpoints(batch.grid)

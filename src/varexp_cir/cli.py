@@ -62,9 +62,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-POLICY_NAMES = {"full-trunc": "full-truncation", "reflect": "reflection"}
-
-
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
@@ -135,32 +132,11 @@ def write_csv(path: FsPath, header: list[str], lines):
 # ---------------------------------------------------------------------------
 # settings: flag, then config file, then default; one cast each
 
-def _items(value) -> list:
-    """A list setting: a JSON list, or one comma-separated string."""
-    return list(value) if isinstance(value, (list, tuple)) else str(value).split(",")
-
-
 def _int(value) -> int:
     """An integer setting; a number with a fractional part is refused."""
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value} is not an integer")
     return int(value)
-
-
-def _orders(value) -> tuple:
-    """Moment orders; one past the largest double, which a ceiling cannot take, is refused."""
-    orders = tuple(_int(v) for v in _items(value))
-    list(map(float, orders))  # OverflowError past the largest double
-    return orders
-
-
-def _checkpoints(value) -> tuple | None:
-    return None if value is None else tuple(float(v) for v in _items(value))
-
-
-def _policy(value) -> str:
-    """A short policy name, or the solver's own, as a manifest's config echoes it."""
-    return value if value in solver.POLICIES else POLICY_NAMES[value]
 
 
 def _param(value) -> float:
@@ -172,16 +148,13 @@ def _param(value) -> float:
 
 
 #: setting -> (default, cast), and for a SETTINGS row its flag's help, to which --help
-#: appends the default, if any. Defaults reproduce the reference experiment.
+#: appends the default. Defaults reproduce the reference experiment.
 PARAMS = {k: (v, _param) for k, v in {"kappa": 2.0, "theta": 0.05, "xi": 0.3, "v0": 0.05}.items()}
 SETTINGS = {
     "T": (1.0, float, "horizon"),
     "dt": (0.001, float, "time step"),
     "paths": (5000, _int, "number of Monte Carlo paths"),
     "seed": (42, lambda value: stochastic._check_seed(_int(value)), "64-bit seed"),
-    "policy": ("full-trunc", _policy, f"positivity policy: {' or '.join(POLICY_NAMES)}"),
-    "orders": ("2,3,4", _orders, "comma-separated moment orders"),
-    "checkpoints": (None, _checkpoints, "comma-separated checkpoint times"),
     "out": (".", FsPath, "output directory"),
 }
 
@@ -196,16 +169,16 @@ def _load_config_file(path: str | None) -> dict:
         raise ValueError(f"malformed config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    # a manifest's config echo holds them, an older one also retired settings; unread
-    echoed = {"dump_paths", "bins", "no_svg", "models"}
+    # a manifest's config echo holds them, an older one also retired settings: unread, and the
+    # last three accepted at one value alone (_run_config)
+    echoed = {"dump_paths", "bins", "no_svg", "models", "policy", "orders", "checkpoints"}
     if unknown := [key for key in cfg if key not in {*PARAMS, *SETTINGS, *echoed}]:
         raise ValueError(f"config file {path} has an unknown key {unknown[0]!r}")
     return cfg
 
 
 def _setting(ns, cfg: dict, key: str):
-    """Resolve one setting; a value its cast refuses, a boolean where a value
-    or list item is expected, or an empty list, is a usage error."""
+    """Resolve one setting; a value its cast refuses, or a boolean, is a usage error."""
     default, cast = {**PARAMS, **SETTINGS}[key][:2]
     if getattr(ns, key, None) is not None:
         value, source = getattr(ns, key), f"--{key}"
@@ -214,24 +187,25 @@ def _setting(ns, cfg: dict, key: str):
     else:
         value, source = default, "default"
     try:
-        items = value if isinstance(value, list) else [value]
-        if not items or any(isinstance(v, bool) for v in items):
-            raise TypeError("a boolean or an empty list is not a setting value")
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a setting value")
         return cast(value)
     except (TypeError, ValueError, LookupError, OverflowError):
         raise ValueError(f"{source} has a malformed value {value!r}") from None
 
 
 def _run_config(ns):
-    """(settings, model parameters, grid) of a subcommand that reads --config;
-    the checkpoints default to the grid's quarter-horizon nodes."""
+    """(settings, model parameters, grid) of a subcommand that reads --config. An older
+    manifest's echo of the scheme, moment orders or checkpoints is refused at any value but
+    the one every run uses: another would re-run another experiment, which the library runs."""
     cfg = _load_config_file(ns.config)
     settings = {key: _setting(ns, cfg, key) for key in SETTINGS}
     params = ModelParams(*(_setting(ns, cfg, key) for key in PARAMS))
     grid = make_grid(settings["T"], settings["dt"])
-    for m in settings["orders"] if hasattr(ns, "orders") else ():  # before a draw
-        analysis.moment_bound(params, m, 0.0)  # refuses an order below 2
-    settings["checkpoints"] = settings["checkpoints"] or analysis.default_checkpoints(grid)
+    for key, used in (("policy", solver.POLICIES[0]), ("orders", list(analysis.DEFAULT_ORDERS)),
+                      ("checkpoints", list(analysis.default_checkpoints(grid)))):
+        if key in cfg and cfg[key] != used:
+            raise ValueError(f"config key {key!r} holds {cfg[key]!r}; every run uses {used!r}")
     return settings, params, grid
 
 
@@ -331,7 +305,7 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str]):
     m_paths, n_steps = settings["paths"], grid.n_steps
     if m_paths < 2:
         raise ValueError("paths must be at least 2")
-    nodes = sorted({grid.index_of(t) for t in settings["checkpoints"]} | {n_steps})
+    nodes = [grid.index_of(t) for t in analysis.default_checkpoints(grid)]  # T among them
     rows = min(max(1, _CHUNK // n_steps), m_paths)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     least = max(1, _WORKER_INCREMENTS // n_steps)  # rows in a worker's part
@@ -353,7 +327,7 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str]):
         full = batch.grid is grid  # else a walk through an earlier chunk's failing step
         into = tuple(a[..., paths.start : paths.stop] for a in arrays) if full else None
         try:
-            pbs = simulate_models(models, batch, settings["policy"],
+            pbs = simulate_models(models, batch, solver.POLICIES[0],
                                   nodes if full else [batch.grid.n_steps], into)
         except PathOverflowError as exc:
             return exc.step_index, exc.model_index, paths.start + exc.path_index
@@ -382,18 +356,18 @@ def _path_rows(grid, path0):
 
 def _summary(settings: dict, checksum: str, pb):
     """The summary and terminal histogram of one path batch's model."""
-    grid, checkpoints = pb.grid, settings["checkpoints"]
+    grid = pb.grid
     hist = terminal_histogram(pb, grid.horizon, HIST_BINS)
     summary = {
         "model": pb.model.model_id,
         "seed": settings["seed"],
-        "policy": settings["policy"],
+        "policy": solver.POLICIES[0],
         "grid": {"T": grid.horizon, "dt": grid.dt, "n_steps": grid.n_steps},
         "m_paths": pb.m_paths,
         "increment_checksum": checksum,
         "clamp": {"clamped_steps": int(pb.clamp_counts.sum()), "fraction": pb.clamp_fraction},
-        "moments": check_moment_bounds(pb, settings["orders"], checkpoints),
-        "martingale": martingale_report(pb, checkpoints),
+        "moments": check_moment_bounds(pb),
+        "martingale": martingale_report(pb),
         "terminal_histogram": hist,
     }
     return summary, hist
@@ -521,7 +495,7 @@ def cmd_lipschitz(ns):
 def cmd_moments(ns):
     settings, params, grid = _run_config(ns)
     _, [pb] = _simulate(settings, params, grid, [ns.model])
-    reports = check_moment_bounds(pb, settings["orders"], settings["checkpoints"])
+    reports = check_moment_bounds(pb)
     ok = all(r.satisfied for r in reports)
     payload = {"model": pb.model.model_id, "reports": reports}
     return payload, ok, f"moments {pb.model.model_id}: {'ok' if ok else 'violated'}"
@@ -530,7 +504,7 @@ def cmd_moments(ns):
 def cmd_martingale(ns):
     settings, params, grid = _run_config(ns)
     _, [pb] = _simulate(settings, params, grid, [ns.model])
-    report = martingale_report(pb, settings["checkpoints"])
+    report = martingale_report(pb)
     payload = {"model": pb.model.model_id, **_payload(report)}
     verdict = "ok" if report.satisfied else "violated"
     return payload, report.satisfied, f"martingale {pb.model.model_id}: {verdict}"
@@ -576,8 +550,7 @@ FLAGS = {
     "n": dict(type=int, default=10, help="truncation level"),
 }
 
-_RUN = ("config", "seed", "paths", "dt", "T", "policy")
-_OUTPUTS = ("orders", "checkpoints", "out")
+_RUN = ("config", "seed", "paths", "dt", "T")
 
 #: subcommand -> (handler, help, flags, flag defaults that differ)
 COMMANDS = {
@@ -591,17 +564,17 @@ COMMANDS = {
         cmd_lipschitz, "truncation Lipschitz constants", ("model", "n", "config"), {},
     ),
     "simulate": (
-        cmd_simulate, "simulate one model, write outputs", ("model", *_RUN, *_OUTPUTS), {},
+        cmd_simulate, "simulate one model, write outputs", ("model", *_RUN, "out"), {},
     ),
     "compare": (
         cmd_compare, "CIR baseline vs variable-exponent models",
-        ("exponents", *_RUN, *_OUTPUTS, "no-svg"), {},
+        ("exponents", *_RUN, "out", "no-svg"), {},
     ),
     "moments": (
-        cmd_moments, "empirical moments vs ceilings", ("model", *_RUN, "orders", "checkpoints"), {},
+        cmd_moments, "empirical moments vs ceilings", ("model", *_RUN), {},
     ),
     "martingale": (
-        cmd_martingale, "drift-compensated statistic check", ("model", *_RUN, "checkpoints"), {},
+        cmd_martingale, "drift-compensated statistic check", ("model", *_RUN), {},
     ),
     "picard-verify": (
         cmd_picard_verify, "Picard fixed point vs Euler recursion",
@@ -626,10 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags, defaults) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in flags:  # a SETTINGS row's flag: its help, then the row's default, if any
-            default, _, text = SETTINGS.get(flag, (None, None, None))
-            text = text if default is None else f"{text} (default {default})"
-            p.add_argument(f"--{flag}", **FLAGS.get(flag) or dict(help=text))
+        for flag in flags:  # a SETTINGS row's flag: its help, then the row's default
+            p.add_argument(f"--{flag}", **FLAGS.get(flag)
+                           or dict(help="{2} (default {0})".format(*SETTINGS[flag])))
         p.set_defaults(func=handler, **defaults)
     return parser
 

@@ -84,7 +84,7 @@ def _plot(series, bounds, title, xlabel, ylabel, draw) -> str:
 
 def _polyline(to_px, xs, ys, color):
     px, py = to_px(xs, ys)
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
     return [f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.2"/>']
 
 

@@ -15,7 +15,7 @@ from varexp_cir.analysis import (
 from varexp_cir.exponent import make_builtin
 from varexp_cir.model import ModelParams, cir_model, coefficients, gm_model, pkm_model
 from varexp_cir.solver import PathBatch, simulate_batch
-from varexp_cir.stochastic import BrownianBatch, make_grid
+from varexp_cir.stochastic import BrownianBatch, make_grid, sample_batch
 
 
 def _constant_batch(model, grid, value, m_paths=8):
@@ -77,6 +77,18 @@ def test_moment_bound_at_time_zero():
     assert bound == pytest.approx(4.0)  # 2 * (1 + 1) * 1
     with pytest.raises(ValueError, match="checkpoint must be nonnegative"):
         moment_bound(p, 2, -1e-300)
+
+
+def test_a_ceiling_at_time_zero_is_finite_when_c_m_overflows():
+    # at xi = 1.3e154, C_3 and C_4 overflow; exp(C_m t) at t = 0 is 1, not exp(inf * 0)
+    params = ModelParams(kappa=2.0, theta=0.05, xi=1.3e154, v0=0.05)
+    batch = sample_batch(42, 4, make_grid(0.02, 0.01))
+    reports = check_moment_bounds(simulate_batch(gm_model(params, make_builtin("p1")), batch),
+                                  checkpoints=(0.0,))
+    assert [math.isinf(r.C_m) for r in reports] == [False, True, True]
+    assert [r.theoretical_bound for r in reports] == [2.0 ** (m - 1) * (1.0 + 0.05**m)
+                                                      for m in (2, 3, 4)]
+    assert all(r.satisfied for r in reports)
 
 
 def test_moment_bound_past_the_largest_double_is_inf(params):

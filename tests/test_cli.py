@@ -26,6 +26,7 @@ from varexp_cir import (
     simulate_models,
     terminal_histogram,
 )
+from varexp_cir.analysis import moment_bound
 from varexp_cir.cli import json_text, run, write_csv
 
 
@@ -235,28 +236,39 @@ def test_varexp_seed_changes_no_byte(capsys, tmp_path, monkeypatch):
 
 
 def test_reflection_policy_and_config_roundtrip(capsys, tmp_path):
-    out1 = tmp_path / "refl"
-    code, _, _ = _run(
-        capsys, "simulate", "--model", "cir", "--paths", "8", "--T", "0.01",
-        "--policy", "reflect", "--out", str(out1),
-    )
-    assert code == 0
-    manifest = json.loads((out1 / "manifest.json").read_text())
-    assert manifest["config"]["policy"] == "reflection"
-
-    # the echoed config must itself be a valid config file
+    # a run walks full truncation and checks orders 2-4 at the quarter-horizon nodes; its
+    # manifest echoes none of them, and an older echo that holds them reloads at those values
+    # alone. Another scheme, order or time would be another experiment: it is refused before
+    # a draw, and the library runs it
+    code, _, err = _run(capsys, "simulate", "--model", "cir", "--paths", "8", "--T", "0.01",
+                        "--out", str(tmp_path / "now"))
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "now" / "manifest.json").read_text())
+    assert json.loads((tmp_path / "now" / "cir_summary.json").read_text())["policy"] == (
+        "full-truncation")
+    assert not {"policy", "orders", "checkpoints"} & set(manifest["config"])
+    old = {**manifest["config"], "policy": "full-truncation", "orders": [2, 3, 4],
+           "checkpoints": [0.002, 0.005, 0.007, 0.01]}
     cfg = tmp_path / "echo.json"
-    cfg.write_text(json.dumps(manifest["config"]))
-    out2 = tmp_path / "refl2"
-    code, _, _ = _run(
-        capsys, "simulate", "--model", "cir", "--config", str(cfg), "--out", str(out2),
-    )
-    assert code == 0
-    m2 = json.loads((out2 / "manifest.json").read_text())
-    assert m2["increment_checksum"] == manifest["increment_checksum"]
-    # the checkpoints used are echoed, and the output directory is not
-    assert manifest["config"]["checkpoints"] == [0.002, 0.005, 0.007, 0.01]
-    assert m2["config"] == manifest["config"]
+    for echo in (manifest["config"], old):  # the output directory is not echoed
+        cfg.write_text(json.dumps(echo))
+        out = tmp_path / f"echo-{len(echo)}"
+        code, _, err = _run(capsys, "simulate", "--model", "cir", "--config", str(cfg),
+                            "--out", str(out))
+        assert code == 0, err
+        assert json.loads((out / "manifest.json").read_text()) == manifest
+    for key, value in (("policy", "reflection"), ("policy", "full-trunc"), ("orders", [2, 5]),
+                       ("checkpoints", [0.005, 0.01])):
+        cfg.write_text(json.dumps({**old, key: value}))
+        code, _, err = _run(capsys, "simulate", "--model", "cir", "--config", str(cfg),
+                            "--out", str(tmp_path / "refused"))
+        assert code == 2 and err.count("\n") == 1, err
+        assert err.startswith(f"error: config key {key!r} holds {value!r}; every run uses "), err
+        assert not (tmp_path / "refused").exists()
+    pb = simulate_batch(cir_model(ModelParams(2.0, 0.05, 0.3, 0.05)),
+                        sample_batch(42, 8, make_grid(0.01, 0.001)), "reflection")
+    assert [(r.order, r.checkpoint) for r in check_moment_bounds(pb, (2, 5), (0.005,))] == [
+        (2, 0.005), (5, 0.005)]
 
 
 def test_an_echo_holding_dump_paths_still_loads_as_a_config(capsys, tmp_path):
@@ -279,8 +291,8 @@ def test_an_echo_holding_dump_paths_still_loads_as_a_config(capsys, tmp_path):
 
 
 def test_an_echo_holding_bins_still_loads_as_a_config(capsys, tmp_path):
-    # manifests echoed "bins" after "policy" while --bins existed; such an echo still runs as
-    # a config, and every histogram keeps its 50 bins whatever the key says
+    # manifests echoed "bins" while --bins existed; such an echo still runs as a config, and
+    # every histogram keeps its 50 bins whatever the key says
     code, _, err = _run(capsys, "simulate", "--model", "cir", "--paths", "4", "--T", "0.01",
                         "--out", str(tmp_path / "now"))
     assert code == 0, err
@@ -289,13 +301,8 @@ def test_an_echo_holding_bins_still_loads_as_a_config(capsys, tmp_path):
     assert "bins" not in config
     assert now["cir_hist.csv"].count(b"\n") == 1 + 50
     for bins in (50, 7):
-        echo = {}
-        for key, value in config.items():
-            echo[key] = value
-            if key == "policy":
-                echo["bins"] = bins
         cfg = tmp_path / f"echo-{bins}.json"
-        cfg.write_text(json.dumps(echo))
+        cfg.write_text(json.dumps({**config, "bins": bins}))
         out = tmp_path / f"old-{bins}"
         code, _, err = _run(capsys, "simulate", "--model", "cir", "--config", str(cfg),
                             "--out", str(out))
@@ -331,10 +338,13 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         pytest.param(["lipschitz", "--n", "185363"], None, 0, id="lipschitz-n-at-max-band"),
         pytest.param(["lipschitz", "--n", "185364"], None, 2, id="lipschitz-n-past-max-band"),
         pytest.param(["picard-verify", "--n", "185364"], None, 2, id="picard-n-past-max-band"),
-        # every retired flag on every subcommand that once read it: picard-verify holds the
-        # fixed point to solver.PICARD_TOL within 200 sweeps, every histogram has 50 bins and
-        # any path replays from the library (README), so even the old defaults are unknown
-        # flags, refused in the parser's one line before a draw or an output directory
+        # every retired flag on every subcommand that once read it (the scheme's, orders' and
+        # times' on all four walking ones): picard-verify holds the fixed point to
+        # solver.PICARD_TOL within 200 sweeps, every histogram has 50 bins, any path replays
+        # from the library (README), and every run walks full truncation at orders 2-4 and the
+        # quarter-horizon nodes, which the library's arguments change, so even the old defaults
+        # are unknown flags, refused in the parser's one line before a draw or an output
+        # directory
         *(pytest.param(
             argv, None, (2, f"error: unrecognized arguments: {' '.join(argv[1:])}\n"), id=name,
         ) for name, argv in (
@@ -353,6 +363,12 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             ("compare-bins-50", ["compare", "--bins", "50"]),
             ("simulate-dump-paths", ["simulate", "--dump-paths"]),
             ("compare-dump-paths", ["compare", "--dump-paths"]),
+            *((f"{command}-{flag}", [command, f"--{flag}", value])
+              for command in ("simulate", "compare", "moments", "martingale")
+              for flag, value in (("policy", "full-trunc"), ("orders", "2,3,4"),
+                                  ("checkpoints", "0.25,0.5,0.75,1"))),
+            ("simulate-policy-clamp", ["simulate", "--policy", "clamp"]),
+            ("checkpoint-1e308", ["simulate", "--checkpoints", "1e308"]),
         )),
         pytest.param(["simulate", "--T", "1e300", "--dt", "1e-300"], None, 2, id="grid-inf-steps"),
         pytest.param(["simulate"], {"paths": None}, 2, id="config-paths-null"),
@@ -452,7 +468,18 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         pytest.param(["simulate"], {"seed": 42.5}, 2, id="config-seed-fractional"),
         pytest.param(["simulate"], {"paths": True}, 2, id="config-paths-bool"),
         pytest.param(["simulate"], {"kappa": True}, 2, id="config-kappa-bool"),
+        # an older echo's scheme, orders or times other than every run's are refused by name
         pytest.param(["simulate"], {"orders": [2.5]}, 2, id="config-orders-fractional"),
+        pytest.param(["simulate"], {"orders": [10**400]}, 2, id="config-orders-past-double"),
+        pytest.param(
+            ["compare"], {"orders": [2, 10**320]}, 2, id="config-orders-2-and-past-double",
+        ),
+        pytest.param(
+            ["martingale", "--paths", "4", "--T", "0.01"], {"policy": "reflection"},
+            (2, "error: config key 'policy' holds 'reflection'; every run uses 'full-truncation'\n"),
+            id="config-policy-reflection",
+        ),
+        pytest.param(["feller"], {"orders": [2, 5]}, 2, id="feller-config-orders"),
         pytest.param(
             ["moments", "--paths", "8", "--T", "0.01"], {"orders": []}, 2, id="config-orders-empty",
         ),
@@ -460,21 +487,13 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             ["moments", "--paths", "8", "--T", "0.01"], {"checkpoints": []}, 2,
             id="config-checkpoints-empty",
         ),
-        # a checkpoint far off the grid, or nan, is off the grid like any other time
-        pytest.param(
-            ["simulate", "--paths", "4", "--T", "0.01", "--checkpoints", "1e308"], None,
-            (2, "error: time 1e+308 is not a node of the grid (dt=0.001)\n"), id="checkpoint-1e308",
-        ),
-        pytest.param(
-            ["simulate", "--paths", "4", "--T", "0.01"], {"checkpoints": [-1e308]},
-            (2, "error: time -1e+308 is not a node of the grid (dt=0.001)\n"),
-            id="config-checkpoint-minus-1e308",
-        ),
-        pytest.param(
-            ["simulate", "--paths", "4", "--T", "0.01"], {"checkpoints": [math.nan]},
-            (2, "error: time nan is not a node of the grid (dt=0.001)\n"),
-            id="config-checkpoint-nan",
-        ),
+        # a checkpoint far off the grid, or nan, is another time like any other
+        *(pytest.param(
+            ["simulate", "--paths", "4", "--T", "0.01"], {"checkpoints": [value]},
+            (2, f"error: config key 'checkpoints' holds [{value!r}]; every run uses "
+                "[0.002, 0.005, 0.007, 0.01]\n"),
+            id=f"config-checkpoint-{name}",
+        ) for name, value in (("minus-1e308", -1e308), ("nan", math.nan))),
         # picard-verify holds the row (N) and, of N + 1 each, two Picard iterates, the
         # oracle's list and array, and their gap: 6N + 5
         pytest.param(
@@ -501,11 +520,6 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
             ["feller", "--model", "pkm:a=1,b=1.5"], {"xi": 1.3e154},
             (3, "numeric failure: pkm_a1_b1.5's boundary test function is not finite near 0\n"),
             id="feller-profile-not-finite",
-        ),
-        # C_m overflows, and exp(C_m t) at t = 0 is 1, not exp(nan)
-        pytest.param(
-            ["moments", "--checkpoints", "0", "--paths", "4", "--T", "0.02", "--dt", "0.01"],
-            {"xi": 1.3e154}, (0, "moments gm_p1: ok\n"), id="moment-ceiling-at-zero-with-huge-c",
         ),
     ],
 )
@@ -541,11 +555,8 @@ def test_hostile_input_exit_codes(capsys, tmp_path, monkeypatch, argv, config, e
 
 @pytest.mark.parametrize(
     "source, value",
-    [("--seed", "x"), ("--paths", "x"), ("--dt", "1/2"), ("--T", "one"), ("--policy", "clamp"),
-     ("--seed", "0x2a"), ("--seed", "-1"), ("--seed", str(2**64)),
-     # an order past the largest double, whose moment ceiling cannot be computed
-     ("--orders", "1" + "0" * 400), ("--orders", "2,1" + "0" * 320)],
-    ids=lambda v: v if len(v) < 30 else f"{v[:4]}...{len(v)}-chars",
+    [("--seed", "x"), ("--paths", "x"), ("--dt", "1/2"), ("--T", "one"),
+     ("--seed", "0x2a"), ("--seed", "-1"), ("--seed", str(2**64))],
 )
 def test_a_malformed_setting_is_refused_in_one_line(capsys, tmp_path, monkeypatch, source, value):
     # a setting flag's string is read by the cast a config value gets, not by the parser
@@ -605,9 +616,7 @@ def test_a_settings_rows_help_states_its_own_default(capsys, monkeypatch):
         for key, (default, _, help_) in cli.SETTINGS.items():
             stated = help_ if default is None else f"{help_} (default {default})"
             assert line(text, key).endswith(f" {stated}"), key
-        assert "(default" not in line(text, "checkpoints")  # a None default is not stated
-        changed = {"T": 2.5, "dt": 0.01, "paths": 7, "seed": 7, "policy": "reflect",
-                   "orders": "2,5", "checkpoints": "0.5", "out": "elsewhere"}
+        changed = {"T": 2.5, "dt": 0.01, "paths": 7, "seed": 7, "out": "elsewhere"}
         assert set(changed) == set(cli.SETTINGS)
         for key, default in changed.items():
             monkeypatch.setitem(cli.SETTINGS, key, (default, *cli.SETTINGS[key][1:]))
@@ -640,13 +649,19 @@ def test_a_moment_order_below_two_is_refused_before_sampling(capsys, tmp_path, m
         raise AssertionError("sample_batch called for a refused setting")
 
     monkeypatch.setattr(cli, "sample_batch", refuse)
-    # the statistics would refuse such an order only after the walk
-    for command, order in itertools.product(("simulate", "compare", "moments"), ("1", "0", "-2")):
+    # a run checks orders 2-4, and an older echo's other orders are refused before a draw; the
+    # library's ceiling refuses an order below 2 itself
+    cfg = tmp_path / "cfg.json"
+    for command, order in itertools.product(("simulate", "compare", "moments"), (1, 0, -2)):
+        cfg.write_text(json.dumps({"orders": [order]}))
         out = tmp_path / f"{command}{order}"
         outputs = ("--out", str(out)) if command != "moments" else ()
-        code, _, err = _run(capsys, command, "--orders", order, *outputs)
-        assert (code, err) == (2, f"error: moment order must be an integer >= 2, got {order}\n")
+        code, _, err = _run(capsys, command, "--config", str(cfg), *outputs)
+        assert (code, err) == (
+            2, f"error: config key 'orders' holds [{order}]; every run uses [2, 3, 4]\n")
         assert not out.exists()
+        with pytest.raises(ValueError, match=f"^moment order must be an integer >= 2, got {order}$"):
+            moment_bound(ModelParams(2.0, 0.05, 0.3, 0.05), order, 0.0)
 
 
 def test_integer_config_values_are_checked_not_truncated(capsys, tmp_path):
@@ -656,11 +671,11 @@ def test_integer_config_values_are_checked_not_truncated(capsys, tmp_path):
     assert code == 2
     assert "config key 'paths'" in err
     # integral values, as numbers or strings, still work
-    cfg.write_text(json.dumps({"paths": "6", "seed": 7.0, "orders": [2, "3"], "T": 0.01}))
+    cfg.write_text(json.dumps({"paths": "6", "seed": 7.0, "T": 0.01}))
     code, _, err = _run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "ok"))
     assert code == 0, err
     conf = json.loads((tmp_path / "ok" / "manifest.json").read_text())["config"]
-    assert (conf["paths"], conf["seed"], conf["orders"]) == (6, 7, [2, 3])
+    assert (conf["paths"], conf["seed"]) == (6, 7)
 
 
 def test_martingale_compensates_with_the_model_drift(capsys, tmp_path):
@@ -1126,15 +1141,13 @@ def test_an_error_in_a_later_part_is_raised_as_in_one_process(tmp_path, monkeypa
 
 
 def test_cli_walk_equals_the_library_on_a_full_batch(capsys, tmp_path):
-    # T = 0.1 is not a checkpoint: the walk keeps it for the histogram only
+    # the walk keeps the quarter-horizon nodes alone; the library keeps every node
     out = tmp_path / "walk"
-    code, _, err = _run(
-        capsys, "compare", "--paths", "200", "--T", "0.1", "--checkpoints", "0.025,0.05",
-        "--no-svg", "--out", str(out),
-    )
+    code, _, err = _run(capsys, "compare", "--paths", "200", "--T", "0.1", "--no-svg",
+                        "--out", str(out))
     assert code == 0, err
     batch = sample_batch(42, 200, make_grid(0.1, 0.001))
-    checkpoints = (0.025, 0.05)
+    checkpoints = (0.025, 0.05, 0.075, 0.1)
     for spec in ("cir", "gm:p1", "gm:p2", "gm:p3"):
         pb = simulate_batch(parse_model(spec, ModelParams(2.0, 0.05, 0.3, 0.05)), batch)
         summary = json.loads((out / f"{pb.model.model_id}_summary.json").read_text())
@@ -1315,3 +1328,10 @@ def test_out_of_memory_exits_two_without_traceback(capsys, tmp_path, monkeypatch
     assert err.startswith("error: not enough memory")
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_json_text_writes_empty_containers_and_refuses_an_unknown_type():
+    assert (json_text([]), json_text({}), json_text(())) == ("[]", "{}", "[]")
+    assert json_text({"a": [], "b": {}}) == '{\n  "a": [],\n  "b": {}\n}'
+    with pytest.raises(TypeError, match="^cannot serialize <class 'set'>$"):
+        json_text({"a": {1}})
