@@ -159,24 +159,6 @@ SETTINGS = {
 }
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    raw = FsPath(path).read_text()
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed config file {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    # a manifest's config echo holds them, an older one also retired settings: unread, and the
-    # last three accepted at one value alone (_run_config)
-    echoed = {"dump_paths", "bins", "no_svg", "models", "policy", "orders", "checkpoints"}
-    if unknown := [key for key in cfg if key not in {*PARAMS, *SETTINGS, *echoed}]:
-        raise ValueError(f"config file {path} has an unknown key {unknown[0]!r}")
-    return cfg
-
-
 def _setting(ns, cfg: dict, key: str):
     """Resolve one setting; a value its cast refuses, or a boolean, is a usage error."""
     default, cast = {**PARAMS, **SETTINGS}[key][:2]
@@ -195,18 +177,21 @@ def _setting(ns, cfg: dict, key: str):
 
 
 def _run_config(ns):
-    """(settings, model parameters, grid) of a subcommand that reads --config. An older
-    manifest's echo of the scheme, moment orders or checkpoints is refused at any value but
-    the one every run uses: another would re-run another experiment, which the library runs."""
-    cfg = _load_config_file(ns.config)
+    """(settings, model parameters, grid) of a subcommand that reads --config. The file holds
+    a JSON object whose keys are PARAMS and SETTINGS keys; the first other key is refused."""
+    cfg = {}
+    if ns.config is not None:
+        try:
+            cfg = json.loads(FsPath(ns.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed config file {ns.config}: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config file {ns.config} must hold a JSON object")
+        if unknown := [key for key in cfg if key not in {*PARAMS, *SETTINGS}]:
+            raise ValueError(f"config file {ns.config} has an unknown key {unknown[0]!r}")
     settings = {key: _setting(ns, cfg, key) for key in SETTINGS}
     params = ModelParams(*(_setting(ns, cfg, key) for key in PARAMS))
-    grid = make_grid(settings["T"], settings["dt"])
-    for key, used in (("policy", solver.POLICIES[0]), ("orders", list(analysis.DEFAULT_ORDERS)),
-                      ("checkpoints", list(analysis.default_checkpoints(grid)))):
-        if key in cfg and cfg[key] != used:
-            raise ValueError(f"config key {key!r} holds {cfg[key]!r}; every run uses {used!r}")
-    return settings, params, grid
+    return settings, params, make_grid(settings["T"], settings["dt"])
 
 
 def _versions() -> dict:
@@ -431,12 +416,10 @@ def _write_runs(ns, specs: list[str], figures: bool):
         outputs.extend(_figures(out, grid.times, results))
     manifest = {
         "command": ns.command,
-        "config": {
-            **_payload(params),
-            **{k: v for k, v in settings.items() if k != "out"},
-            "no_svg": getattr(ns, "no_svg", False),
-            "models": specs,
-        },
+        "models": specs,
+        "no_svg": getattr(ns, "no_svg", False),
+        # exactly the run's settings but out: it reloads as a --config
+        "config": {**_payload(params), **{k: v for k, v in settings.items() if k != "out"}},
         "increment_checksum": checksum,
         "clamp_stats": {summary["model"]: summary["clamp"] for _, summary, _ in results},
         "versions": _versions(),
@@ -545,7 +528,7 @@ FLAGS = {
     "exponent": dict(required=True, help="p1 | p2 | p3 | const:<float>"),
     "exponents": dict(default="p1,p2,p3", help="comma-separated exponent specs"),
     "model": dict(default="gm:p1", help="cir | gm:<exp> | pkm:a=..,b=.."),
-    "config": dict(help="JSON config file (keys kappa, theta, xi, v0, ...)"),
+    "config": dict(help=f"JSON config file (keys {', '.join([*PARAMS, *SETTINGS])})"),
     "no-svg": dict(action="store_true", help="skip SVG figures"),
     "n": dict(type=int, default=10, help="truncation level"),
 }
@@ -598,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags, defaults) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        # a flag is spelled in full: compare would read --exponent as its --exponents
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:  # a SETTINGS row's flag: its help, then the row's default
             p.add_argument(f"--{flag}", **FLAGS.get(flag)
                            or dict(help="{2} (default {0})".format(*SETTINGS[flag])))

@@ -1,6 +1,5 @@
 import contextlib
 import io
-import itertools
 import json
 import math
 import os
@@ -27,7 +26,7 @@ from varexp_cir import (
     terminal_histogram,
 )
 from varexp_cir.analysis import moment_bound
-from varexp_cir.cli import json_text, run, write_csv
+from varexp_cir.cli import COMMANDS, json_text, run, write_csv
 
 
 def _run(capsys, *argv):
@@ -235,79 +234,46 @@ def test_varexp_seed_changes_no_byte(capsys, tmp_path, monkeypatch):
     assert json.loads(outputs[0]["manifest.json"])["config"]["seed"] == 42
 
 
+def _rerun_argv(manifest: dict) -> list[str]:
+    """A simulate or compare command line from its manifest's command, models and no_svg."""
+    command, models = manifest["command"], manifest["models"]
+    argv = ([command, "--model", *models] if command == "simulate" else
+            [command, "--exponents", ",".join(m.removeprefix("gm:") for m in models[1:])])
+    return argv + ["--no-svg"] * manifest["no_svg"]
+
+
 def test_reflection_policy_and_config_roundtrip(capsys, tmp_path):
-    # a run walks full truncation and checks orders 2-4 at the quarter-horizon nodes; its
-    # manifest echoes none of them, and an older echo that holds them reloads at those values
-    # alone. Another scheme, order or time would be another experiment: it is refused before
-    # a draw, and the library runs it
-    code, _, err = _run(capsys, "simulate", "--model", "cir", "--paths", "8", "--T", "0.01",
-                        "--out", str(tmp_path / "now"))
-    assert code == 0, err
-    manifest = json.loads((tmp_path / "now" / "manifest.json").read_text())
-    assert json.loads((tmp_path / "now" / "cir_summary.json").read_text())["policy"] == (
-        "full-truncation")
-    assert not {"policy", "orders", "checkpoints"} & set(manifest["config"])
-    old = {**manifest["config"], "policy": "full-truncation", "orders": [2, 3, 4],
-           "checkpoints": [0.002, 0.005, 0.007, 0.01]}
-    cfg = tmp_path / "echo.json"
-    for echo in (manifest["config"], old):  # the output directory is not echoed
-        cfg.write_text(json.dumps(echo))
-        out = tmp_path / f"echo-{len(echo)}"
-        code, _, err = _run(capsys, "simulate", "--model", "cir", "--config", str(cfg),
-                            "--out", str(out))
+    # a manifest's config echo is exactly the run's settings but out, so the manifest alone
+    # re-runs its run: command, models and no_svg as flags, the echo as --config
+    import varexp_cir.cli as cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi": 0.5, "v0": 0.07}))
+    for argv in (["simulate", "--model", "gm:p2"], ["compare", "--exponents", "p1", "--no-svg"]):
+        run_dir, rerun_dir = tmp_path / f"{argv[0]}-run", tmp_path / f"{argv[0]}-rerun"
+        code, _, err = _run(capsys, *argv, "--config", str(cfg), "--paths", "8", "--T", "0.01",
+                            "--dt", "0.002", "--seed", "7", "--out", str(run_dir))
         assert code == 0, err
-        assert json.loads((out / "manifest.json").read_text()) == manifest
-    for key, value in (("policy", "reflection"), ("policy", "full-trunc"), ("orders", [2, 5]),
-                       ("checkpoints", [0.005, 0.01])):
-        cfg.write_text(json.dumps({**old, key: value}))
-        code, _, err = _run(capsys, "simulate", "--model", "cir", "--config", str(cfg),
-                            "--out", str(tmp_path / "refused"))
-        assert code == 2 and err.count("\n") == 1, err
-        assert err.startswith(f"error: config key {key!r} holds {value!r}; every run uses "), err
-        assert not (tmp_path / "refused").exists()
-    pb = simulate_batch(cir_model(ModelParams(2.0, 0.05, 0.3, 0.05)),
-                        sample_batch(42, 8, make_grid(0.01, 0.001)), "reflection")
+        run_files = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        manifest = json.loads(run_files["manifest.json"])
+        assert {json.loads(text)["policy"] for name, text in run_files.items()
+                if name.endswith("_summary.json")} == {"full-truncation"}
+        assert set(manifest["config"]) == {*cli.PARAMS, *cli.SETTINGS} - {"out"}
+        assert _rerun_argv(manifest) == argv
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(manifest["config"]))
+        code, _, err = _run(capsys, *_rerun_argv(manifest), "--config", str(echo),
+                            "--out", str(rerun_dir))
+        assert code == 0, err
+        assert {p.name: p.read_bytes() for p in rerun_dir.iterdir()} == run_files
+    # every run walks full truncation at orders 2-4 and the quarter-horizon nodes; the library
+    # walks reflection and checks any other order and time
+    grid = make_grid(0.01, 0.001)
+    [pb] = simulate_models([cir_model(ModelParams(2.0, 0.05, 0.3, 0.05))],
+                           sample_batch(42, 8, grid), "reflection")
     assert [(r.order, r.checkpoint) for r in check_moment_bounds(pb, (2, 5), (0.005,))] == [
         (2, 0.005), (5, 0.005)]
-
-
-def test_an_echo_holding_dump_paths_still_loads_as_a_config(capsys, tmp_path):
-    # manifests echoed "dump_paths" while that flag existed; such an echo, true or false,
-    # still runs as a config, and the key is read by nothing
-    code, _, err = _run(capsys, "simulate", "--model", "cir", "--paths", "4", "--T", "0.01",
-                        "--out", str(tmp_path / "now"))
-    assert code == 0, err
-    manifest = json.loads((tmp_path / "now" / "manifest.json").read_text())
-    config = manifest["config"]
-    assert "dump_paths" not in config
-    for value in (True, False):
-        cfg = tmp_path / f"echo-{value}.json"
-        cfg.write_text(json.dumps({**config, "dump_paths": value}))
-        out = tmp_path / f"old-{value}"
-        code, _, err = _run(capsys, "simulate", "--model", "cir", "--config", str(cfg),
-                            "--out", str(out))
-        assert code == 0, err
-        assert json.loads((out / "manifest.json").read_text()) == manifest
-
-
-def test_an_echo_holding_bins_still_loads_as_a_config(capsys, tmp_path):
-    # manifests echoed "bins" while --bins existed; such an echo still runs as a config, and
-    # every histogram keeps its 50 bins whatever the key says
-    code, _, err = _run(capsys, "simulate", "--model", "cir", "--paths", "4", "--T", "0.01",
-                        "--out", str(tmp_path / "now"))
-    assert code == 0, err
-    now = {p.name: p.read_bytes() for p in (tmp_path / "now").iterdir()}
-    config = json.loads(now["manifest.json"])["config"]
-    assert "bins" not in config
-    assert now["cir_hist.csv"].count(b"\n") == 1 + 50
-    for bins in (50, 7):
-        cfg = tmp_path / f"echo-{bins}.json"
-        cfg.write_text(json.dumps({**config, "bins": bins}))
-        out = tmp_path / f"old-{bins}"
-        code, _, err = _run(capsys, "simulate", "--model", "cir", "--config", str(cfg),
-                            "--out", str(out))
-        assert code == 0, err
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == now
+    assert martingale_report(pb, (0.003, 0.01)).checkpoints == (0.003, 0.01)
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):
@@ -468,32 +434,17 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
         pytest.param(["simulate"], {"seed": 42.5}, 2, id="config-seed-fractional"),
         pytest.param(["simulate"], {"paths": True}, 2, id="config-paths-bool"),
         pytest.param(["simulate"], {"kappa": True}, 2, id="config-kappa-bool"),
-        # an older echo's scheme, orders or times other than every run's are refused by name
-        pytest.param(["simulate"], {"orders": [2.5]}, 2, id="config-orders-fractional"),
-        pytest.param(["simulate"], {"orders": [10**400]}, 2, id="config-orders-past-double"),
-        pytest.param(
-            ["compare"], {"orders": [2, 10**320]}, 2, id="config-orders-2-and-past-double",
-        ),
-        pytest.param(
-            ["martingale", "--paths", "4", "--T", "0.01"], {"policy": "reflection"},
-            (2, "error: config key 'policy' holds 'reflection'; every run uses 'full-truncation'\n"),
-            id="config-policy-reflection",
-        ),
-        pytest.param(["feller"], {"orders": [2, 5]}, 2, id="feller-config-orders"),
-        pytest.param(
-            ["moments", "--paths", "8", "--T", "0.01"], {"orders": []}, 2, id="config-orders-empty",
-        ),
-        pytest.param(
-            ["moments", "--paths", "8", "--T", "0.01"], {"checkpoints": []}, 2,
-            id="config-checkpoints-empty",
-        ),
-        # a checkpoint far off the grid, or nan, is another time like any other
+        # a key outside PARAMS and SETTINGS, such as one an echo held beside the run's settings
+        # before it held them alone, is refused, even at the value every run uses
         *(pytest.param(
-            ["simulate", "--paths", "4", "--T", "0.01"], {"checkpoints": [value]},
-            (2, f"error: config key 'checkpoints' holds [{value!r}]; every run uses "
-                "[0.002, 0.005, 0.007, 0.01]\n"),
-            id=f"config-checkpoint-{name}",
-        ) for name, value in (("minus-1e308", -1e308), ("nan", math.nan))),
+            [command], {"kappa": 2.0, "paths": 4, "T": 0.01, key: value},
+            (2, f"error: config file <config> has an unknown key {key!r}\n"), id=f"config-{key}",
+        ) for command, (key, value) in zip(
+            [command for command, spec in COMMANDS.items() if "config" in spec[2]],
+            (("dump_paths", False), ("bins", 50), ("no_svg", True), ("models", ["cir", "gm:p1"]),
+             ("policy", "full-truncation"), ("orders", [2, 3, 4]),
+             ("checkpoints", [0.002, 0.005, 0.007, 0.01])), strict=True,
+        )),
         # picard-verify holds the row (N) and, of N + 1 each, two Picard iterates, the
         # oracle's list and array, and their gap: 6N + 5
         pytest.param(
@@ -642,24 +593,9 @@ def test_repeated_model_is_refused_before_sampling(capsys, tmp_path, monkeypatch
     assert not out.exists()
 
 
-def test_a_moment_order_below_two_is_refused_before_sampling(capsys, tmp_path, monkeypatch):
-    import varexp_cir.cli as cli
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("sample_batch called for a refused setting")
-
-    monkeypatch.setattr(cli, "sample_batch", refuse)
-    # a run checks orders 2-4, and an older echo's other orders are refused before a draw; the
-    # library's ceiling refuses an order below 2 itself
-    cfg = tmp_path / "cfg.json"
-    for command, order in itertools.product(("simulate", "compare", "moments"), (1, 0, -2)):
-        cfg.write_text(json.dumps({"orders": [order]}))
-        out = tmp_path / f"{command}{order}"
-        outputs = ("--out", str(out)) if command != "moments" else ()
-        code, _, err = _run(capsys, command, "--config", str(cfg), *outputs)
-        assert (code, err) == (
-            2, f"error: config key 'orders' holds [{order}]; every run uses [2, 3, 4]\n")
-        assert not out.exists()
+def test_a_moment_order_below_two_is_refused_before_sampling():
+    # every run checks orders 2-4; the library's ceiling refuses an order below 2 itself
+    for order in (1, 0, -2):
         with pytest.raises(ValueError, match=f"^moment order must be an integer >= 2, got {order}$"):
             moment_bound(ModelParams(2.0, 0.05, 0.3, 0.05), order, 0.0)
 
@@ -1193,17 +1129,25 @@ def test_memory_is_bounded_by_the_kept_state(capsys, tmp_path, monkeypatch):
     assert mapped[1] and peak + mapped[1] < 20 * 10**6
 
 
-@pytest.mark.parametrize(
-    "flag",
-    [
-        ["--paths", "5"], ["--exponent", "p1"], ["--out", "/nonexistent"], ["--exponents", "p1"],
-        ["--no-svg"], ["--policy", "reflect"], ["--orders", "2"], ["--checkpoints", "0.5"],
-    ],
-)
-def test_picard_verify_rejects_flags_it_does_not_read(capsys, flag):
-    code, _, err = _run(capsys, "picard-verify", "--T", "0.01", *flag)
-    assert code == 2
-    assert "unrecognized arguments" in err
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, spec in COMMANDS.items()
+    for flag in dict.fromkeys(f for other in COMMANDS.values() for f in other[2])
+    if flag not in spec[2]
+])
+def test_a_subcommand_refuses_every_flag_it_does_not_declare(capsys, monkeypatch, command, flag):
+    # another subcommand's flag, even one this subcommand's own flag starts with, is refused
+    # in the parser's one line before a draw
+    import varexp_cir.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("increments drawn for a refused run")
+
+    monkeypatch.setattr(cli, "sample_batch", refuse)
+    monkeypatch.setattr(cli, "path_increments", refuse)
+    given = [f"--{flag}"] + ["1"] * ("action" not in cli.FLAGS.get(flag, {}))
+    required = ["--exponent", "p1"] * (command == "validate-exponent")
+    assert _run(capsys, command, *required, *given) == (
+        2, "", f"error: unrecognized arguments: {' '.join(given)}\n")
 
 
 def test_python_dash_m_runs_the_cli():
