@@ -445,6 +445,24 @@ XI_SQUARED = "error: config key 'xi' has a malformed value 1.4e+154\n"
              ("policy", "full-truncation"), ("orders", [2, 3, 4]),
              ("checkpoints", [0.002, 0.005, 0.007, 0.01])), strict=True,
         )),
+        # an older echo's orders or times, however malformed, are refused by that same one rule
+        # before their value is read
+        *(pytest.param(
+            argv, config,
+            (2, f"error: config file <config> has an unknown key {next(iter(config))!r}\n"),
+            id=name,
+        ) for name, argv, config in (
+            ("config-orders-fractional", ["simulate"], {"orders": [2.5]}),
+            ("config-orders-past-double", ["simulate"], {"orders": [10**400]}),
+            ("config-orders-2-and-past-double", ["compare"], {"orders": [2, 10**320]}),
+            ("feller-config-orders", ["feller"], {"orders": [2, 5]}),
+            ("config-orders-empty", ["moments", "--paths", "8", "--T", "0.01"], {"orders": []}),
+            ("config-checkpoints-empty", ["moments", "--paths", "8", "--T", "0.01"],
+             {"checkpoints": []}),
+            *((f"config-checkpoint-{name}", ["simulate", "--paths", "4", "--T", "0.01"],
+               {"checkpoints": [value]})
+              for name, value in (("minus-1e308", -1e308), ("nan", math.nan))),
+        )),
         # picard-verify holds the row (N) and, of N + 1 each, two Picard iterates, the
         # oracle's list and array, and their gap: 6N + 5
         pytest.param(
