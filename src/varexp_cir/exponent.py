@@ -11,7 +11,7 @@ A user-supplied exponent is an ``ExponentFunction`` of kind ``"custom"``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -160,9 +160,10 @@ def make_builtin(name: str) -> ExponentFunction:
 class HypothesisReport:
     """Outcome of the numerical admissibility check.
 
-    ``passed`` is true iff ``observed_inf >= 1/2 - tol``,
+    ``verdict`` is ``"pass"`` iff ``observed_inf >= 1/2 - tol``,
     ``observed_sup <= 1 + tol`` and the derivative sup near zero is
-    finite. The inf/sup are grid approximations; the grid bounds are
+    finite, else ``"fail(<clause>)"`` naming the first clause that
+    fails. The inf/sup are grid approximations; the grid bounds are
     recorded in ``grid_used``.
     """
 
@@ -171,14 +172,12 @@ class HypothesisReport:
     observed_dsup_near_zero: float
     p_at_zero_plus: float
     grid_used: str
-    verdict: str = field(init=False)
-    tol: float = field(init=False, default=RANGE_TOL)
-    passed: bool = field(repr=False)
-    failing_clause: str | None = field(repr=False)
+    verdict: str
+    tol: float = RANGE_TOL
 
-    def __post_init__(self):
-        verdict = "pass" if self.passed else f"fail({self.failing_clause})"
-        object.__setattr__(self, "verdict", verdict)
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
 
 
 def validate_hypotheses(fn: ExponentFunction) -> HypothesisReport:
@@ -208,13 +207,13 @@ def validate_hypotheses(fn: ExponentFunction) -> HypothesisReport:
     dsup_near_zero = float(abs_d.max()) if np.all(np.isfinite(abs_d)) else math.inf
     p_zero = float(fn.func(GRID_MIN))
 
-    failing = None
+    verdict = "pass"
     if observed_inf < 0.5 - RANGE_TOL:
-        failing = "inf_below_half"
+        verdict = "fail(inf_below_half)"
     elif observed_sup > 1.0 + RANGE_TOL:
-        failing = "sup_above_one"
+        verdict = "fail(sup_above_one)"
     elif not math.isfinite(dsup_near_zero):
-        failing = "derivative_unbounded_near_zero"
+        verdict = "fail(derivative_unbounded_near_zero)"
 
     grid_desc = (
         f"log[{GRID_MIN:g},{GRID_MAX:g}]x{GRID_POINTS}"
@@ -226,6 +225,5 @@ def validate_hypotheses(fn: ExponentFunction) -> HypothesisReport:
         observed_dsup_near_zero=dsup_near_zero,
         p_at_zero_plus=p_zero,
         grid_used=grid_desc,
-        passed=failing is None,
-        failing_clause=failing,
+        verdict=verdict,
     )

@@ -221,10 +221,10 @@ class FellerReport:
     """Outcome of the zero-boundary non-attainability test.
 
     ``analytic_limit`` is the closed-form limit of the boundary test
-    function at 0+; the numeric profile samples it on a log grid near
-    zero so a sign contradiction can demote the verdict to
-    inconclusive. For constant exponent 1/2 the report also states the
-    classical condition 2*kappa*theta >= xi^2.
+    function at 0+ and decides the verdict; the numeric profile samples
+    the function on a log grid near zero and can demote only a zero
+    limit to inconclusive. For constant exponent 1/2 the report also
+    states the classical condition 2*kappa*theta >= xi^2.
     """
 
     analytic_limit: float
@@ -244,8 +244,10 @@ def feller_check(model: Model) -> FellerReport:
     exponent value at zero: above 1/2 the diffusion term vanishes and
     the limit is the drift limit; at exactly 1/2 (within tolerance) the
     term x**(2p-1) * p contributes 1/2, so the limit picks up -xi^2/2.
-    The verdict is non-attainable iff the limit is nonnegative and the
-    numeric profile shows no contradicting sign below x = 1e-6. A profile
+    A limit above 1e-9 * max(1, |limit|) is non-attainable, as the test
+    function is then positive near 0+; a negative one is attainable. A
+    zero limit (pkm's a = 1) is inconclusive if the profile is negative
+    below x = 1e-6, as is a profile that cannot be evaluated; a profile
     that is not finite raises ArithmeticError.
     """
     params = model.params
@@ -278,12 +280,13 @@ def feller_check(model: Model) -> FellerReport:
         raise ArithmeticError(f"{model.model_id}'s boundary test function is not finite near 0")
     profile = tuple(zip(xs.tolist(), ts.tolist()))
 
+    tol = 1e-9 * max(1.0, abs(analytic_limit))
     if not profile:
         verdict = "inconclusive"
-    elif analytic_limit >= 0.0:
-        near = xs < 1e-6
-        tol_neg = 1e-9 * max(1.0, abs(analytic_limit))
-        contradiction = bool(np.any(ts[near] < -tol_neg))
+    elif analytic_limit > tol:
+        verdict = "non-attainable"
+    elif analytic_limit >= 0.0:  # a zero limit: the profile's sign below 1e-6 decides
+        contradiction = bool(np.any(ts[xs < 1e-6] < -tol))
         verdict = "inconclusive" if contradiction else "non-attainable"
     else:
         verdict = "attainable"

@@ -10,7 +10,7 @@ cubic Hermite so the truncation has a computable derivative bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,8 +187,6 @@ class LipschitzReport:
     Lg_n: float
     Lhat_n: float
     empirical_sup_quotient: float
-    phi_deriv_sup: float = field(repr=False)
-    p_deriv_sup: float = field(repr=False)
 
 
 def _phi_deriv_sup(tp: TruncationParams) -> float:
@@ -224,11 +222,8 @@ def lipschitz_constants(tp: TruncationParams, model: Model) -> LipschitzReport:
     n = tp.n
 
     p_plus = exp_fn.declared_pplus
-    dp_sup = _p_deriv_sup(exp_fn, tp)
-    C_n = n**p_plus * (n * p_plus + dp_sup * math.log(n))
-
-    phi_sup = _phi_deriv_sup(tp)
-    L_n = 1.0 + n * phi_sup
+    C_n = n**p_plus * (n * p_plus + _p_deriv_sup(exp_fn, tp) * math.log(n))
+    L_n = 1.0 + n * _phi_deriv_sup(tp)
     Lf_n = kappa * L_n
     Lg_n = xi * L_n * C_n
     try:
@@ -253,6 +248,4 @@ def lipschitz_constants(tp: TruncationParams, model: Model) -> LipschitzReport:
         Lg_n=Lg_n,
         Lhat_n=Lhat_n,
         empirical_sup_quotient=empirical,
-        phi_deriv_sup=phi_sup,
-        p_deriv_sup=dp_sup,
     )

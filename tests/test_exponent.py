@@ -118,10 +118,10 @@ def test_validate_hypotheses_constant_cases():
     assert ok.passed and ok.observed_inf == 0.5 and ok.observed_sup == 0.5
 
     high = validate_hypotheses(constant_exponent(1.2))
-    assert not high.passed and high.failing_clause == "sup_above_one"
+    assert not high.passed and high.verdict == "fail(sup_above_one)"
 
     low = validate_hypotheses(constant_exponent(0.4))
-    assert not low.passed and low.failing_clause == "inf_below_half"
+    assert not low.passed and low.verdict == "fail(inf_below_half)"
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,7 +143,7 @@ def test_custom_exponent_with_infinite_derivative_fails_clause():
     )
     report = validate_hypotheses(fn)
     assert not report.passed
-    assert report.failing_clause == "derivative_unbounded_near_zero"
+    assert report.verdict == "fail(derivative_unbounded_near_zero)"
 
 
 @pytest.mark.parametrize("which, message", [("func", "evaluation"), ("deriv", "derivative")])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -195,6 +196,29 @@ def test_feller_check_of_an_exponent_that_cannot_be_differentiated_is_inconclusi
     assert report.criterion_used == "p0_above_half"
 
 
+def test_feller_check_a_zero_limit_is_decided_by_the_profile():
+    # pkm a=1, b=1 has f(0) = 0, so the limit is 0, and near 0 the test function is
+    # (kappa theta - xi^2) x - kappa x^2: negative at xi = 0.6 (0.1 < 0.36), positive at 0.3
+    for xi, verdict in ((0.6, "inconclusive"), (0.3, "non-attainable")):
+        report = feller_check(parse_model("pkm:a=1,b=1", ModelParams(2.0, 0.05, xi, 0.05)))
+        near = [t for x, t in report.numeric_profile if x < 1e-6]
+        assert (report.analytic_limit, report.verdict, min(near) < 0.0) == (0.0, verdict, xi == 0.6)
+
+
+@pytest.mark.parametrize("xi", [0.3, 0.6, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("spec", ["cir", "gm:p1", "gm:p2", "gm:p3", "gm:const:0.75", "gm:const:1",
+                                  "pkm:a=0,b=0.5", "pkm:a=0,b=1", "pkm:a=0,b=1.5"])
+def test_feller_verdict_is_the_closed_form_class(spec, xi):
+    # with f(0) = kappa theta > 0, the scale function is -inf at 0+ when p(0+) > 1/2, and when
+    # p(0+) = 1/2 iff 2 kappa theta >= xi^2 (Feller 1952; Karlin & Taylor 1981, 15.6), whatever
+    # sign the test function takes inside the profile window (gm p2 and p3 at xi >= 1)
+    kappa, theta = 2.0, 0.05
+    model = parse_model(spec, ModelParams(kappa, theta, xi, 0.05))
+    half = float(model.exponent.func(0.0)) == 0.5
+    expected = "attainable" if half and 2.0 * kappa * theta < xi**2 else "non-attainable"
+    assert feller_check(model).verdict == expected
+
+
 def test_parse_model_grammar(params):
     assert parse_model("cir", params).model_id == "cir"
     gm = parse_model("gm:p2", params)
@@ -289,7 +313,11 @@ def test_feller_payload_keys_come_in_order(params, spec, keys):
     # every report the CLI prints writes these keys in this order: its fields but those
     # declared repr=False and those that are None. Feller's classical three are set only for
     # a constant exponent 1/2 under the linear drift
-    assert tuple(json.loads(json_text(_report(spec, params)))) == keys
+    report = _report(spec, params)
+    assert tuple(json.loads(json_text(report))) == keys
+    # repr=False marks only a value the program reads but does not print: Picard's fixed point
+    hidden = [f.name for f in dataclasses.fields(report) if not f.repr]
+    assert hidden == (["fixed_point"] if spec == "picard" else [])
 
 
 def test_model_carries_its_coefficient_data(params):

@@ -18,7 +18,7 @@ from varexp_cir.truncation import (
     truncated_diffusion,
     truncated_drift,
 )
-from varexp_cir.truncation import _float_maps, _rho, _theta, _theta_deriv  # the raw maps
+from varexp_cir.truncation import _float_maps, _p_deriv_sup, _rho, _theta, _theta_deriv  # the raw maps
 
 
 def test_truncation_params_validation():
@@ -308,7 +308,7 @@ def test_cn_closed_form_constant_exponent(params):
     model = gm_model(params, make_builtin("const:1"))
     report = lipschitz_constants(TruncationParams(2), model)
     assert report.C_n == pytest.approx(4.0)
-    assert report.p_deriv_sup == 0.0
+    assert _p_deriv_sup(model.exponent, TruncationParams(2)) == 0.0
 
 
 def test_lipschitz_constants_dominate_empirical(params):
