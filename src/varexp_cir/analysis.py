@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 #: Statistical acceptance threshold: 4 standard errors keeps the false-failure
-#: probability per check below 1e-4 for many paths, where the statistic is near normal.
-#: With M paths it is a Student t with M - 1 degrees of freedom: at M = 2,
-#: P(|t| > 4) is about 0.156.
+#: probability per check below 1e-4 where the statistic is near normal. With M paths it is
+#: a Student t with M - 1 degrees of freedom: P(|t| > 4) is 0.156 at M = 2, at most 1e-4 from
+#: M = 149 on. At M = 150, 0 of 800 runs of 4 checks failed (cir and gm p1, 400 seeds).
 SIGMA_FACTOR = 4.0
 
 #: Moment orders checked by default, as every command-line run checks them.

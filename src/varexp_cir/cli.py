@@ -334,16 +334,10 @@ def _simulate(settings: dict, params: ModelParams, grid, specs: list[str]):
     return h.hexdigest(), runs
 
 
-def _path_rows(grid, path0):
-    """The path CSV's lines t,path_id,v of path 0 at every node of the grid."""
-    return (f"{t:.17g},0,{v:.17g}\n" for t, v in zip(grid.times.tolist(), path0.tolist()))
-
-
-def _summary(settings: dict, checksum: str, pb):
-    """The summary and terminal histogram of one path batch's model."""
+def _summary(settings: dict, checksum: str, pb) -> dict:
+    """The summary of one path batch's model, its terminal histogram among its entries."""
     grid = pb.grid
-    hist = terminal_histogram(pb, grid.horizon, HIST_BINS)
-    summary = {
+    return {
         "model": pb.model.model_id,
         "seed": settings["seed"],
         "policy": solver.POLICIES[0],
@@ -353,32 +347,33 @@ def _summary(settings: dict, checksum: str, pb):
         "clamp": {"clamped_steps": int(pb.clamp_counts.sum()), "fraction": pb.clamp_fraction},
         "moments": check_moment_bounds(pb),
         "martingale": martingale_report(pb),
-        "terminal_histogram": hist,
+        "terminal_histogram": terminal_histogram(pb, grid.horizon, HIST_BINS),
     }
-    return summary, hist
 
 
-def _model_outputs(out: FsPath, summary: dict, hist, path_rows) -> list[str]:
-    """Write one model's summary JSON, path CSV (path_rows behind the header) and
+def _model_outputs(out: FsPath, pb, summary: dict) -> list[str]:
+    """Write one model's summary JSON, path CSV (t,path_id,v of path 0 at every node) and
     histogram CSV; return the file names."""
-    mid = summary["model"]
+    mid, hist = summary["model"], summary["terminal_histogram"]
     files = [f"{mid}_summary.json", f"{mid}_path.csv", f"{mid}_hist.csv"]
     atomic_write(out / files[0], json_text(summary) + "\n")
-    write_csv(out / files[1], ["t", "path_id", "v"], path_rows)
+    write_csv(out / files[1], ["t", "path_id", "v"], (
+        f"{t:.17g},0,{v:.17g}\n" for t, v in zip(pb.grid.times.tolist(), pb.path0.tolist())))
     hist_rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities)
     write_csv(out / files[2], ["bin_left", "bin_right", "count", "density"],
               ("%.17g,%.17g,%d,%.17g\n" % row for row in hist_rows))
     return files
 
 
-def _figures(out: FsPath, times, runs) -> list[str]:
+def _figures(out: FsPath, times, results) -> list[str]:
     """Figure pair per exponent, named by its kind: sample path overlay and
     terminal histogram overlay of the CIR baseline (the first run) vs the
     variable-exponent run, both driven by common increments. Path index
     0 is shown so outputs are reproducible."""
     files = []
-    cir, _, cir_hist = runs[0]
-    for pb, _, hist in runs[1:]:
+    cir, cir_hist = results[0][0], results[0][1]["terminal_histogram"]
+    for pb, summary in results[1:]:
+        hist = summary["terminal_histogram"]
         exponent_name = pb.model.exponent.kind
         slug = exponent_name.replace(":", "_")
         path_name, hist_name = f"fig_{slug}_path.svg", f"fig_{slug}_hist.svg"
@@ -387,10 +382,8 @@ def _figures(out: FsPath, times, runs) -> list[str]:
             title=f"Sample path (path 0): cir vs gm {exponent_name}",
         )
         hist_svg = svg_histogram(
-            [
-                ("cir", cir_hist.bin_edges, cir_hist.densities),
-                (f"gm {exponent_name}", hist.bin_edges, hist.densities),
-            ],
+            [("cir", cir_hist.bin_edges, cir_hist.densities),
+             (f"gm {exponent_name}", hist.bin_edges, hist.densities)],
             title=f"Terminal distribution: cir vs gm {exponent_name}",
         )
         atomic_write(out / path_name, path_svg)
@@ -403,15 +396,13 @@ def _write_runs(ns, specs: list[str], figures: bool):
     """The simulate/compare pipeline: one walk over the paths, per-model
     outputs, optional figures, then the manifest. Every model's statistics are
     computed before the first output is written. Returns the settings, the
-    increment checksum and one (path batch, summary, histogram) per model.
+    increment checksum and one (path batch, summary) per model.
     """
     settings, params, grid = _run_config(ns)
     out = settings["out"]
     checksum, runs = _simulate(settings, params, grid, specs)
-    results = [(pb, *_summary(settings, checksum, pb)) for pb in runs]
-    outputs = []
-    for pb, summary, hist in results:
-        outputs.extend(_model_outputs(out, summary, hist, _path_rows(grid, pb.path0)))
+    results = [(pb, _summary(settings, checksum, pb)) for pb in runs]
+    outputs = [name for pb, summary in results for name in _model_outputs(out, pb, summary)]
     if figures:
         outputs.extend(_figures(out, grid.times, results))
     manifest = {
@@ -421,7 +412,7 @@ def _write_runs(ns, specs: list[str], figures: bool):
         # exactly the run's settings but out: it reloads as a --config
         "config": {**_payload(params), **{k: v for k, v in settings.items() if k != "out"}},
         "increment_checksum": checksum,
-        "clamp_stats": {summary["model"]: summary["clamp"] for _, summary, _ in results},
+        "clamp_stats": {summary["model"]: summary["clamp"] for _, summary in results},
         "versions": _versions(),
         "outputs": sorted(outputs + ["manifest.json"]),
     }
@@ -435,8 +426,7 @@ def _write_runs(ns, specs: list[str], figures: bool):
 # run() to print, with ok None for a numeric failure
 
 def cmd_simulate(ns):
-    settings, _, results = _write_runs(ns, [ns.model], figures=False)
-    summary = results[0][1]
+    settings, _, [(_, summary)] = _write_runs(ns, [ns.model], figures=False)
     return (
         f"simulate {summary['model']}: M={settings['paths']} seed={settings['seed']} "
         f"clamp_fraction={summary['clamp']['fraction']:.3g} -> {settings['out']}"
@@ -472,7 +462,7 @@ def cmd_lipschitz(ns):
     model = parse_model(ns.model, _run_config(ns)[1])
     report = lipschitz_constants(TruncationParams(n=ns.n), model)
     ok = report.empirical_sup_quotient <= report.Lg_n * (1.0 + 1e-12)
-    return report, ok, f"lipschitz n={ns.n}: {'ok' if ok else 'violated'}"
+    return report, ok, f"lipschitz {model.model_id} n={ns.n}: {'ok' if ok else 'violated'}"
 
 
 def cmd_moments(ns):

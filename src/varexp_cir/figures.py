@@ -89,18 +89,13 @@ def _polyline(to_px, xs, ys, color):
 
 
 def _bars(to_px, edges, dens, color):
-    edges = np.asarray(edges, dtype=float)
-    bars = []
-    for left, right, d in zip(edges[:-1], edges[1:], np.asarray(dens, dtype=float)):
-        x0, y_top = to_px(left, d)
-        x1, y_bot = to_px(right, 0.0)
-        bars.append(
-            f'<rect x="{float(x0):.2f}" y="{float(y_top):.2f}" '
-            f'width="{max(float(x1 - x0), 0.1):.2f}" '
-            f'height="{max(float(y_bot - y_top), 0.0):.2f}" '
-            f'fill="{color}" fill-opacity="0.45"/>'
-        )
-    return bars
+    x0, y_top = to_px(edges[:-1], dens)
+    x1, y_bot = to_px(edges[1:], 0.0)
+    return [
+        f'<rect x="{left:.2f}" y="{top:.2f}" width="{max(right - left, 0.1):.2f}" '
+        f'height="{max(y_bot - top, 0.0):.2f}" fill="{color}" fill-opacity="0.45"/>'
+        for left, right, top in zip(x0.tolist(), x1.tolist(), y_top.tolist())
+    ]
 
 
 def svg_line_plot(series, title: str) -> str:

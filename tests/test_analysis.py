@@ -14,7 +14,7 @@ from varexp_cir.analysis import (
 )
 from varexp_cir.exponent import make_builtin
 from varexp_cir.model import ModelParams, cir_model, coefficients, gm_model, pkm_model
-from varexp_cir.solver import PathBatch, simulate_batch
+from varexp_cir.solver import PathBatch, simulate_batch, simulate_models
 from varexp_cir.stochastic import BrownianBatch, make_grid, sample_batch
 
 
@@ -197,6 +197,22 @@ def test_martingale_report_full_runs(full_runs):
         report = martingale_report(pb)
         assert report.satisfied, mid
         assert report.max_abs_drift <= 4.0 * max(report.mh_stderrs) + report.bias_allowance
+
+
+def test_martingale_rule_false_failure_rate_at_150_paths(capsys):
+    """The size of the 4 sigma rule where its stated rate holds. From M = 149 on the Student t
+    model gives P(|t| > 4) <= 1e-4 a check, so at most 4e-4 a run of 4 checkpoints. Bound,
+    written before the first run: P(Binomial(800, 4e-4) > 3) = 3.4e-4, so at most 3 of 800
+    runs (cir and gm p1 at 400 seeds outside every reserved set) fail on correct models."""
+    params = ModelParams(kappa=2.0, theta=0.05, xi=0.3, v0=0.05)
+    models = [cir_model(params), gm_model(params, make_builtin("p1"))]
+    grid = make_grid(1.0, 0.01)
+    failed = sum(not martingale_report(pb).satisfied
+                 for seed in range(10_000, 10_400)
+                 for pb in simulate_models(models, sample_batch(seed, 150, grid)))
+    with capsys.disabled():
+        print(f"\nmartingale rule at M = 150: {failed} of 800 runs failed")
+    assert failed <= 3
 
 
 def test_martingale_requires_checkpoints(full_runs):

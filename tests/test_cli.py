@@ -88,13 +88,14 @@ def test_feller_attainable_exits_one(capsys, tmp_path):
 
 
 def test_lipschitz_subcommand_keys(capsys):
-    code, out, _ = _run(capsys, "lipschitz", "--model", "gm:p1", "--n", "10")
+    code, out, err = _run(capsys, "lipschitz", "--model", "gm:p1", "--n", "10")
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {
         "n", "epsilon", "L_n", "C_n", "Lf_n", "Lg_n", "Lhat_n", "empirical_sup_quotient",
     }
     assert payload["n"] == 10
+    assert err == "lipschitz gm_p1 n=10: ok\n"  # the line names its model, as feller's does
 
 
 def test_malformed_config_exits_two(capsys, tmp_path):
